@@ -50,8 +50,6 @@ from .pm_dp import (
 )
 from .pm_inex import (
     ArcGraph,
-    TupleTable,
-    WalkTable,
     build_arc_graph,
     count_anchored_walks,
     count_pm_inex,
@@ -97,8 +95,6 @@ __all__ = [
     "ReducedInstance",
     "TourResult",
     "TrimPlan",
-    "TupleTable",
-    "WalkTable",
     "anchor_vertex",
     "build_arc_graph",
     "build_contracted_graph",

@@ -1,0 +1,21 @@
+"""Exact conversion of ordered family counts into unordered ones."""
+
+from __future__ import annotations
+
+from collections.abc import Iterable
+from math import factorial
+
+
+def unordered_total(ordered: Iterable[tuple[int, int]]) -> int:
+    """Sum of count // r! over (r, count) pairs, where count tallies ordered
+    r-tuples of distinct members, so that it must be a nonnegative multiple
+    of r!; anything else means the count is wrong and raises."""
+    total = 0
+    for r, count in ordered:
+        f = factorial(r)
+        if count < 0 or count % f != 0:
+            raise AssertionError(
+                f"ordered count for r={r} is {count}, not a nonnegative multiple of {r}!"
+            )
+        total += count // f
+    return total

@@ -24,6 +24,18 @@ from .graphs import BipartiteGraph
 DEFAULT_ALPHA = Fraction("3.55")
 
 
+def _check_alpha(alpha: Fraction | float) -> Fraction:
+    """alpha as an exact Fraction, or ValueError unless it exceeds 2.
+
+    A float is read by its shortest decimal repr, so 3.55 becomes 71/20
+    (DEFAULT_ALPHA) rather than the binary fraction nearest to it.
+    """
+    alpha = Fraction(repr(alpha)) if isinstance(alpha, float) else Fraction(alpha)
+    if alpha <= 2:
+        raise ValueError("alpha must exceed 2")
+    return alpha
+
+
 @dataclass(frozen=True)
 class ReducedInstance:
     """Result of peeling: a sub-instance with minimum degree >= 2 (or empty),
@@ -109,9 +121,7 @@ def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> Tri
     index) where d = m/k exactly; its neighborhood a0 then has at most
     k/alpha vertices, which is what makes the skip rule sound.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 2:
-        raise ValueError("alpha must exceed 2")
+    alpha = _check_alpha(alpha)
     k = g.k
     if k == 0:
         return TrimPlan(0, alpha, Fraction(0), (), 0, (), (), 0)
@@ -157,7 +167,7 @@ def count_pm_bipartite(
     Top-down evaluation from the full B set; calls hitting the skip rule
     return zero without being memoized, everything else is cached.
     """
-    alpha = Fraction(alpha)
+    alpha = _check_alpha(alpha)
     red = reduce_degree_one(g)
     if not red.feasible:
         return BipCountResult(0, 0, 0, 0, 0, Fraction(0), alpha)

@@ -27,8 +27,8 @@ pushed, so work is proportional to the number of reachable states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
+from .counting import unordered_total
 from .graphs import Graph
 
 
@@ -160,16 +160,7 @@ def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
 
 def count_label_disjoint_covers(mg: LabeledMultigraph) -> int:
     """Number of cycle covers of mg whose edge labels are pairwise disjoint."""
-    run = run_cover_dp(mg)
-    total = 0
-    for q, val in sorted(run.full_covers.items()):
-        f = factorial(q)
-        if val % f != 0:
-            raise AssertionError(
-                f"ordered {q}-cycle cover count {val} is not a multiple of {q}!"
-            )
-        total += val // f
-    return total
+    return unordered_total(run_cover_dp(mg).full_covers.items())
 
 
 @dataclass(frozen=True)
@@ -184,12 +175,4 @@ def count_pm_dp(g: Graph) -> PmDpResult:
         return PmDpResult(0, 0)
     mg = build_contracted_graph(g)
     run = run_cover_dp(mg)
-    total = 0
-    for q, val in sorted(run.full_covers.items()):
-        f = factorial(q)
-        if val % f != 0:
-            raise AssertionError(
-                f"ordered {q}-cycle cover count {val} is not a multiple of {q}!"
-            )
-        total += val // f
-    return PmDpResult(total, run.states_visited)
+    return PmDpResult(unordered_total(run.full_covers.items()), run.states_visited)

@@ -9,17 +9,26 @@ graph edges.
 
 A matching corresponds to a family of vertex-disjoint closed walks of total
 length n/2 using every label exactly once.  Counting families that avoid a
-label subset is polynomial (a layered walk DP plus a knapsack convolution),
-and inclusion-exclusion over the 2^(n/2) label subsets recovers the exact
-matching count in polynomial space.
+label subset is polynomial (a layered walk DP plus a power series over the
+per-length walk totals), and inclusion-exclusion over the 2^(n/2) label
+subsets recovers the exact matching count in polynomial space.
+
+The subsets are enumerated depth first, deciding label n/2-1 first and
+label 0 last.  Banning label l deletes vertices 2l and 2l+1 from every
+closed walk, and a walk anchored at 2l never enters a vertex below 2l, so
+its counts depend only on the labels >= l.  The walk DP for anchor 2l
+therefore runs once per assignment of the labels above it, at the node
+that allows l, and every subset below that node shares its result: fewer
+than 2^(n/2) single-anchor DPs per graph.  The live state is one vector of
+n/2+1 running per-length totals per level of the recursion, so space stays
+polynomial: O(n^2) integers plus the arc lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
-from .bitset import bits
+from .counting import unordered_total
 from .graphs import Graph, pair_partner
 
 
@@ -27,108 +36,90 @@ from .graphs import Graph, pair_partner
 class ArcGraph:
     """Directed labeled multigraph on the input's n vertices.
 
-    arcs holds (src, dst, label) with label in [0, n/2); self-loops occur
-    whenever an input edge joins the two members of one pair.
+    out[v] lists the heads of the arcs leaving v, all of which carry label
+    v//2; a self-loop occurs whenever an input edge joins the two members
+    of one pair.
     """
 
     n: int
-    arcs: tuple[tuple[int, int, int], ...]
+    out: tuple[tuple[int, ...], ...]
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """Every arc as (src, dst, label)."""
+        return tuple((v, w, v // 2) for v in range(self.n) for w in self.out[v])
 
 
 def build_arc_graph(g: Graph) -> ArcGraph:
     """Two arcs per input edge: (partner(x) -> y, label x//2) and symmetric."""
     if g.n % 2 != 0:
         raise ValueError("vertex count must be even")
-    arcs = []
+    out: list[list[int]] = [[] for _ in range(g.n)]
     for x, y, _ in g.edges:
-        arcs.append((pair_partner(x), y, x // 2))
-        arcs.append((pair_partner(y), x, y // 2))
-    return ArcGraph(g.n, tuple(arcs))
+        out[pair_partner(x)].append(y)
+        out[pair_partner(y)].append(x)
+    return ArcGraph(g.n, tuple(tuple(heads) for heads in out))
 
 
-@dataclass(frozen=True)
-class WalkTable:
-    """counts[a][j]: closed walks of length j from vertex a that visit a
-    exactly once and avoid every vertex below a (1 <= j <= max_len)."""
-
-    n: int
-    max_len: int
-    counts: tuple[tuple[int, ...], ...]
-
-    def walks(self, a: int, j: int) -> int:
-        return self.counts[a][j]
-
-
-def count_anchored_walks(ag: ArcGraph, banned_labels) -> WalkTable:
-    """Anchored-closed-walk counts in the arc graph with banned labels removed."""
-    n = ag.n
-    max_len = n // 2
-    banned = frozenset(banned_labels)
-    out_arcs: list[list[int]] = [[] for _ in range(n)]  # src -> dst list
-    in_arcs: list[list[int]] = [[] for _ in range(n)]  # dst -> src list
-    loops = [0] * n
-    for src, dst, label in ag.arcs:
-        if label in banned:
-            continue
-        if src == dst:
-            loops[src] += 1
-        out_arcs[src].append(dst)
-        in_arcs[dst].append(src)
-
-    table = [[0] * (max_len + 1) for _ in range(n)]
-    for a in range(n):
-        if max_len >= 1:
-            table[a][1] = loops[a]
-        # walk[b] = number of a->b walks of the current length whose
-        # intermediate vertices all exceed a and never return to a
-        walk = [0] * n
-        for b in out_arcs[a]:
-            if b > a:
-                walk[b] += 1
-        for j in range(2, max_len + 1):
-            table[a][j] = sum(walk[b] for b in in_arcs[a] if b > a)
-            if j < max_len:
-                nxt = [0] * n
-                for b in range(a + 1, n):
-                    wb = walk[b]
-                    if wb:
-                        for c in out_arcs[b]:
-                            if c > a:
-                                nxt[c] += wb
-                walk = nxt
-    return WalkTable(n, max_len, tuple(tuple(row) for row in table))
+def count_anchored_walks(ag: ArcGraph, anchor: int, allowed: int) -> list[int]:
+    """counts[j] for 0 <= j <= n/2: closed walks of length j from anchor
+    that visit the anchor only at their ends and otherwise stay on vertices
+    above it whose bit is set in the allowed mask (the anchor's own bit is
+    not read)."""
+    max_len = ag.n // 2
+    out = ag.out
+    counts = [0] * (max_len + 1)
+    # walk[b]: anchor->b walks of the current length that have not closed
+    walk: dict[int, int] = {}
+    for b in out[anchor]:
+        if b == anchor:
+            counts[1] += 1
+        elif b > anchor and (allowed >> b) & 1:
+            walk[b] = walk.get(b, 0) + 1
+    for j in range(2, max_len + 1):
+        if not walk:
+            break
+        nxt: dict[int, int] = {}
+        closed = 0
+        for b, wb in walk.items():
+            for c in out[b]:
+                if c == anchor:
+                    closed += wb
+                elif c > anchor and (allowed >> c) & 1:
+                    nxt[c] = nxt.get(c, 0) + wb
+        counts[j] = closed
+        walk = nxt
+    return counts
 
 
-@dataclass(frozen=True)
-class TupleTable:
-    """t[q][i]: ordered q-tuples of counted walks with total length i."""
+def count_walk_tuples(per_len: list[int]) -> list[int]:
+    """t[r] for 0 <= r <= L, where L = len(per_len) - 1: ordered r-tuples of
+    walks with total length L, given per_len[j] >= 0 walks of each length
+    j >= 1 (per_len[0] is ignored).
 
-    t: tuple[tuple[int, ...], ...]
-
-
-def count_walk_tuples(wt: WalkTable, total_len: int) -> TupleTable:
-    """Knapsack convolution over walk counts aggregated by length.
-
-    Only walks anchored at even vertices are combined: every closed walk
-    family that uses each label once consists of cycles whose lowest
-    vertex is even, while the reverse traversal of such a cycle anchors at
-    the odd partner; restricting to even anchors keeps one traversal
-    direction per cycle.
+    t[r] is the coefficient of x^L in P(x)^r for P(x) = sum_j per_len[j] x^j.
+    Only even-anchored walks belong in per_len: every closed walk family
+    that uses each label once consists of cycles whose lowest vertex is
+    even, while the reverse traversal of such a cycle anchors at the odd
+    partner; even anchors keep one direction per cycle.
     """
-    per_len = [0] * (total_len + 1)
-    for j in range(1, min(wt.max_len, total_len) + 1):
-        per_len[j] = sum(wt.counts[a][j] for a in range(0, wt.n, 2))
-    t = [[0] * (total_len + 1) for _ in range(total_len + 1)]
-    t[0][0] = 1
-    for q in range(1, total_len + 1):
-        for i in range(total_len + 1):
-            acc = 0
-            for j in range(1, i + 1):
-                pj = per_len[j]
-                if pj:
-                    acc += pj * t[q - 1][i - j]
-            t[q][i] = acc
-    return TupleTable(tuple(tuple(row) for row in t))
+    total_len = len(per_len) - 1
+    # Kronecker substitution: P is packed into one integer with a digit of
+    # `width` bits per coefficient.  Every coefficient of P^r is at most
+    # P(1)^r <= P(1)^L < 2^width, so no digit spills into the next; carries
+    # only travel upward, so masking to L+1 digits truncates exactly.
+    width = total_len * sum(per_len[1:]).bit_length() + 1
+    p = sum(c << (width * j) for j, c in enumerate(per_len) if j)
+    keep = (1 << (width * (total_len + 1))) - 1
+    t = [0] * (total_len + 1)
+    t[0] = int(total_len == 0)
+    power = 1
+    for r in range(1, total_len + 1):
+        power = power * p & keep
+        if not power:
+            break
+        t[r] = power >> (width * total_len)
+    return t
 
 
 def inex_accumulators(g: Graph) -> list[int]:
@@ -144,12 +135,21 @@ def inex_accumulators(g: Graph) -> list[int]:
     half = g.n // 2
     ag = build_arc_graph(g)
     acc = [0] * (half + 1)
-    for subset in range(1 << half):
-        banned = frozenset(bits(subset))
-        sign = -1 if subset.bit_count() % 2 else 1
-        tuples = count_walk_tuples(count_anchored_walks(ag, banned), half)
-        for r in range(1, half + 1):
-            acc[r] += sign * tuples.t[r][half]
+
+    def visit(label: int, allowed: int, totals: list[int], sign: int) -> None:
+        # labels above `label` are decided: `allowed` masks the vertices of
+        # the allowed ones, `totals` sums their anchors' walk counts by length
+        if label < 0:
+            tuples = count_walk_tuples(totals)
+            for r in range(1, half + 1):
+                acc[r] += sign * tuples[r]
+            return
+        visit(label - 1, allowed, totals, -sign)
+        allowed |= 3 << (2 * label)
+        walks = count_anchored_walks(ag, 2 * label, allowed)
+        visit(label - 1, allowed, [t + w for t, w in zip(totals, walks)], sign)
+
+    visit(half - 1, 0, [0] * (half + 1), 1)
     return acc
 
 
@@ -159,14 +159,4 @@ def count_pm_inex(g: Graph) -> int:
         return 0
     if g.n == 0:
         return 1
-    half = g.n // 2
-    acc = inex_accumulators(g)
-    total = 0
-    for r in range(1, half + 1):
-        f = factorial(r)
-        if acc[r] < 0 or acc[r] % f != 0:
-            raise AssertionError(
-                f"accumulator for {r} cycles is {acc[r]}, not a multiple of {r}!"
-            )
-        total += acc[r] // f
-    return total
+    return unordered_total(enumerate(inex_accumulators(g)))

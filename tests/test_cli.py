@@ -158,6 +158,14 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bip_small_alpha_rejected_after_peeling(tmp_path, capsys):
+    # peeling empties this instance before any trim plan is made
+    path = tmp_path / "pm2.txt"
+    path.write_text("bigraph 2 2\n0 0\n1 1\n")
+    assert main(["count-pm-bip", "--input", str(path), "--alpha", "2"]) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_type_mismatch_is_input_error(tmp_path, capsys):
     bip = tmp_path / "b.txt"
     bip.write_text("bigraph 2 1\n0 0\n")

@@ -15,6 +15,7 @@ from expdeg import (
     stored_state_bound,
 )
 from expdeg.bitset import bits
+from expdeg.pm_bipartite import DEFAULT_ALPHA
 from conftest import complete_bipartite, seeded_bipartite
 
 ALPHAS = (Fraction(5, 2), Fraction("3.55"), Fraction(5))
@@ -76,6 +77,23 @@ def test_plan_block_sizes():
 def test_plan_rejects_small_alpha():
     with pytest.raises(ValueError):
         plan_trim(complete_bipartite(3), Fraction(2))
+
+
+def test_count_rejects_small_alpha_before_peeling():
+    # peeling empties a perfect matching, so plan_trim never sees alpha
+    matching2 = BipartiteGraph.from_edges(2, [(0, 0), (1, 1)])
+    for alpha in (Fraction(2), 2.0, 1):
+        with pytest.raises(ValueError):
+            count_pm_bipartite(matching2, alpha)
+        with pytest.raises(ValueError):
+            count_pm_bipartite(BipartiteGraph.from_edges(0, []), alpha)
+
+
+def test_float_alpha_reads_decimal():
+    g = random_bipartite_min2(8, 16, 1)
+    assert plan_trim(g, 3.55).alpha == DEFAULT_ALPHA == Fraction(71, 20)
+    assert count_pm_bipartite(g, 3.55).alpha == DEFAULT_ALPHA
+    assert count_pm_bipartite(g, 2.5).alpha == Fraction(5, 2)
 
 
 def test_plan_rejects_degree_one():

@@ -16,6 +16,7 @@ from expdeg import (
     oracle_count_pm,
     run_cover_dp,
 )
+from expdeg.counting import unordered_total
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -153,6 +154,13 @@ def test_full_cover_values_divisible():
         run = run_cover_dp(build_contracted_graph(g))
         for q, val in run.full_covers.items():
             assert val % factorial(q) == 0
+
+
+def test_unordered_total_divides_and_checks():
+    assert unordered_total([(0, 0), (1, 5), (2, 6), (3, 12)]) == 5 + 3 + 2
+    for bad in ([(2, 3)], [(1, -1)], [(3, -6)]):
+        with pytest.raises(AssertionError, match=f"r={bad[0][0]} is {bad[0][1]}"):
+            unordered_total(bad)
 
 
 # --- sparse-state soundness ----------------------------------------------------

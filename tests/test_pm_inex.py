@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from expdeg import (
     ArcGraph,
     Graph,
-    WalkTable,
     build_arc_graph,
     count_anchored_walks,
+    count_pm_dp,
     count_pm_inex,
     count_walk_tuples,
     inex_accumulators,
     oracle_alternating_covers,
     oracle_count_pm,
+    random_gnm,
+    random_regular,
 )
 from conftest import (
     complete_graph,
@@ -90,19 +92,24 @@ def brute_walk_count(ag: ArcGraph, banned, a: int, length: int) -> int:
     return total
 
 
+def allowed_mask(n: int, banned) -> int:
+    """Vertex mask of every label not in banned."""
+    return sum(1 << v for v in range(n) if v // 2 not in banned)
+
+
 def test_walks_single_edge():
     ag = build_arc_graph(Graph.from_edges(2, [(0, 1)]))
-    wt = count_anchored_walks(ag, frozenset())
-    assert wt.walks(0, 1) == 1
-    assert wt.walks(1, 1) == 1  # anchored at 1, vertex 0 is never visited
-    wt0 = count_anchored_walks(ag, frozenset({0}))
-    assert all(wt0.walks(a, 1) == 0 for a in range(2))
+    assert count_anchored_walks(ag, 0, 0b11) == [0, 1]
+    # anchored at 1, vertex 0 is never visited
+    assert count_anchored_walks(ag, 1, 0b11) == [0, 1]
 
 
 def test_walks_c4_length_two():
     ag = build_arc_graph(cycle_graph(4))
-    wt = count_anchored_walks(ag, frozenset())
-    assert wt.walks(0, 2) == brute_walk_count(ag, frozenset(), 0, 2) == 1
+    walks = count_anchored_walks(ag, 0, 0b1111)
+    assert walks[2] == brute_walk_count(ag, frozenset(), 0, 2) == 1
+    # banning label 1 removes the only length-2 walk 0 -> 2 -> 0
+    assert count_anchored_walks(ag, 0, allowed_mask(4, {1}))[2] == 0
 
 
 def test_walks_match_brute_force():
@@ -111,49 +118,58 @@ def test_walks_match_brute_force():
         if g.n % 2:
             g = Graph.from_edges(g.n + 1, g.edges)
         ag = build_arc_graph(g)
-        for banned in (frozenset(), frozenset({0})):
-            wt = count_anchored_walks(ag, banned)
+        half = g.n // 2
+        for banned in (frozenset(), frozenset({0}), frozenset({half - 1}), frozenset({1, 2})):
+            allowed = allowed_mask(g.n, banned)
             for a in range(g.n):
-                for j in range(1, min(wt.max_len, 4) + 1):
-                    assert wt.walks(a, j) == brute_walk_count(ag, banned, a, j), (
+                if a // 2 in banned:
+                    continue  # the enumeration never anchors at a banned label
+                walks = count_anchored_walks(ag, a, allowed)
+                assert len(walks) == half + 1 and walks[0] == 0
+                for j in range(1, half + 1):
+                    assert walks[j] == brute_walk_count(ag, banned, a, j), (
                         seed,
+                        sorted(banned),
                         a,
                         j,
                     )
 
 
-# --- knapsack over walk counts ------------------------------------------------
+# --- ordered tuples of walks --------------------------------------------------
 
 
-def synthetic_table(per_len: dict[int, int], max_len: int) -> WalkTable:
-    """Walk table with the given total count per length, all at anchor 0."""
-    counts = [[0] * (max_len + 1) for _ in range(2)]
-    for j, c in per_len.items():
-        counts[0][j] = c
-    return WalkTable(2, max_len, tuple(tuple(r) for r in counts))
+def naive_walk_tuples(per_len: list[int]) -> list[int]:
+    """Reference knapsack: t[q][i] ordered q-tuples of total length i."""
+    total = len(per_len) - 1
+    t = [[0] * (total + 1) for _ in range(total + 1)]
+    t[0][0] = 1
+    for q in range(1, total + 1):
+        for i in range(total + 1):
+            t[q][i] = sum(per_len[j] * t[q - 1][i - j] for j in range(1, i + 1))
+    return [row[total] for row in t]
 
 
 def test_tuples_ordered_pairs():
-    t = count_walk_tuples(synthetic_table({1: 2}, 2), 2)
-    assert t.t[2][2] == 4
+    assert count_walk_tuples([0, 2, 0])[2] == 4
 
 
 def test_tuples_empty():
-    t = count_walk_tuples(synthetic_table({}, 3), 3)
-    for q in range(1, 4):
-        assert all(v == 0 for v in t.t[q])
+    t = count_walk_tuples([0, 0, 0, 0])
+    assert t == [0, 0, 0, 0]
 
 
 def test_tuples_hand_recurrence():
-    t = count_walk_tuples(synthetic_table({1: 1, 2: 3}, 3), 3)
-    assert t.t[2][3] == 6  # 1*3 + 3*1
+    assert count_walk_tuples([0, 1, 3, 0])[2] == 6  # 1*3 + 3*1
 
 
-def test_tuples_ignore_odd_anchors():
-    counts = [[0, 5], [0, 7]]  # odd-anchored walks must not contribute
-    wt = WalkTable(2, 1, tuple(tuple(r) for r in counts))
-    t = count_walk_tuples(wt, 1)
-    assert t.t[1][1] == 5
+def test_tuples_match_naive_knapsack():
+    rng = random.Random(5)
+    for _ in range(300):
+        total = rng.randint(0, 12)
+        per_len = [0] + [
+            rng.choice([0, 0, 1, 2, rng.randint(0, 10**6)]) for _ in range(total)
+        ]
+        assert count_walk_tuples(per_len) == naive_walk_tuples(per_len), per_len
 
 
 # --- full counter ---------------------------------------------------------------
@@ -249,6 +265,40 @@ def test_accumulators_match_cycle_distribution():
             assert acc[r] == factorial(r) * dist.get(r, 0), (seed, r)
 
 
+def cycle_distribution_cases():
+    """Graphs with edges inside a pair (arc self-loops), disconnected graphs
+    and cubic graphs at n = 14 and 16."""
+    rng = random.Random(11)
+    cases = []
+    for i in range(12):
+        g = seeded_graph(i + 4000, 10, n_min=4)
+        n = g.n - g.n % 2
+        edges = [(u, v) for u, v, _ in g.edges if v < n]
+        edges += [(2 * p, 2 * p + 1) for p in range(n // 2) if rng.random() < 0.5]
+        cases.append(Graph.from_edges(n, set(edges)))
+    for i in range(8):
+        # two even components with about 2 edges per vertex, so that most
+        # unions have perfect matchings
+        left_n, right_n = rng.choice([(4, 6), (6, 6), (4, 8), (6, 8)])
+        left = random_gnm(left_n, min(2 * left_n, left_n * (left_n - 1) // 2), i)
+        right = random_gnm(right_n, 2 * right_n, i + 100)
+        edges = [(u, v) for u, v, _ in left.edges]
+        edges += [(u + left_n, v + left_n) for u, v, _ in right.edges]
+        cases.append(Graph.from_edges(left_n + right_n, edges))
+    for n in (14, 16):
+        for seed in (1, 2, 3):
+            cases.append(random_regular(n, 3, seed))
+    return cases
+
+
+def test_accumulators_match_cycle_distribution_more_families():
+    for g in cycle_distribution_cases():
+        acc = inex_accumulators(g)
+        dist = overlay_cycle_distribution(g)
+        for r in range(1, len(acc)):
+            assert acc[r] == factorial(r) * dist.get(r, 0), (g, r)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000))
 def test_relabeling_invariance(seed):
@@ -267,3 +317,19 @@ def test_relabeling_invariance(seed):
         perm[2 * i + 1] = 2 * p + (0 if flip else 1)
     relabeled = Graph.from_edges(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
     assert count_pm_inex(relabeled) == count_pm_inex(g)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_arbitrary_relabeling_invariance(seed):
+    """Any vertex permutation, including ones that break the (2i, 2i+1)
+    pairing, leaves the count unchanged."""
+    rng = random.Random(seed)
+    n = rng.choice([4, 6, 8, 10])
+    g = seeded_graph(seed, n, n_min=n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    relabeled = Graph.from_edges(n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+    want = count_pm_inex(g)
+    assert count_pm_inex(relabeled) == want
+    assert count_pm_dp(relabeled).count == count_pm_dp(g).count == want
