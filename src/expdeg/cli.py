@@ -170,31 +170,10 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_gen(args) -> None:
-    model = args.model
-    params = {}
-    if model.startswith("regular"):
-        if model.startswith("regular-"):
-            params["d"] = int(model.split("-", 1)[1])
-            model = "regular"
-        else:
-            if args.d is None:
-                raise ValueError("--d is required for the regular model")
-            params["d"] = args.d
-        if args.n is None:
-            raise ValueError("--n is required for the regular model")
-        params["n"] = args.n
-    elif model == "gnm":
-        if args.n is None or args.m is None:
-            raise ValueError("--n and --m are required for the gnm model")
-        params["n"] = args.n
-        params["m"] = args.m
-    elif model == "bipartite":
-        k = args.k if args.k is not None else args.n
-        if k is None or args.m is None:
-            raise ValueError("--k (or --n) and --m are required for bipartite")
-        params["k"] = k
-        params["m"] = args.m
-    g = generate.gen_random_graph(model, args.seed, **params)
+    k = args.k if args.k is not None else args.n  # bipartite takes --k or --n
+    g = generate.gen_random_graph(
+        args.model, args.seed, n=args.n, m=args.m, d=args.d, k=k
+    )
     sys.stdout.write(serialize_graph(g))
 
 

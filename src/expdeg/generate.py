@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import CapacityError
 from .graphs import BipartiteGraph, Graph
 
 _REGULAR_ATTEMPTS = 100_000
@@ -25,7 +26,9 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Random d-regular simple graph via the pairing model with rejection."""
+    """Random d-regular simple graph via the pairing model with rejection;
+    CapacityError when no attempt gives a simple graph, which is the rule
+    for larger d."""
     if d < 0 or d >= max(n, 1):
         raise ValueError(f"degree d={d} infeasible for n={n}")
     if (n * d) % 2 != 0:
@@ -46,7 +49,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add((min(u, v), max(u, v)))
         if ok:
             return Graph.from_edges(n, edges)
-    raise RuntimeError(f"no simple {d}-regular pairing found for n={n} after retries")
+    raise CapacityError(
+        f"no simple {d}-regular pairing found for n={n} in {_REGULAR_ATTEMPTS} attempts"
+    )
 
 
 def random_bipartite(k: int, m: int, seed: int) -> BipartiteGraph:
@@ -85,15 +90,23 @@ def random_bipartite_min2(k: int, m: int, seed: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(k, edges)
 
 
+_MODEL_PARAMS = {"gnm": ("n", "m"), "regular": ("n", "d"), "bipartite": ("k", "m")}
+
+
 def gen_random_graph(model: str, seed: int, **params) -> Graph | BipartiteGraph:
-    """Dispatch by model name: 'gnm', 'regular' / 'regular-<d>', 'bipartite'."""
+    """Dispatch by model name: 'gnm' (n, m), 'regular' (n, d) or
+    'regular-<d>' (n), 'bipartite' (k, m); ValueError for an unknown model
+    or a missing parameter."""
     if model.startswith("regular-"):
         params["d"] = int(model.split("-", 1)[1])
         model = "regular"
+    if model not in _MODEL_PARAMS:
+        raise ValueError(f"unknown model {model!r}")
+    missing = [name for name in _MODEL_PARAMS[model] if params.get(name) is None]
+    if missing:
+        raise ValueError(f"model {model!r} needs {', '.join(missing)}")
     if model == "gnm":
         return random_gnm(params["n"], params["m"], seed)
     if model == "regular":
         return random_regular(params["n"], params["d"], seed)
-    if model == "bipartite":
-        return random_bipartite(params["k"], params["m"], seed)
-    raise ValueError(f"unknown model {model!r}")
+    return random_bipartite(params["k"], params["m"], seed)

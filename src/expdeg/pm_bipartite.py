@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import bits, mask_of
+from .counting import exact_fraction
 from .errors import CapacityError
 from .graphs import BipartiteGraph
 
@@ -25,12 +26,9 @@ DEFAULT_ALPHA = Fraction("3.55")
 
 
 def _check_alpha(alpha: Fraction | float) -> Fraction:
-    """alpha as an exact Fraction, or ValueError unless it exceeds 2.
-
-    A float is read by its shortest decimal repr, so 3.55 becomes 71/20
-    (DEFAULT_ALPHA) rather than the binary fraction nearest to it.
-    """
-    alpha = Fraction(repr(alpha)) if isinstance(alpha, float) else Fraction(alpha)
+    """alpha as an exact Fraction (see exact_fraction), or ValueError unless
+    it exceeds 2."""
+    alpha = exact_fraction(alpha)
     if alpha <= 2:
         raise ValueError("alpha must exceed 2")
     return alpha

@@ -21,7 +21,12 @@ bottom-up in (q, |X|) strata:
 Each cover's last cycle is charged once: a one-node cycle (self-loop) comes
 straight from cover[q-1], a longer cycle closes a path at its lowest node a
 with an edge whose label contains 2a+1.  Only nonzero entries are stored or
-pushed, so work is proportional to the number of reachable states.
+pushed.  Every push follows an edge that exists: per-(node, label bit)
+neighbour lists, built once per call, give the edges that seed or extend a
+path, and one dictionary lookup per path entry finds the edges that close
+it.  So a path entry costs the degree of its endpoint, and a cover entry one
+bit test per node plus the paths it seeds: the work is proportional to the
+number of stored states times the degree, not times the node count k.
 """
 
 from __future__ import annotations
@@ -85,10 +90,17 @@ def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
             key = (p, q, x & 1, y & 1)
             emult[key] = emult.get(key, 0) + 1
 
-    def edge_count(p: int, bp: int, q: int, bq: int) -> int:
-        if p < q:
-            return emult.get((p, q, bp, bq), 0)
-        return emult.get((q, p, bq, bp), 0)
+    # nbr[p][bp]: (q, bq, mult) for the mult edges p-q (q != p) whose label
+    # is {2p+bp, 2q+bq}
+    nbr: list[tuple[list[tuple[int, int, int]], ...]] = [([], []) for _ in range(k)]
+    for (p, q, bp, bq), mult in emult.items():
+        nbr[p][bp].append((q, bq, mult))
+        nbr[q][bq].append((p, bp, mult))
+    # closing[a][(c, bc)]: edges a-c whose label is {2a+1, 2c+bc}
+    closing = [{(c, bc): mult for c, bc, mult in nbr[a][1]} for a in range(k)]
+    # seeds[a]: edges a-b with b > a whose label contains 2a
+    seeds = [[(b, xb, mult) for b, xb, mult in nbr[a][0] if b > a] for a in range(k)]
+    seed_nodes = [a for a in range(k) if seeds[a]]
 
     loop_nodes = [a for a in range(k) if loops[a]]
     cover_strata: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
@@ -107,48 +119,41 @@ def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
                     cover_keys.extend((q, x) for x in cur)
                 if full in cur:
                     full_covers[q] = cur[full]
+                loop_tgt = cover_strata.setdefault((q + 1, i + 1), {})
+                seed_tgt = path_strata.setdefault((q, i + 2), {})
                 for x_mask, val in cur.items():
-                    free = [a for a in range(k) if not (x_mask >> a) & 1]
                     # last cycle is a self-loop at a
                     for a in loop_nodes:
+                        if not (x_mask >> a) & 1:
+                            nk = x_mask | (1 << a)
+                            loop_tgt[nk] = loop_tgt.get(nk, 0) + val * loops[a]
+                    # seed a path a-b (the label at a must contain 2a)
+                    for a in seed_nodes:
                         if (x_mask >> a) & 1:
                             continue
-                        tgt = cover_strata.setdefault((q + 1, i + 1), {})
-                        nk = x_mask | (1 << a)
-                        tgt[nk] = tgt.get(nk, 0) + val * loops[a]
-                    # seed a path a-b (the label at a must contain 2a)
-                    for ai in range(len(free)):
-                        a = free[ai]
-                        for b in free[ai + 1:]:
-                            nk = x_mask | (1 << a) | (1 << b)
-                            for xb in (0, 1):
-                                mult = edge_count(a, 0, b, xb)
-                                if mult:
-                                    tgt2 = path_strata.setdefault((q, i + 2), {})
-                                    pk = (nk, a, b, xb)
-                                    tgt2[pk] = tgt2.get(pk, 0) + val * mult
+                        xa = x_mask | (1 << a)
+                        for b, xb, mult in seeds[a]:
+                            if not (x_mask >> b) & 1:
+                                pk = (xa | (1 << b), a, b, xb)
+                                seed_tgt[pk] = seed_tgt.get(pk, 0) + val * mult
 
             cur2 = path_strata.pop((q, i), None)
             if cur2:
                 states += len(cur2)
                 if keep_keys:
                     path_keys.extend((q, x, a, b, xb) for (x, a, b, xb) in cur2)
+                close_tgt = cover_strata.setdefault((q + 1, i), {})
+                extend_tgt = path_strata.setdefault((q, i + 1), {})
                 for (x_mask, a, c, z), val in cur2.items():
                     # close the cycle: edge a-c whose label is {2a+1, 2c+(z^1)}
-                    mult = edge_count(a, 1, c, z ^ 1)
+                    mult = closing[a].get((c, z ^ 1))
                     if mult:
-                        tgt = cover_strata.setdefault((q + 1, i), {})
-                        tgt[x_mask] = tgt.get(x_mask, 0) + val * mult
-                    # extend the path endpoint from c to e > a
-                    for e in range(a + 1, k):
-                        if (x_mask >> e) & 1:
-                            continue
-                        for xe in (0, 1):
-                            mult = edge_count(c, z ^ 1, e, xe)
-                            if mult:
-                                tgt2 = path_strata.setdefault((q, i + 1), {})
-                                pk = (x_mask | (1 << e), a, e, xe)
-                                tgt2[pk] = tgt2.get(pk, 0) + val * mult
+                        close_tgt[x_mask] = close_tgt.get(x_mask, 0) + val * mult
+                    # extend the path endpoint from c to a free e > a
+                    for e, xe, mult in nbr[c][z ^ 1]:
+                        if e > a and not (x_mask >> e) & 1:
+                            pk = (x_mask | (1 << e), a, e, xe)
+                            extend_tgt[pk] = extend_tgt.get(pk, 0) + val * mult
 
     return CoverDpRun(
         full_covers,

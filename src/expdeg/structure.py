@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import bits, mask_of
+from .counting import exact_fraction
 from .errors import CapacityError
 from .graphs import Graph, degree_profile
 
@@ -67,13 +68,14 @@ class GapResult:
     count_above: int
 
 
-def find_gap_threshold(g: Graph, alpha: Fraction | int) -> GapResult:
+def find_gap_threshold(g: Graph, alpha: Fraction | int | float) -> GapResult:
     """Smallest integer D >= 1 with D <= e**alpha and |{deg > D}| <= n*d/(alpha*D).
 
     Such a D always exists: if every threshold up to e**alpha failed the
-    count inequality, summing them would exceed the total degree n*d.
+    count inequality, summing them would exceed the total degree n*d.  A
+    float alpha is read by its decimal repr (see exact_fraction).
     """
-    alpha = Fraction(alpha)
+    alpha = exact_fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     profile = degree_profile(g)
@@ -88,16 +90,17 @@ def find_gap_threshold(g: Graph, alpha: Fraction | int) -> GapResult:
     raise AssertionError("unreachable: a valid threshold is guaranteed to exist")
 
 
-def find_disjoint_set(g: Graph, d: Fraction | int, max_deg: int) -> int:
+def find_disjoint_set(g: Graph, d: Fraction | int | float, max_deg: int) -> int:
     """Greedy set A of low-degree vertices with pairwise disjoint closed
     neighborhoods; returns A as a bit mask.
 
     Requires avg degree <= d, max degree <= max_deg and d >= 1; the result
     has every member of degree <= 2d and |A| >= ceil(n / (2 + 4*d*max_deg)).
     Scans vertices in ascending index order, marking the two-step closed
-    neighborhood of each pick.
+    neighborhood of each pick.  A float d is read by its decimal repr (see
+    exact_fraction).
     """
-    d = Fraction(d)
+    d = exact_fraction(d)
     profile = degree_profile(g)
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")

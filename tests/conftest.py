@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from expdeg import BipartiteGraph, Graph, random_gnm
+from expdeg import BipartiteGraph, Graph, random_gnm, random_regular
 
 
 def complete_graph(n: int) -> Graph:
@@ -102,3 +102,29 @@ def named_small_graphs():
         "K33": k33_graph(),
         "Petersen": petersen_graph(),
     }
+
+
+def cycle_distribution_cases():
+    """Graphs with edges inside a pair (arc self-loops), disconnected graphs
+    and cubic graphs at n = 14 and 16."""
+    rng = random.Random(11)
+    cases = []
+    for i in range(12):
+        g = seeded_graph(i + 4000, 10, n_min=4)
+        n = g.n - g.n % 2
+        edges = [(u, v) for u, v, _ in g.edges if v < n]
+        edges += [(2 * p, 2 * p + 1) for p in range(n // 2) if rng.random() < 0.5]
+        cases.append(Graph.from_edges(n, set(edges)))
+    for i in range(8):
+        # two even components with about 2 edges per vertex, so that most
+        # unions have perfect matchings
+        left_n, right_n = rng.choice([(4, 6), (6, 6), (4, 8), (6, 8)])
+        left = random_gnm(left_n, min(2 * left_n, left_n * (left_n - 1) // 2), i)
+        right = random_gnm(right_n, 2 * right_n, i + 100)
+        edges = [(u, v) for u, v, _ in left.edges]
+        edges += [(u + left_n, v + left_n) for u, v, _ in right.edges]
+        cases.append(Graph.from_edges(left_n + right_n, edges))
+    for n in (14, 16):
+        for seed in (1, 2, 3):
+            cases.append(random_regular(n, 3, seed))
+    return cases

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from expdeg import count_pm_inex, parse_graph, serialize_graph
+from expdeg import count_pm_inex, generate, parse_graph, serialize_graph
 from expdeg.cli import BENCH_COLUMNS, main, run_bench
 from conftest import complete_graph
 
@@ -120,6 +120,35 @@ def test_gen_deterministic(capsys):
     first = capsys.readouterr().out
     main(["gen", "--model", "regular-3", "--n", "12", "--seed", "5"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["--model", "regular", "--n", "10"],
+        ["--model", "regular", "--d", "3"],
+        ["--model", "regular-3"],
+        ["--model", "gnm", "--n", "10"],
+        ["--model", "gnm", "--m", "5"],
+        ["--model", "bipartite", "--m", "5"],
+        ["--model", "bipartite", "--k", "4"],
+        ["--model", "tree", "--n", "10"],
+    ],
+)
+def test_gen_missing_parameter_exits_2(capsys, params):
+    assert main(["gen", *params, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("expdeg: error: ")
+
+
+def test_gen_regular_gives_up_with_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(generate, "_REGULAR_ATTEMPTS", 1)
+    code = main(["gen", "--model", "regular", "--n", "30", "--d", "12", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("expdeg: capacity: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_stats_output(capsys, tmp_path):

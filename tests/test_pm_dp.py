@@ -1,5 +1,6 @@
 """Contracted cycle-cover DP: construction, recurrences, sparse-state audit."""
 
+import random
 from itertools import combinations
 from math import factorial
 
@@ -17,8 +18,10 @@ from expdeg import (
     run_cover_dp,
 )
 from expdeg.counting import unordered_total
+from expdeg.pm_dp import CoverDpRun
 from conftest import (
     complete_graph,
+    cycle_distribution_cases,
     cycle_graph,
     matching_graph,
     petersen_graph,
@@ -161,6 +164,118 @@ def test_unordered_total_divides_and_checks():
     for bad in ([(2, 3)], [(1, -1)], [(3, -6)]):
         with pytest.raises(AssertionError, match=f"r={bad[0][0]} is {bad[0][1]}"):
             unordered_total(bad)
+
+
+# --- reference scan ------------------------------------------------------------
+
+
+def naive_cover_dp(mg: LabeledMultigraph) -> CoverDpRun:
+    """Reference cover DP: seeds a path by scanning every free pair (a, b) and
+    extends it by scanning every e > a, two label bits each, through an
+    edge-multiplicity lookup."""
+    k = mg.k
+    full = (1 << k) - 1
+    loops = [0] * k
+    emult: dict[tuple[int, int, int, int], int] = {}
+    for p, q, x, y in mg.edges:
+        if p == q:
+            loops[p] += 1
+        else:
+            key = (p, q, x & 1, y & 1)
+            emult[key] = emult.get(key, 0) + 1
+
+    def edge_count(p, bp, q, bq):
+        if p < q:
+            return emult.get((p, q, bp, bq), 0)
+        return emult.get((q, p, bq, bp), 0)
+
+    cover_strata = {(0, 0): {0: 1}}
+    path_strata = {}
+    full_covers = {}
+    states = 0
+    cover_keys = []
+    path_keys = []
+    for q in range(k + 1):
+        for i in range(k + 1):
+            cur = cover_strata.pop((q, i), None)
+            if cur:
+                states += len(cur)
+                cover_keys.extend((q, x) for x in cur)
+                if full in cur:
+                    full_covers[q] = cur[full]
+                for x_mask, val in cur.items():
+                    free = [a for a in range(k) if not (x_mask >> a) & 1]
+                    for a in free:
+                        if loops[a]:
+                            tgt = cover_strata.setdefault((q + 1, i + 1), {})
+                            nk = x_mask | (1 << a)
+                            tgt[nk] = tgt.get(nk, 0) + val * loops[a]
+                    for ai, a in enumerate(free):
+                        for b in free[ai + 1:]:
+                            for xb in (0, 1):
+                                mult = edge_count(a, 0, b, xb)
+                                if mult:
+                                    tgt = path_strata.setdefault((q, i + 2), {})
+                                    pk = (x_mask | (1 << a) | (1 << b), a, b, xb)
+                                    tgt[pk] = tgt.get(pk, 0) + val * mult
+            cur = path_strata.pop((q, i), None)
+            if cur:
+                states += len(cur)
+                path_keys.extend((q, x, a, b, xb) for (x, a, b, xb) in cur)
+                for (x_mask, a, c, z), val in cur.items():
+                    mult = edge_count(a, 1, c, z ^ 1)
+                    if mult:
+                        tgt = cover_strata.setdefault((q + 1, i), {})
+                        tgt[x_mask] = tgt.get(x_mask, 0) + val * mult
+                    for e in range(a + 1, k):
+                        if (x_mask >> e) & 1:
+                            continue
+                        for xe in (0, 1):
+                            mult = edge_count(c, z ^ 1, e, xe)
+                            if mult:
+                                tgt = path_strata.setdefault((q, i + 1), {})
+                                pk = (x_mask | (1 << e), a, e, xe)
+                                tgt[pk] = tgt.get(pk, 0) + val * mult
+    return CoverDpRun(full_covers, states, tuple(cover_keys), tuple(path_keys))
+
+
+def cover_dp_cases():
+    """Pair-internal edges, disconnected and cubic n = 14/16 graphs, seeded
+    graphs up to n = 16, and pairs joined by two to four edges (parallel
+    contracted edges with every label-bit combination)."""
+    cases = cycle_distribution_cases()
+    for seed in range(30):
+        g = seeded_graph(seed + 5000, 16)
+        n = g.n - g.n % 2
+        cases.append(Graph.from_edges(n, [(u, v) for u, v, _ in g.edges if v < n]))
+    rng = random.Random(23)
+    for n in (8, 12, 16):
+        for _ in range(3):
+            edges = set()
+            for p, q in combinations(range(n // 2), 2):
+                if rng.random() < 0.4:
+                    links = [(2 * p + x, 2 * q + y) for x in (0, 1) for y in (0, 1)]
+                    edges.update(rng.sample(links, rng.randint(2, 4)))
+            cases.append(Graph.from_edges(n, edges))
+    return cases
+
+
+def test_cover_dp_matches_naive_scan():
+    saw_loop = saw_parallel = False
+    for g in cover_dp_cases():
+        mg = build_contracted_graph(g)
+        links = [(p, q) for p, q, _, _ in mg.edges if p != q]
+        saw_loop |= len(links) < len(mg.edges)
+        saw_parallel |= len(set(links)) < len(links)
+        got = run_cover_dp(mg, keep_keys=True)
+        want = naive_cover_dp(mg)
+        assert got.full_covers == want.full_covers, g
+        assert got.states_visited == want.states_visited, g
+        assert len(got.cover_keys) == len(set(got.cover_keys))
+        assert len(got.path_keys) == len(set(got.path_keys))
+        assert set(got.cover_keys) == set(want.cover_keys), g
+        assert set(got.path_keys) == set(want.path_keys), g
+    assert saw_loop and saw_parallel
 
 
 # --- sparse-state soundness ----------------------------------------------------

@@ -18,11 +18,10 @@ from expdeg import (
     inex_accumulators,
     oracle_alternating_covers,
     oracle_count_pm,
-    random_gnm,
-    random_regular,
 )
 from conftest import (
     complete_graph,
+    cycle_distribution_cases,
     cycle_graph,
     k33_graph,
     matching_graph,
@@ -263,32 +262,6 @@ def test_accumulators_match_cycle_distribution():
         dist = overlay_cycle_distribution(g)
         for r in range(1, len(acc)):
             assert acc[r] == factorial(r) * dist.get(r, 0), (seed, r)
-
-
-def cycle_distribution_cases():
-    """Graphs with edges inside a pair (arc self-loops), disconnected graphs
-    and cubic graphs at n = 14 and 16."""
-    rng = random.Random(11)
-    cases = []
-    for i in range(12):
-        g = seeded_graph(i + 4000, 10, n_min=4)
-        n = g.n - g.n % 2
-        edges = [(u, v) for u, v, _ in g.edges if v < n]
-        edges += [(2 * p, 2 * p + 1) for p in range(n // 2) if rng.random() < 0.5]
-        cases.append(Graph.from_edges(n, set(edges)))
-    for i in range(8):
-        # two even components with about 2 edges per vertex, so that most
-        # unions have perfect matchings
-        left_n, right_n = rng.choice([(4, 6), (6, 6), (4, 8), (6, 8)])
-        left = random_gnm(left_n, min(2 * left_n, left_n * (left_n - 1) // 2), i)
-        right = random_gnm(right_n, 2 * right_n, i + 100)
-        edges = [(u, v) for u, v, _ in left.edges]
-        edges += [(u + left_n, v + left_n) for u, v, _ in right.edges]
-        cases.append(Graph.from_edges(left_n + right_n, edges))
-    for n in (14, 16):
-        for seed in (1, 2, 3):
-            cases.append(random_regular(n, 3, seed))
-    return cases
 
 
 def test_accumulators_match_cycle_distribution_more_families():

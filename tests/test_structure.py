@@ -17,6 +17,8 @@ from expdeg import (
     find_disjoint_set,
     find_gap_threshold,
     path_dp_states,
+    random_gnm,
+    random_regular,
 )
 from expdeg.bitset import bits, mask_of
 from conftest import (
@@ -82,6 +84,14 @@ def test_disjoint_set_star():
     assert mask.bit_count() >= 1
 
 
+def test_disjoint_set_float_d_reads_decimal():
+    """A float d is read as its decimal string; as the nearest binary
+    fraction, 3.3 fell just below the average degree 33/10 and was refused."""
+    g = random_gnm(20, 33, 1)
+    assert degree_profile(g).avg == Fraction(33, 10)
+    assert find_disjoint_set(g, 3.3, 6) == find_disjoint_set(g, Fraction("3.3"), 6)
+
+
 def test_disjoint_set_rejects_bad_preconditions():
     g = complete_graph(4)
     with pytest.raises(ValueError):
@@ -145,6 +155,16 @@ def test_gap_threshold_is_smallest_valid():
             assert res.count_above <= res.bound
             for smaller in range(1, res.d_threshold):
                 assert prof.count_above(smaller) > Fraction(nd, alpha * smaller)
+
+
+def test_gap_threshold_float_alpha_reads_decimal():
+    """A float alpha gives the answer of its decimal string; read as the
+    nearest binary fraction, 3.55 made the exact e**alpha check drag a
+    50-bit denominator along and not return."""
+    g = random_regular(20, 3, 1)
+    res = find_gap_threshold(g, 3.55)
+    assert res == find_gap_threshold(g, Fraction("3.55"))
+    assert (res.d_threshold, res.bound) == (3, Fraction(400, 71))
 
 
 def test_gap_threshold_rejects_nonpositive_alpha():
