@@ -239,22 +239,27 @@ def _witness_search(
     return None
 
 
+def _check_deg2_args(n: int, s: int, t: int, x_mask: int) -> None:
+    """The argument checks shared by both degree-2 witness searches."""
+    if s == t:
+        raise ValueError("terminals s and t must be distinct")
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError("terminal out of range")
+    if x_mask & ((1 << s) | (1 << t)):
+        raise ValueError("X must not contain s or t")
+    if x_mask >> n:
+        raise ValueError("X contains vertices outside the graph")
+    if n > DEG2_MAX_N:
+        raise CapacityError(f"degree-2 oracle is limited to n <= {DEG2_MAX_N}")
+
+
 def deg2_witness(g: Graph, s: int, t: int, x_mask: int) -> Deg2Witness | None:
     """Witness edge set F for X, or None if X is not a degree-2 subset.
 
     The terminals must be distinct; X must avoid both.  Intended for small
     graphs (n <= 16): the search is exponential in the worst case.
     """
-    if s == t:
-        raise ValueError("terminals s and t must be distinct")
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError("terminal out of range")
-    if x_mask & ((1 << s) | (1 << t)):
-        raise ValueError("X must not contain s or t")
-    if x_mask >> g.n:
-        raise ValueError("X contains vertices outside the graph")
-    if g.n > DEG2_MAX_N:
-        raise CapacityError(f"degree-2 oracle is limited to n <= {DEG2_MAX_N}")
+    _check_deg2_args(g.n, s, t, x_mask)
     f = _witness_search(g.n, [(u, v) for u, v, _ in g.edges], s, t, x_mask)
     return None if f is None else Deg2Witness(x_mask, f)
 
@@ -263,11 +268,9 @@ def deg2_witness_multigraph(
     n: int, edges, s: int, t: int, x_mask: int
 ) -> tuple[tuple[int, int], ...] | None:
     """Degree-2 witness over an explicit (u, v) edge list that may contain
-    parallel edges and self-loops; returns F as edge endpoints or None."""
-    if s == t:
-        raise ValueError("terminals s and t must be distinct")
-    if n > DEG2_MAX_N:
-        raise CapacityError(f"degree-2 oracle is limited to n <= {DEG2_MAX_N}")
+    parallel edges and self-loops; returns F as edge endpoints or None.
+    Arguments are checked as in deg2_witness."""
+    _check_deg2_args(n, s, t, x_mask)
     return _witness_search(n, list(edges), s, t, x_mask)
 
 

@@ -1,10 +1,12 @@
 """Cheapest Hamiltonian paths and cycles by subset dynamic programming.
 
 Two engines: a sparse layered DP that stores only states reachable by an
-actual path (dictionaries keyed on (visited-set, endpoint)), and a dense
-Held-Karp reference table used as the equality baseline in tests.  Both
-reconstruct the optimal vertex order and report how many states they
-materialized.
+actual path (per layer, one dictionary per endpoint keyed on the visited
+set), and a dense Held-Karp reference table used as the equality baseline
+in tests.  Both reconstruct the optimal vertex order and report how many
+states they materialized.  Both first check that the graph is 2-connected
+(for an a-b path: the graph plus the edge ab), which every graph with a
+Hamiltonian cycle is, and answer None without a DP when it is not.
 """
 
 from __future__ import annotations
@@ -26,73 +28,121 @@ class TourResult:
     states_visited: int
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
+def _is_biconnected(g: Graph, extra: tuple[int, int] | None = None) -> bool:
+    """True if g, plus the edge `extra` if given, is connected and has no
+    cut vertex.
+
+    A graph with a Hamiltonian cycle is 2-connected, and g has a Hamiltonian
+    a-b path only if g + ab has a Hamiltonian cycle (or n = 2), so the
+    solvers refuse a graph that fails this before running any DP.  Iterative
+    lowpoint DFS from vertex 0: a non-root u is a cut vertex iff some child
+    subtree reaches no vertex above u, the root iff it has two children.
+    """
+    n = g.n
+    nbrs = [list(g.neighbors(v)) for v in range(n)]
+    if extra is not None:
+        a, b = extra
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    disc = [-1] * n
+    low = [0] * n
+    disc[0] = 0
     seen = 1
-    stack = [0]
+    root_children = 0
+    stack = [(0, iter(nbrs[0]))]
     while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if not (seen >> v) & 1:
-                seen |= 1 << v
-                stack.append(v)
-    return seen == (1 << g.n) - 1
-
-
-def _state_key(mask: int, v: int) -> int:
-    return (mask << 6) | v
+        u, it = stack[-1]
+        for v in it:
+            if disc[v] < 0:
+                disc[v] = low[v] = seen
+                seen += 1
+                stack.append((v, iter(nbrs[v])))
+                break
+            if disc[v] < low[u]:
+                low[u] = disc[v]
+        else:
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1][0]
+            if len(stack) == 1:
+                root_children += 1
+                if root_children > 1:
+                    return False
+            elif low[u] >= disc[p]:
+                return False
+            if low[u] < low[p]:
+                low[p] = low[u]
+    return seen == n
 
 
 class _PathDP:
     """Layered sparse DP from a fixed source a.
 
     Layer i holds every (visited-set, endpoint) pair realizable by a simple
-    path of i vertices starting at a.  Only the current layer's cost map is
-    kept live; parent endpoints are logged per layer for reconstruction.
-    States are relaxed in ascending (set, endpoint) key order with strict
-    improvement, so costs, parents and reconstructed orders are
-    deterministic.
+    path of i vertices starting at a, as one dict per endpoint v mapping the
+    visited mask to the cheapest cost; parents[i][v] maps the same masks to
+    the predecessor endpoint.  Only the current layer's costs are kept live.
+
+    Sources are relaxed in ascending endpoint order with strict improvement.
+    Every source of a target (mask, v) has the mask mask ^ (1 << v) and
+    differs only in its endpoint u, and u reaches v by one arc, so the parent
+    kept is the smallest u among the cheapest: costs, parents and
+    reconstructed orders are deterministic without sorting a layer.
     """
 
     def __init__(self, g: Graph, a: int):
         self.g = g
         self.a = a
         self.states_visited = 0
-        self.parents: list[dict[int, int]] = []
-        self.final_layer: dict[int, int] = {}
+        self.parents: list[list[dict[int, int]]] = []
+        self.final_layer: list[dict[int, int]] = []
         self._run()
 
     def _run(self) -> None:
-        g, a = self.g, self.a
-        layer = {_state_key(1 << a, a): 0}
-        self.parents.append({_state_key(1 << a, a): -1})
+        g, a, n = self.g, self.a, self.g.n
+        arcs = [[(1 << v, v, w) for v, w in g.adjacency[u]] for u in range(n)]
+        layer: list[dict[int, int]] = [{} for _ in range(n)]
+        layer[a][1 << a] = 0
+        first_parent: list[dict[int, int]] = [{} for _ in range(n)]
+        first_parent[a][1 << a] = -1
+        self.parents.append(first_parent)
         self.states_visited = 1
-        for _ in range(g.n - 1):
-            nxt: dict[int, int] = {}
-            nxt_parent: dict[int, int] = {}
-            for key in sorted(layer):
-                cost = layer[key]
-                mask, u = key >> 6, key & 63
-                for v, w in g.adjacency[u]:
-                    if (mask >> v) & 1:
-                        continue
-                    nk = _state_key(mask | (1 << v), v)
-                    cand = cost + w
-                    if nk not in nxt or cand < nxt[nk]:
-                        nxt[nk] = cand
-                        nxt_parent[nk] = u
+        for _ in range(n - 1):
+            nxt: list[dict[int, int]] = [{} for _ in range(n)]
+            nxt_parent: list[dict[int, int]] = [{} for _ in range(n)]
+            for u in range(n):
+                src = layer[u]
+                if not src:
+                    continue
+                for bit, v, w in arcs[u]:
+                    dst = nxt[v]
+                    par = nxt_parent[v]
+                    get = dst.get
+                    for mask, cost in src.items():
+                        if mask & bit:
+                            continue
+                        nmask = mask | bit
+                        cand = cost + w
+                        old = get(nmask)
+                        if old is None or cand < old:
+                            dst[nmask] = cand
+                            par[nmask] = u
             layer = nxt
             self.parents.append(nxt_parent)
-            self.states_visited += len(nxt)
+            self.states_visited += sum(map(len, nxt))
         self.final_layer = layer
+
+    def full_cost(self, b: int) -> int | None:
+        """Cheapest Hamiltonian a-b path cost, or None if there is none."""
+        return self.final_layer[b].get((1 << self.g.n) - 1)
 
     def reconstruct(self, b: int) -> tuple[int, ...]:
         full = (1 << self.g.n) - 1
         order = [b]
         mask, v = full, b
         for i in range(self.g.n - 1, 0, -1):
-            u = self.parents[i][_state_key(mask, v)]
+            u = self.parents[i][v][mask]
             mask ^= 1 << v
             order.append(u)
             v = u
@@ -100,7 +150,12 @@ class _PathDP:
         return tuple(order)
 
     def all_state_keys(self) -> list[tuple[int, int]]:
-        return [(k >> 6, k & 63) for lay in self.parents for k in lay]
+        return [
+            (mask, v)
+            for lay in self.parents
+            for v, masks in enumerate(lay)
+            for mask in masks
+        ]
 
 
 def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
@@ -112,21 +167,23 @@ def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
 
 
 def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
-    """Cheapest Hamiltonian a-b path, or None if no such path exists."""
+    """Cheapest Hamiltonian a-b path, or None if no such path exists.
+
+    Answers None without a DP when g plus the edge ab is not 2-connected.
+    """
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("endpoint out of range")
     if a == b:
         raise ValueError("endpoints must be distinct")
     if g.n < 2:
         raise ValueError("need at least two vertices")
-    if not _is_connected(g):
+    if not _is_biconnected(g, (a, b)):
         return None
     dp = _PathDP(g, a)
-    full = (1 << g.n) - 1
-    key = _state_key(full, b)
-    if key not in dp.final_layer:
+    cost = dp.full_cost(b)
+    if cost is None:
         return None
-    return TourResult(dp.final_layer[key], dp.reconstruct(b), dp.states_visited)
+    return TourResult(cost, dp.reconstruct(b), dp.states_visited)
 
 
 def anchor_vertex(g: Graph) -> int:
@@ -137,21 +194,21 @@ def anchor_vertex(g: Graph) -> int:
 def tsp_cycle(g: Graph) -> TourResult | None:
     """Smallest-weight Hamiltonian cycle, or None if none exists.
 
-    Runs one sparse path DP from a minimum-degree anchor and closes the
-    cycle over the anchor's neighbors.
+    Answers None at once when g is not 2-connected; otherwise runs one
+    sparse path DP from a minimum-degree anchor and closes the cycle over
+    the anchor's neighbors.
     """
     if g.n < 3:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")
-    if not _is_connected(g):
+    if not _is_biconnected(g):
         return None
     a = anchor_vertex(g)
     dp = _PathDP(g, a)
-    full = (1 << g.n) - 1
     best: tuple[int, int] | None = None  # (weight, end vertex)
     for b, w in g.adjacency[a]:
-        key = _state_key(full, b)
-        if key in dp.final_layer:
-            total = dp.final_layer[key] + w
+        cost = dp.full_cost(b)
+        if cost is not None:
+            total = cost + w
             if best is None or total < best[0]:
                 best = (total, b)
     if best is None:
@@ -169,7 +226,7 @@ def held_karp_cycle(g: Graph) -> TourResult | None:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")
     if g.n > HELD_KARP_MAX_N:
         raise CapacityError(f"dense table infeasible beyond n={HELD_KARP_MAX_N}")
-    if not _is_connected(g):
+    if not _is_biconnected(g):
         return None
     n = g.n
     size = (1 << n) * n

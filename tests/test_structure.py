@@ -281,6 +281,28 @@ def test_deg2_multigraph_self_loop_counts_two():
     assert f == ((1, 2), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "n, s, t, x_mask",
+    [
+        (4, 0, 7, 0),  # terminal outside the graph
+        (4, 0, 3, 1 << 9),  # X reaches outside the graph
+        (4, 0, 3, mask_of([0, 1])),  # X contains s
+        (4, 2, 2, 0),  # equal terminals
+    ],
+)
+def test_deg2_multigraph_validates_like_deg2_witness(n, s, t, x_mask):
+    edges = [(0, 1), (1, 2), (2, 3)]
+    with pytest.raises(ValueError):
+        deg2_witness(Graph.from_edges(n, edges), s, t, x_mask)
+    with pytest.raises(ValueError):
+        deg2_witness_multigraph(n, edges, s, t, x_mask)
+
+
+def test_deg2_multigraph_capacity():
+    with pytest.raises(CapacityError):
+        deg2_witness_multigraph(17, [], 0, 1, 0)
+
+
 # --- cross-module: TSP DP states are degree-2 subsets ----------------------
 
 

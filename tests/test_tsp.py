@@ -1,5 +1,8 @@
 """Hamiltonian path/cycle solvers: examples, baselines, state accounting."""
 
+import random
+from itertools import permutations
+
 import pytest
 
 from expdeg import (
@@ -11,11 +14,14 @@ from expdeg import (
     path_dp_states,
     tsp_cycle,
 )
+from expdeg import tsp
+from expdeg.tsp import _is_biconnected, _PathDP, anchor_vertex
 from conftest import (
     bowtie_graph,
     complete_graph,
     cycle_graph,
     path_graph,
+    seeded_graph,
     seeded_weighted_graph,
     star_graph,
     tour_weight,
@@ -117,8 +123,10 @@ def test_held_karp_capacity():
 
 
 def test_solver_agreement_seeded():
+    refused = 0
     for seed in range(60):
         g = seeded_weighted_graph(seed, n_max=10, n_min=3)
+        refused += not _is_biconnected(g)
         trimmed = tsp_cycle(g)
         dense = held_karp_cycle(g)
         brute = oracle_tsp(g)
@@ -128,30 +136,39 @@ def test_solver_agreement_seeded():
         if trimmed is not None:
             assert tour_weight(g, trimmed.order, cycle=True) == trimmed.weight
             assert tour_weight(g, dense.order, cycle=True) == dense.weight
+    # the mix holds graphs refused by the 2-connectivity check and others
+    assert 0 < refused < 60
+
+
+def brute_ham_path(g: Graph, a: int, b: int) -> int | None:
+    """Cheapest Hamiltonian a-b path weight by trying every order."""
+    best = None
+    middle = [v for v in range(g.n) if v not in (a, b)]
+    for perm in permutations(middle):
+        order = (a, *perm, b)
+        total = 0
+        for u, v in zip(order, order[1:]):
+            if not g.has_edge(u, v):
+                break
+            total += g.weight(u, v)
+        else:
+            best = total if best is None else min(best, total)
+    return best
 
 
 def test_ham_path_against_permutation_brute_force():
-    from itertools import permutations
-
+    refused = 0
     for seed in range(25):
         g = seeded_weighted_graph(seed + 500, n_max=7, n_min=2)
-        a, b = 0, g.n - 1
-        if a == b:
-            continue
-        best = None
-        middle = [v for v in range(g.n) if v not in (a, b)]
-        for perm in permutations(middle):
-            order = (a, *perm, b)
-            total = 0
-            for u, v in zip(order, order[1:]):
-                if not g.has_edge(u, v):
-                    break
-                total += g.weight(u, v)
-            else:
-                best = total if best is None else min(best, total)
-        res = ham_path(g, a, b)
-        got = None if res is None else res.weight
-        assert got == best, (seed, got, best)
+        for a, b in ((0, g.n - 1), (g.n // 2, g.n - 1)):
+            if a == b:
+                continue
+            refused += not _is_biconnected(g, (a, b))
+            best = brute_ham_path(g, a, b)
+            res = ham_path(g, a, b)
+            got = None if res is None else res.weight
+            assert got == best, (seed, a, b, got, best)
+    assert 0 < refused < 25
 
 
 def enumerate_path_states(g: Graph, a: int) -> set[tuple[int, int]]:
@@ -187,3 +204,206 @@ def test_deterministic_reconstruction():
         again = tsp_cycle(g)
         assert again.order == first.order
         assert again.weight == first.weight
+
+
+# --- differential check against the sorted-key reference DP ----------------
+
+
+class SortedKeyPathDP:
+    """The layered path DP as it was before per-endpoint layers: one dict
+    per layer keyed on mask << 6 | endpoint, relaxed in ascending key order
+    with strict improvement.  Test-only reference for ties and orders."""
+
+    def __init__(self, g: Graph, a: int):
+        self.g = g
+        layer = {(1 << a) << 6 | a: 0}
+        self.parents = [{(1 << a) << 6 | a: -1}]
+        self.states_visited = 1
+        for _ in range(g.n - 1):
+            nxt, nxt_parent = {}, {}
+            for key in sorted(layer):
+                cost = layer[key]
+                mask, u = key >> 6, key & 63
+                for v, w in g.adjacency[u]:
+                    if (mask >> v) & 1:
+                        continue
+                    nk = (mask | (1 << v)) << 6 | v
+                    cand = cost + w
+                    if nk not in nxt or cand < nxt[nk]:
+                        nxt[nk] = cand
+                        nxt_parent[nk] = u
+            layer = nxt
+            self.parents.append(nxt_parent)
+            self.states_visited += len(nxt)
+        self.final_layer = layer
+
+    def path(self, b: int) -> tuple[int, tuple[int, ...]] | None:
+        full = (1 << self.g.n) - 1
+        if full << 6 | b not in self.final_layer:
+            return None
+        order, mask, v = [b], full, b
+        for i in range(self.g.n - 1, 0, -1):
+            u = self.parents[i][mask << 6 | v]
+            mask ^= 1 << v
+            order.append(u)
+            v = u
+        return self.final_layer[full << 6 | b], tuple(reversed(order))
+
+    def cycle(self, a: int) -> tuple[int, tuple[int, ...]] | None:
+        best = None
+        for b, w in self.g.adjacency[a]:
+            found = self.path(b)
+            if found is not None and (best is None or found[0] + w < best[0]):
+                best = (found[0] + w, found[1])
+        return best
+
+    def state_set(self) -> set[tuple[int, int]]:
+        return {(k >> 6, k & 63) for lay in self.parents for k in lay}
+
+
+def tie_heavy_graph(seed: int, n_max: int, n_min: int = 3) -> Graph:
+    """Seeded random graph with weights in {1, 2}, so optimal tours tie."""
+    rng = random.Random(seed)
+    g = seeded_graph(seed, n_max, n_min)
+    return Graph.from_edges(g.n, [(u, v, rng.randint(1, 2)) for u, v, _ in g.edges])
+
+
+def as_tuple(res):
+    return None if res is None else (res.weight, res.order, res.states_visited)
+
+
+def test_path_dp_matches_sorted_key_reference():
+    """Per-endpoint layers give the reference's costs, parents, orders and
+    state counts on every anchor, ties included."""
+    for seed in range(40):
+        g = tie_heavy_graph(seed + 7000, n_max=11, n_min=4)
+        for a in range(g.n):
+            ref = SortedKeyPathDP(g, a)
+            dp = _PathDP(g, a)
+            assert dp.states_visited == ref.states_visited, (seed, a)
+            assert set(path_dp_states(g, a)) == ref.state_set(), (seed, a)
+            for b in range(g.n):
+                if b == a:
+                    continue
+                found = ref.path(b)
+                assert dp.full_cost(b) == (None if found is None else found[0]), (seed, a, b)
+                if found is not None:
+                    assert dp.reconstruct(b) == found[1], (seed, a, b)
+                    res = ham_path(g, a, b)
+                    assert (res.weight, res.order) == found, (seed, a, b)
+                    assert res.states_visited == ref.states_visited
+                else:
+                    assert ham_path(g, a, b) is None, (seed, a, b)
+        a = anchor_vertex(g)
+        ref = SortedKeyPathDP(g, a)
+        expected = ref.cycle(a)
+        got = tsp_cycle(g)
+        if expected is None:
+            assert got is None, seed
+        else:
+            assert as_tuple(got) == (*expected, ref.states_visited), seed
+
+
+# --- the 2-connectivity check ----------------------------------------------
+
+
+def pendant_graph() -> Graph:
+    # a 5-cycle with an extra vertex hanging off vertex 0
+    return Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
+
+
+def bridged_cubic_graph() -> Graph:
+    # two K4s with one edge subdivided each, the subdivision vertices joined
+    # by a bridge; every vertex has degree 3
+    half = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)]
+    edges = half + [(u + 5, v + 5) for u, v in half] + [(4, 9)]
+    return Graph.from_edges(10, edges)
+
+
+def naive_biconnected(g: Graph) -> bool:
+    """Connected, and still connected after deleting any one vertex."""
+
+    def connected(removed: int) -> bool:
+        keep = [v for v in range(g.n) if v != removed]
+        if not keep:
+            return True
+        seen, stack = {keep[0]}, [keep[0]]
+        while stack:
+            for v in g.neighbors(stack.pop()):
+                if v != removed and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == len(keep)
+
+    return connected(-1) and all(connected(v) for v in range(g.n))
+
+
+@pytest.mark.parametrize("make", [pendant_graph, bridged_cubic_graph, bowtie_graph])
+def test_tsp_cycle_refuses_before_the_dp(make, monkeypatch):
+    g = make()
+    assert oracle_tsp(g) is None
+
+    def no_dp(*args):
+        raise AssertionError("the path DP ran on a graph that is not 2-connected")
+
+    monkeypatch.setattr(tsp, "_PathDP", no_dp)
+    assert tsp_cycle(g) is None
+    assert held_karp_cycle(g) is None
+
+
+def test_ham_path_on_a_bare_path_graph():
+    # P_n is not 2-connected, but P_n plus the edge between its ends is
+    for n in (2, 3, 6, 9):
+        g = path_graph(n, list(range(1, n)))
+        res = ham_path(g, 0, n - 1)
+        assert res.order == tuple(range(n))
+        assert res.weight == n * (n - 1) // 2
+        assert ham_path(g, n - 1, 0).order == tuple(reversed(range(n)))
+        if n > 2:
+            assert ham_path(g, 0, 1) is None
+
+
+def test_is_biconnected_matches_vertex_deletion():
+    cases = [pendant_graph(), bridged_cubic_graph(), bowtie_graph(), path_graph(5),
+             cycle_graph(5), complete_graph(4), star_graph(3)]
+    cases += [seeded_graph(seed + 8000, 9, n_min=3) for seed in range(150)]
+    assert any(_is_biconnected(g) for g in cases)
+    assert any(not _is_biconnected(g) for g in cases)
+    for g in cases:
+        assert _is_biconnected(g) == naive_biconnected(g), g
+        a, b = 0, g.n - 1
+        if not g.has_edge(a, b):
+            plus = Graph.from_edges(g.n, [*g.edges, (a, b, 1)])
+            assert _is_biconnected(g, (a, b)) == naive_biconnected(plus), g
+        else:
+            assert _is_biconnected(g, (a, b)) == _is_biconnected(g)
+
+
+# --- metamorphic: relabelling ----------------------------------------------
+
+
+def test_relabelling_keeps_tour_weights():
+    rng = random.Random(17)
+    checked = 0
+    for seed in range(60):
+        g = seeded_weighted_graph(seed + 9500, n_max=10, n_min=3)
+        perm = rng.sample(range(g.n), g.n)
+        inv = {p: v for v, p in enumerate(perm)}
+        h = Graph.from_edges(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+        base, moved = tsp_cycle(g), tsp_cycle(h)
+        assert (base is None) == (moved is None), seed
+        if moved is not None:
+            assert moved.weight == base.weight, seed
+            back = tuple(inv[v] for v in moved.order)
+            assert tour_weight(g, back, cycle=True) == moved.weight
+            checked += 1
+        a, b = 0, g.n - 1
+        base, moved = ham_path(g, a, b), ham_path(h, perm[a], perm[b])
+        assert (base is None) == (moved is None), seed
+        if moved is not None:
+            assert moved.weight == base.weight, seed
+            back = tuple(inv[v] for v in moved.order)
+            assert (back[0], back[-1]) == (a, b)
+            assert tour_weight(g, back, cycle=False) == moved.weight
+            checked += 1
+    assert checked > 20
