@@ -32,8 +32,6 @@ from .oracles import (
 )
 from .pm_bipartite import (
     BipCountResult,
-    ReducedInstance,
-    TrimPlan,
     count_pm_bipartite,
     plan_trim,
     reduce_degree_one,
@@ -41,19 +39,11 @@ from .pm_bipartite import (
     stored_state_bound,
 )
 from .pm_dp import (
-    LabeledMultigraph,
     PmDpResult,
-    build_contracted_graph,
-    count_label_disjoint_covers,
     count_pm_dp,
-    run_cover_dp,
 )
 from .pm_inex import (
-    ArcGraph,
-    build_arc_graph,
-    count_anchored_walks,
     count_pm_inex,
-    count_walk_tuples,
     inex_accumulators,
 )
 from .structure import (
@@ -62,7 +52,6 @@ from .structure import (
     deg2_witness,
     deg2_witness_multigraph,
     enumerate_deg2_sets,
-    exp_at_most,
     find_disjoint_set,
     find_gap_threshold,
 )
@@ -78,7 +67,6 @@ from .tsp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcGraph",
     "BipCountResult",
     "BipartiteGraph",
     "BudgetExceededError",
@@ -89,26 +77,17 @@ __all__ = [
     "GapResult",
     "Graph",
     "InputFormatError",
-    "LabeledMultigraph",
     "OracleBudget",
     "PmDpResult",
-    "ReducedInstance",
     "TourResult",
-    "TrimPlan",
     "anchor_vertex",
-    "build_arc_graph",
-    "build_contracted_graph",
-    "count_anchored_walks",
-    "count_label_disjoint_covers",
     "count_pm_bipartite",
     "count_pm_dp",
     "count_pm_inex",
-    "count_walk_tuples",
     "deg2_witness",
     "deg2_witness_multigraph",
     "degree_profile",
     "enumerate_deg2_sets",
-    "exp_at_most",
     "find_disjoint_set",
     "find_gap_threshold",
     "gen_random_graph",
@@ -128,7 +107,6 @@ __all__ = [
     "random_gnm",
     "random_regular",
     "reduce_degree_one",
-    "run_cover_dp",
     "ryser_permanent",
     "serialize_graph",
     "stored_state_bound",

@@ -152,13 +152,10 @@ class BipCountResult:
     reduced_k: int
     reduced_d: Fraction
     alpha: Fraction
-    pruned_sets: tuple[int, ...] | None = None
 
 
 def count_pm_bipartite(
-    g: BipartiteGraph,
-    alpha: Fraction | float = DEFAULT_ALPHA,
-    collect_pruned: bool = False,
+    g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA
 ) -> BipCountResult:
     """Exact perfect-matching count with skip-rule memoization statistics.
 
@@ -180,7 +177,6 @@ def count_pm_bipartite(
     limit = plan.low_card_limit
     memo: dict[int, int] = {}
     pruned = 0
-    pruned_sets: list[int] = []
 
     def value(x_mask: int) -> int:
         nonlocal pruned
@@ -190,8 +186,6 @@ def count_pm_bipartite(
         size = x_mask.bit_count()
         if size <= limit and x_mask & b0_mask:
             pruned += 1
-            if collect_pruned:
-                pruned_sets.append(x_mask)
             return 0
         cached = memo.get(x_mask)
         if cached is not None:
@@ -204,16 +198,7 @@ def count_pm_bipartite(
         return total
 
     count = value((1 << k) - 1)
-    return BipCountResult(
-        count,
-        len(memo),
-        pruned,
-        len(plan.b0),
-        k,
-        plan.d,
-        alpha,
-        tuple(pruned_sets) if collect_pruned else None,
-    )
+    return BipCountResult(count, len(memo), pruned, len(plan.b0), k, plan.d, alpha)
 
 
 def stored_state_bound(k: int, d: Fraction, alpha: Fraction) -> int:

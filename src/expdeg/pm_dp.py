@@ -7,33 +7,42 @@ endpoints as a two-element label.  Matchings of the input correspond
 one-to-one to cycle covers of the contraction whose labels are pairwise
 disjoint (equivalently: whose labels cover every original vertex).
 
-Covers are counted by cycle count q via two associative tables pushed
-bottom-up in (q, |X|) strata:
+Each cover is built once, in a canonical order: every new cycle starts at
+the lowest node not yet covered.  Two associative tables are pushed
+bottom-up in |X| strata:
 
-  cover[q][X]           ordered q-cycle covers of the induced sub-multigraph
-                        on X with pairwise disjoint labels;
-  path[q][X][a][b][x]   pairs of an ordered q-cycle cover on some Y inside X
-                        and an a-b path on the rest of X avoiding nodes
-                        below a, whose end labels are pinned: the label at a
-                        contains original vertex 2a, the one at b contains
-                        2b+x.
+  cover[X]            label-disjoint cycle covers of the induced
+                      sub-multigraph on X in which every cycle holds a node
+                      below the lowest node outside X (so cycles were
+                      started in order, each at the lowest free node);
+  path[X][a][b][x]    pairs of such a cover of some Y inside X, where a is
+                      the lowest node outside Y, and an a-b path on the rest
+                      of X, whose end labels are pinned: the label at a
+                      contains original vertex 2a, the one at b contains
+                      2b+x.
 
-Each cover's last cycle is charged once: a one-node cycle (self-loop) comes
-straight from cover[q-1], a longer cycle closes a path at its lowest node a
-with an edge whose label contains 2a+1.  Only nonzero entries are stored or
-pushed.  Every push follows an edge that exists: per-(node, label bit)
-neighbour lists, built once per call, give the edges that seed or extend a
-path, and one dictionary lookup per path entry finds the edges that close
-it.  So a path entry costs the degree of its endpoint, and a cover entry one
-bit test per node plus the paths it seeds: the work is proportional to the
-number of stored states times the degree, not times the node count k.
+A cover entry X starts the next cycle at a, its lowest free node: a
+self-loop at a gives cover[X + a] at once, and an edge a-b whose label
+contains 2a seeds a path.  Every other free node is above a, so a path
+never needs a test that it stays above its start.  A path closes with an
+edge a-c whose label contains 2a+1; fixing which of a's two labels comes
+first fixes the direction in which each cycle is walked.  Closing keeps
+|X|, so within a stratum the path entries are processed before the cover
+entries they feed.  Since each cover arises in exactly one order and one
+direction, cover[all nodes] is the unordered count and no division by the
+number of cycles is needed.
+
+Only nonzero entries are stored or pushed.  Every push follows an edge that
+exists: per-(node, label bit) neighbour lists, built once per call, give
+the edges that seed or extend a path, and one dictionary lookup per path
+entry finds the edges that close it.  So a cover entry costs the degree of
+its lowest free node, and a path entry the degree of its endpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import unordered_total
 from .graphs import Graph
 
 
@@ -45,10 +54,6 @@ class LabeledMultigraph:
 
     k: int
     edges: tuple[tuple[int, int, int, int], ...]
-
-    def label(self, edge_index: int) -> frozenset[int]:
-        _, _, x, y = self.edges[edge_index]
-        return frozenset((x, y))
 
 
 def build_contracted_graph(g: Graph) -> LabeledMultigraph:
@@ -68,19 +73,18 @@ def build_contracted_graph(g: Graph) -> LabeledMultigraph:
 
 @dataclass(frozen=True)
 class CoverDpRun:
-    """full_covers[q]: ordered q-cycle covers of the whole node set;
-    states_visited counts every nonzero table entry; key dumps are kept
-    only when requested."""
+    """count: label-disjoint cycle covers of the whole node set;
+    states_visited counts every nonzero table entry; key dumps (cover keys
+    X, path keys (X, a, b, x)) are kept only when requested."""
 
-    full_covers: dict[int, int]
+    count: int
     states_visited: int
-    cover_keys: tuple[tuple[int, int], ...] | None
-    path_keys: tuple[tuple[int, int, int, int, int], ...] | None
+    cover_keys: tuple[int, ...] | None
+    path_keys: tuple[tuple[int, int, int, int], ...] | None
 
 
 def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
     k = mg.k
-    full = (1 << k) - 1
     loops = [0] * k
     emult: dict[tuple[int, int, int, int], int] = {}
     for p, q, x, y in mg.edges:
@@ -98,74 +102,59 @@ def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
         nbr[q][bq].append((p, bp, mult))
     # closing[a][(c, bc)]: edges a-c whose label is {2a+1, 2c+bc}
     closing = [{(c, bc): mult for c, bc, mult in nbr[a][1]} for a in range(k)]
-    # seeds[a]: edges a-b with b > a whose label contains 2a
-    seeds = [[(b, xb, mult) for b, xb, mult in nbr[a][0] if b > a] for a in range(k)]
-    seed_nodes = [a for a in range(k) if seeds[a]]
 
-    loop_nodes = [a for a in range(k) if loops[a]]
-    cover_strata: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
-    path_strata: dict[tuple[int, int], dict[tuple[int, int, int, int], int]] = {}
-    full_covers: dict[int, int] = {}
+    cover_strata: dict[int, dict[int, int]] = {0: {0: 1}}
+    path_strata: dict[int, dict[tuple[int, int, int, int], int]] = {}
     states = 0
-    cover_keys: list[tuple[int, int]] = []
-    path_keys: list[tuple[int, int, int, int, int]] = []
+    cover_keys: list[int] = []
+    path_keys: list[tuple[int, int, int, int]] = []
 
-    for q in range(k + 1):
-        for i in range(k + 1):
-            cur = cover_strata.pop((q, i), None)
-            if cur:
-                states += len(cur)
-                if keep_keys:
-                    cover_keys.extend((q, x) for x in cur)
-                if full in cur:
-                    full_covers[q] = cur[full]
-                loop_tgt = cover_strata.setdefault((q + 1, i + 1), {})
-                seed_tgt = path_strata.setdefault((q, i + 2), {})
-                for x_mask, val in cur.items():
-                    # last cycle is a self-loop at a
-                    for a in loop_nodes:
-                        if not (x_mask >> a) & 1:
-                            nk = x_mask | (1 << a)
-                            loop_tgt[nk] = loop_tgt.get(nk, 0) + val * loops[a]
-                    # seed a path a-b (the label at a must contain 2a)
-                    for a in seed_nodes:
-                        if (x_mask >> a) & 1:
-                            continue
-                        xa = x_mask | (1 << a)
-                        for b, xb, mult in seeds[a]:
-                            if not (x_mask >> b) & 1:
-                                pk = (xa | (1 << b), a, b, xb)
-                                seed_tgt[pk] = seed_tgt.get(pk, 0) + val * mult
+    for i in range(k + 1):
+        # closing a path keeps |X|, so this stratum's paths run first
+        covers = cover_strata.pop(i, {})
+        paths = path_strata.pop(i, None)
+        if paths:
+            states += len(paths)
+            if keep_keys:
+                path_keys.extend(paths)
+            extend_tgt = path_strata.setdefault(i + 1, {})
+            for (x_mask, a, c, z), val in paths.items():
+                # close the cycle: edge a-c whose label is {2a+1, 2c+(z^1)}
+                mult = closing[a].get((c, z ^ 1))
+                if mult:
+                    covers[x_mask] = covers.get(x_mask, 0) + val * mult
+                # extend the path endpoint from c to a free e (above a)
+                for e, xe, mult in nbr[c][z ^ 1]:
+                    if not (x_mask >> e) & 1:
+                        pk = (x_mask | (1 << e), a, e, xe)
+                        extend_tgt[pk] = extend_tgt.get(pk, 0) + val * mult
 
-            cur2 = path_strata.pop((q, i), None)
-            if cur2:
-                states += len(cur2)
-                if keep_keys:
-                    path_keys.extend((q, x, a, b, xb) for (x, a, b, xb) in cur2)
-                close_tgt = cover_strata.setdefault((q + 1, i), {})
-                extend_tgt = path_strata.setdefault((q, i + 1), {})
-                for (x_mask, a, c, z), val in cur2.items():
-                    # close the cycle: edge a-c whose label is {2a+1, 2c+(z^1)}
-                    mult = closing[a].get((c, z ^ 1))
-                    if mult:
-                        close_tgt[x_mask] = close_tgt.get(x_mask, 0) + val * mult
-                    # extend the path endpoint from c to a free e > a
-                    for e, xe, mult in nbr[c][z ^ 1]:
-                        if e > a and not (x_mask >> e) & 1:
-                            pk = (x_mask | (1 << e), a, e, xe)
-                            extend_tgt[pk] = extend_tgt.get(pk, 0) + val * mult
+        states += len(covers)
+        if keep_keys:
+            cover_keys.extend(covers)
+        if i == k or not covers:
+            continue
+        loop_tgt = cover_strata.setdefault(i + 1, {})
+        seed_tgt = path_strata.setdefault(i + 2, {})
+        for x_mask, val in covers.items():
+            # the next cycle starts at a, the lowest node outside X
+            low = ~x_mask & (x_mask + 1)
+            a = low.bit_length() - 1
+            xa = x_mask | low
+            if loops[a]:
+                loop_tgt[xa] = loop_tgt.get(xa, 0) + val * loops[a]
+            # seed a path a-b (the label at a must contain 2a)
+            for b, xb, mult in nbr[a][0]:
+                if not (x_mask >> b) & 1:
+                    pk = (xa | (1 << b), a, b, xb)
+                    seed_tgt[pk] = seed_tgt.get(pk, 0) + val * mult
 
     return CoverDpRun(
-        full_covers,
+        covers.get((1 << k) - 1, 0),
         states,
         tuple(cover_keys) if keep_keys else None,
         tuple(path_keys) if keep_keys else None,
     )
-
-
-def count_label_disjoint_covers(mg: LabeledMultigraph) -> int:
-    """Number of cycle covers of mg whose edge labels are pairwise disjoint."""
-    return unordered_total(run_cover_dp(mg).full_covers.items())
 
 
 @dataclass(frozen=True)
@@ -178,6 +167,5 @@ def count_pm_dp(g: Graph) -> PmDpResult:
     """Exact number of perfect matchings via the contracted cover DP."""
     if g.n % 2 != 0:
         return PmDpResult(0, 0)
-    mg = build_contracted_graph(g)
-    run = run_cover_dp(mg)
-    return PmDpResult(unordered_total(run.full_covers.items()), run.states_visited)
+    run = run_cover_dp(build_contracted_graph(g))
+    return PmDpResult(run.count, run.states_visited)

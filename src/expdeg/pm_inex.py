@@ -44,11 +44,6 @@ class ArcGraph:
     n: int
     out: tuple[tuple[int, ...], ...]
 
-    @property
-    def arcs(self) -> tuple[tuple[int, int, int], ...]:
-        """Every arc as (src, dst, label)."""
-        return tuple((v, w, v // 2) for v in range(self.n) for w in self.out[v])
-
 
 def build_arc_graph(g: Graph) -> ArcGraph:
     """Two arcs per input edge: (partner(x) -> y, label x//2) and symmetric."""

@@ -269,9 +269,14 @@ def deg2_witness_multigraph(
 ) -> tuple[tuple[int, int], ...] | None:
     """Degree-2 witness over an explicit (u, v) edge list that may contain
     parallel edges and self-loops; returns F as edge endpoints or None.
-    Arguments are checked as in deg2_witness."""
+    Arguments are checked as in deg2_witness, and every edge endpoint must
+    lie in 0..n-1."""
     _check_deg2_args(n, s, t, x_mask)
-    return _witness_search(n, list(edges), s, t, x_mask)
+    edges = list(edges)
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+    return _witness_search(n, edges, s, t, x_mask)
 
 
 def enumerate_deg2_sets(g: Graph, s: int, t: int) -> list[int]:

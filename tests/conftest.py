@@ -1,10 +1,12 @@
 """Shared graph builders and seeded ensembles for the test suite."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from expdeg import BipartiteGraph, Graph, random_gnm, random_regular
+from expdeg.pm_dp import LabeledMultigraph
 
 
 def complete_graph(n: int) -> Graph:
@@ -128,3 +130,87 @@ def cycle_distribution_cases():
         for seed in (1, 2, 3):
             cases.append(random_regular(n, 3, seed))
     return cases
+
+
+@dataclass(frozen=True)
+class OrderedCoverRun:
+    """full_covers[q]: ordered q-cycle covers of the whole node set;
+    states_visited counts every nonzero table entry."""
+
+    full_covers: dict[int, int]
+    states_visited: int
+    cover_keys: tuple[tuple[int, int], ...]
+    path_keys: tuple[tuple[int, int, int, int, int], ...]
+
+
+def naive_cover_dp(mg: LabeledMultigraph) -> OrderedCoverRun:
+    """Reference DP over ordered cycle covers, in (q, |X|) strata: cover keys
+    are (q, X), path keys (q, X, a, b, x) with every other path node above
+    its start a, which may be any free node.  It seeds a path by scanning
+    every free pair (a, b) and extends it by scanning every e > a, two label
+    bits each, through an edge-multiplicity lookup.  Each unordered cover
+    with q cycles is counted q! times in full_covers[q]."""
+    k = mg.k
+    full = (1 << k) - 1
+    loops = [0] * k
+    emult: dict[tuple[int, int, int, int], int] = {}
+    for p, q, x, y in mg.edges:
+        if p == q:
+            loops[p] += 1
+        else:
+            key = (p, q, x & 1, y & 1)
+            emult[key] = emult.get(key, 0) + 1
+
+    def edge_count(p, bp, q, bq):
+        if p < q:
+            return emult.get((p, q, bp, bq), 0)
+        return emult.get((q, p, bq, bp), 0)
+
+    cover_strata = {(0, 0): {0: 1}}
+    path_strata = {}
+    full_covers = {}
+    states = 0
+    cover_keys = []
+    path_keys = []
+    for q in range(k + 1):
+        for i in range(k + 1):
+            cur = cover_strata.pop((q, i), None)
+            if cur:
+                states += len(cur)
+                cover_keys.extend((q, x) for x in cur)
+                if full in cur:
+                    full_covers[q] = cur[full]
+                for x_mask, val in cur.items():
+                    free = [a for a in range(k) if not (x_mask >> a) & 1]
+                    for a in free:
+                        if loops[a]:
+                            tgt = cover_strata.setdefault((q + 1, i + 1), {})
+                            nk = x_mask | (1 << a)
+                            tgt[nk] = tgt.get(nk, 0) + val * loops[a]
+                    for ai, a in enumerate(free):
+                        for b in free[ai + 1:]:
+                            for xb in (0, 1):
+                                mult = edge_count(a, 0, b, xb)
+                                if mult:
+                                    tgt = path_strata.setdefault((q, i + 2), {})
+                                    pk = (x_mask | (1 << a) | (1 << b), a, b, xb)
+                                    tgt[pk] = tgt.get(pk, 0) + val * mult
+            cur = path_strata.pop((q, i), None)
+            if cur:
+                states += len(cur)
+                path_keys.extend((q, x, a, b, xb) for (x, a, b, xb) in cur)
+                for (x_mask, a, c, z), val in cur.items():
+                    mult = edge_count(a, 1, c, z ^ 1)
+                    if mult:
+                        tgt = cover_strata.setdefault((q + 1, i), {})
+                        tgt[x_mask] = tgt.get(x_mask, 0) + val * mult
+                    for e in range(a + 1, k):
+                        if (x_mask >> e) & 1:
+                            continue
+                        for xe in (0, 1):
+                            mult = edge_count(c, z ^ 1, e, xe)
+                            if mult:
+                                tgt = path_strata.setdefault((q, i + 1), {})
+                                pk = (x_mask | (1 << e), a, e, xe)
+                                tgt[pk] = tgt.get(pk, 0) + val * mult
+    return OrderedCoverRun(full_covers, states, tuple(cover_keys), tuple(path_keys))

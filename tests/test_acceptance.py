@@ -15,7 +15,6 @@ from expdeg import (
     count_pm_inex,
     deg2_witness,
     degree_profile,
-    exp_at_most,
     find_disjoint_set,
     find_gap_threshold,
     held_karp_cycle,
@@ -28,16 +27,17 @@ from expdeg import (
     random_bipartite_min2,
     random_regular,
     ryser_permanent,
-    run_cover_dp,
-    build_contracted_graph,
     stored_state_bound,
     tsp_cycle,
 )
 from expdeg.bitset import bits
+from expdeg.pm_dp import build_contracted_graph
+from expdeg.structure import exp_at_most
 from conftest import (
     complete_graph,
     cycle_graph,
     k33_graph,
+    naive_cover_dp,
     petersen_graph,
     seeded_bipartite,
     seeded_graph,
@@ -218,7 +218,7 @@ def test_criterion_8_divisibility_invariants():
         for r in range(1, len(acc)):
             assert acc[r] >= 0 and acc[r] % factorial(r) == 0
             checked += 1
-        run = run_cover_dp(build_contracted_graph(g))
+        run = naive_cover_dp(build_contracted_graph(g))
         for q, val in run.full_covers.items():
             assert val % factorial(q) == 0
             checked += 1

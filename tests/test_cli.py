@@ -225,9 +225,9 @@ def test_bench_rows_and_summary():
     for row in rows:
         g = random_gnm(row["n"], row["m"], row["seed"])
         assert row["result"] == str(inex(g))
-        # generic key-space cap: (q, X) pairs plus path states
+        # generic key-space cap: cover keys X plus path keys (X, a, b, x)
         k = row["n"] // 2
-        assert row["states"] <= (k + 1) * (2**k) * (1 + 2 * k * k)
+        assert row["states"] <= (2**k) * (1 + 2 * k * k)
 
 
 def test_bench_tsp_generic_state_bound():

@@ -152,28 +152,28 @@ def test_ryser_examples():
 
 
 def test_pruned_sets_are_provably_zero():
-    """Exhaustive check that every skipped subset leaves some vertex of the
-    block isolated in the induced subgraph, hence counts zero."""
-    found_prunes = 0
+    """Exhaustive check of the skip rule: every subset X of B it could fire
+    on (|X| <= low_card_limit and X meets the block b0), whether or not the
+    DP reaches it, holds a block vertex with no neighbour among the first
+    |X| A-vertices of order_a, so X counts zero."""
+    fired = 0
     cases = [random_bipartite_min2(8, 16, seed) for seed in range(6)]
     cases += [random_bipartite_min2(10, 21, seed) for seed in range(6)]
     cases += [seeded_bipartite(seed + 400, 8, k_min=4) for seed in range(30)]
     for idx, g in enumerate(cases):
-        res = count_pm_bipartite(g, collect_pruned=True)
-        if not res.pruned_sets:
-            continue
+        fired += count_pm_bipartite(g).pruned_calls
         red = reduce_degree_one(g)
-        plan = plan_trim(red.graph)
-        found_prunes += len(res.pruned_sets)
-        for x_mask in res.pruned_sets:
-            prefix = plan.order_a[: x_mask.bit_count()]
-            hit = [
-                j
-                for j in bits(x_mask & plan.b0_mask)
-                if not (set(red.graph.adj_b[j]) & set(prefix))
-            ]
+        if not red.feasible or red.graph.k == 0:
+            continue
+        h = red.graph
+        plan = plan_trim(h)
+        for x_mask in range(1, 1 << h.k):
+            if x_mask.bit_count() > plan.low_card_limit or not x_mask & plan.b0_mask:
+                continue
+            prefix = set(plan.order_a[: x_mask.bit_count()])
+            hit = [j for j in bits(x_mask & plan.b0_mask) if not set(h.adj_b[j]) & prefix]
             assert hit, (idx, bin(x_mask))
-    assert found_prunes > 0  # the rule must actually fire somewhere
+    assert fired > 0  # the rule must actually fire somewhere
 
 
 def test_stored_state_bound_holds():

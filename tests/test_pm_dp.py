@@ -8,22 +8,20 @@ import pytest
 
 from expdeg import (
     Graph,
-    LabeledMultigraph,
-    build_contracted_graph,
-    count_label_disjoint_covers,
     count_pm_dp,
     count_pm_inex,
     deg2_witness_multigraph,
     oracle_count_pm,
-    run_cover_dp,
+    random_gnm,
 )
 from expdeg.counting import unordered_total
-from expdeg.pm_dp import CoverDpRun
+from expdeg.pm_dp import LabeledMultigraph, build_contracted_graph, run_cover_dp
 from conftest import (
     complete_graph,
     cycle_distribution_cases,
     cycle_graph,
     matching_graph,
+    naive_cover_dp,
     petersen_graph,
     seeded_graph,
 )
@@ -75,11 +73,9 @@ def test_contract_average_degree_doubles():
 
 
 def test_covers_named():
-    assert count_label_disjoint_covers(
-        build_contracted_graph(Graph.from_edges(2, [(0, 1)]))
-    ) == 1
-    assert count_label_disjoint_covers(build_contracted_graph(cycle_graph(4))) == 2
-    assert count_label_disjoint_covers(build_contracted_graph(complete_graph(4))) == 3
+    assert run_cover_dp(build_contracted_graph(Graph.from_edges(2, [(0, 1)]))).count == 1
+    assert run_cover_dp(build_contracted_graph(cycle_graph(4))).count == 2
+    assert run_cover_dp(build_contracted_graph(complete_graph(4))).count == 3
 
 
 def test_count_pm_dp_named():
@@ -97,7 +93,7 @@ def test_agreement_seeded():
         assert res.count == count_pm_inex(g) == oracle_count_pm(g), seed
 
 
-# --- brute-force audit of the ordered-cover tables ----------------------------
+# --- brute-force audit of the ordered reference tables --------------------------
 
 
 def brute_ordered_full_covers(mg: LabeledMultigraph) -> dict[int, int]:
@@ -145,7 +141,7 @@ def test_ordered_cover_tables_match_enumeration():
             cases.append(g)
     for g in cases:
         mg = build_contracted_graph(g)
-        run = run_cover_dp(mg)
+        run = naive_cover_dp(mg)
         assert run.full_covers == brute_ordered_full_covers(mg), g
 
 
@@ -154,7 +150,7 @@ def test_full_cover_values_divisible():
         g = seeded_graph(seed, 12)
         if g.n % 2:
             continue
-        run = run_cover_dp(build_contracted_graph(g))
+        run = naive_cover_dp(build_contracted_graph(g))
         for q, val in run.full_covers.items():
             assert val % factorial(q) == 0
 
@@ -166,77 +162,7 @@ def test_unordered_total_divides_and_checks():
             unordered_total(bad)
 
 
-# --- reference scan ------------------------------------------------------------
-
-
-def naive_cover_dp(mg: LabeledMultigraph) -> CoverDpRun:
-    """Reference cover DP: seeds a path by scanning every free pair (a, b) and
-    extends it by scanning every e > a, two label bits each, through an
-    edge-multiplicity lookup."""
-    k = mg.k
-    full = (1 << k) - 1
-    loops = [0] * k
-    emult: dict[tuple[int, int, int, int], int] = {}
-    for p, q, x, y in mg.edges:
-        if p == q:
-            loops[p] += 1
-        else:
-            key = (p, q, x & 1, y & 1)
-            emult[key] = emult.get(key, 0) + 1
-
-    def edge_count(p, bp, q, bq):
-        if p < q:
-            return emult.get((p, q, bp, bq), 0)
-        return emult.get((q, p, bq, bp), 0)
-
-    cover_strata = {(0, 0): {0: 1}}
-    path_strata = {}
-    full_covers = {}
-    states = 0
-    cover_keys = []
-    path_keys = []
-    for q in range(k + 1):
-        for i in range(k + 1):
-            cur = cover_strata.pop((q, i), None)
-            if cur:
-                states += len(cur)
-                cover_keys.extend((q, x) for x in cur)
-                if full in cur:
-                    full_covers[q] = cur[full]
-                for x_mask, val in cur.items():
-                    free = [a for a in range(k) if not (x_mask >> a) & 1]
-                    for a in free:
-                        if loops[a]:
-                            tgt = cover_strata.setdefault((q + 1, i + 1), {})
-                            nk = x_mask | (1 << a)
-                            tgt[nk] = tgt.get(nk, 0) + val * loops[a]
-                    for ai, a in enumerate(free):
-                        for b in free[ai + 1:]:
-                            for xb in (0, 1):
-                                mult = edge_count(a, 0, b, xb)
-                                if mult:
-                                    tgt = path_strata.setdefault((q, i + 2), {})
-                                    pk = (x_mask | (1 << a) | (1 << b), a, b, xb)
-                                    tgt[pk] = tgt.get(pk, 0) + val * mult
-            cur = path_strata.pop((q, i), None)
-            if cur:
-                states += len(cur)
-                path_keys.extend((q, x, a, b, xb) for (x, a, b, xb) in cur)
-                for (x_mask, a, c, z), val in cur.items():
-                    mult = edge_count(a, 1, c, z ^ 1)
-                    if mult:
-                        tgt = cover_strata.setdefault((q + 1, i), {})
-                        tgt[x_mask] = tgt.get(x_mask, 0) + val * mult
-                    for e in range(a + 1, k):
-                        if (x_mask >> e) & 1:
-                            continue
-                        for xe in (0, 1):
-                            mult = edge_count(c, z ^ 1, e, xe)
-                            if mult:
-                                tgt = path_strata.setdefault((q, i + 1), {})
-                                pk = (x_mask | (1 << e), a, e, xe)
-                                tgt[pk] = tgt.get(pk, 0) + val * mult
-    return CoverDpRun(full_covers, states, tuple(cover_keys), tuple(path_keys))
+# --- canonical state sets -------------------------------------------------------
 
 
 def cover_dp_cases():
@@ -260,22 +186,95 @@ def cover_dp_cases():
     return cases
 
 
-def test_cover_dp_matches_naive_scan():
+def label_disjoint_covers(mg: LabeledMultigraph, x_mask: int):
+    """Every label-disjoint cycle cover of the sub-multigraph on X, as a list
+    of (p, q) edges, found by giving the lowest unused original vertex of X
+    each edge inside X whose label holds it."""
+    inside = [
+        (p, q, x, y)
+        for p, q, x, y in mg.edges
+        if (x_mask >> p) & 1 and (x_mask >> q) & 1
+    ]
+    vertices = [v for p in range(mg.k) if (x_mask >> p) & 1 for v in (2 * p, 2 * p + 1)]
+
+    def extend(used: set[int], chosen: list[tuple[int, int]]):
+        free = [v for v in vertices if v not in used]
+        if not free:
+            yield list(chosen)
+            return
+        v = free[0]
+        for p, q, x, y in inside:
+            if v in (x, y) and x not in used and y not in used:
+                chosen.append((p, q))
+                yield from extend(used | {x, y}, chosen)
+                chosen.pop()
+
+    yield from extend(set(), [])
+
+
+def brute_canonical_cover_keys(mg: LabeledMultigraph) -> set[int]:
+    """The X for which the sub-multigraph on X has a label-disjoint cycle
+    cover in which every cycle holds a node below the lowest node outside X
+    (k when X is everything)."""
+    keys = set()
+    for x_mask in range(1 << mg.k):
+        low = (~x_mask & (x_mask + 1)).bit_length() - 1
+        for cover in label_disjoint_covers(mg, x_mask):
+            parent = {p: p for p in range(mg.k) if (x_mask >> p) & 1}
+
+            def find(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            for p, q in cover:
+                parent[find(p)] = find(q)
+            cycles: dict[int, list[int]] = {}
+            for p in parent:
+                cycles.setdefault(find(p), []).append(p)
+            if all(min(nodes) < low for nodes in cycles.values()):
+                keys.add(x_mask)
+                break
+    return keys
+
+
+def test_canonical_cover_states_exact():
+    """The canonical DP counts what the ordered reference counts, divided
+    out, and what the oracle counts; its path keys are reference path keys
+    with the cycle count dropped; and, on small graphs, its cover keys are
+    exactly the brute-force canonical sets."""
     saw_loop = saw_parallel = False
-    for g in cover_dp_cases():
+    brute_checked = 0
+    # denser small graphs, some with pair-internal edges, so that the
+    # brute-force key sets are large
+    rng = random.Random(31)
+    small = [complete_graph(n) for n in (4, 6, 8, 10)]
+    for seed in range(10):
+        n = rng.choice((8, 10))
+        g = random_gnm(n, rng.randint(2 * n, 3 * n), seed + 900)
+        pairs = [(2 * p, 2 * p + 1) for p in range(n // 2) if rng.random() < 0.5]
+        small.append(Graph.from_edges(n, {(u, v) for u, v, _ in g.edges} | set(pairs)))
+    for g in cover_dp_cases() + small:
         mg = build_contracted_graph(g)
-        links = [(p, q) for p, q, _, _ in mg.edges if p != q]
-        saw_loop |= len(links) < len(mg.edges)
-        saw_parallel |= len(set(links)) < len(links)
         got = run_cover_dp(mg, keep_keys=True)
         want = naive_cover_dp(mg)
-        assert got.full_covers == want.full_covers, g
-        assert got.states_visited == want.states_visited, g
+        assert (
+            count_pm_dp(g).count
+            == got.count
+            == unordered_total(want.full_covers.items())
+            == oracle_count_pm(g)
+        ), g
+        assert got.states_visited <= want.states_visited, g
         assert len(got.cover_keys) == len(set(got.cover_keys))
         assert len(got.path_keys) == len(set(got.path_keys))
-        assert set(got.cover_keys) == set(want.cover_keys), g
-        assert set(got.path_keys) == set(want.path_keys), g
-    assert saw_loop and saw_parallel
+        assert set(got.path_keys) <= {key[1:] for key in want.path_keys}, g
+        if mg.k <= 5:
+            links = [(p, q) for p, q, _, _ in mg.edges if p != q]
+            saw_loop |= len(links) < len(mg.edges)
+            saw_parallel |= len(set(links)) < len(links)
+            assert set(got.cover_keys) == brute_canonical_cover_keys(mg), g
+            brute_checked += 1
+    assert saw_loop and saw_parallel and brute_checked >= 50
 
 
 # --- sparse-state soundness ----------------------------------------------------
@@ -294,12 +293,12 @@ def test_nonzero_states_are_degree2_subsets():
             continue
         run = run_cover_dp(mg, keep_keys=True)
         edge_list = [(p, q) for p, q, _, _ in mg.edges]
-        for _, x_mask, a, b, _ in run.path_keys:
+        for x_mask, a, b, _ in run.path_keys:
             interior = x_mask & ~(1 << a) & ~(1 << b)
             assert (
                 deg2_witness_multigraph(mg.k, edge_list, a, b, interior) is not None
             ), (seed, bin(x_mask), a, b)
-        for _, x_mask in run.cover_keys:
+        for x_mask in run.cover_keys:
             free = [v for v in range(mg.k) if not (x_mask >> v) & 1]
             if len(free) < 2:
                 continue  # no two distinct terminals available outside X

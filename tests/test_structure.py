@@ -13,7 +13,6 @@ from expdeg import (
     deg2_witness_multigraph,
     degree_profile,
     enumerate_deg2_sets,
-    exp_at_most,
     find_disjoint_set,
     find_gap_threshold,
     path_dp_states,
@@ -21,6 +20,7 @@ from expdeg import (
     random_regular,
 )
 from expdeg.bitset import bits, mask_of
+from expdeg.structure import exp_at_most
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -296,6 +296,13 @@ def test_deg2_multigraph_validates_like_deg2_witness(n, s, t, x_mask):
         deg2_witness(Graph.from_edges(n, edges), s, t, x_mask)
     with pytest.raises(ValueError):
         deg2_witness_multigraph(n, edges, s, t, x_mask)
+
+
+@pytest.mark.parametrize("bad", [(1, 9), (-1, 2), (4, 4)])
+def test_deg2_multigraph_rejects_edges_outside_the_graph(bad):
+    edges = [(0, 1), bad, (1, 2)]
+    with pytest.raises(ValueError, match=rf"edge \({bad[0]}, {bad[1]}\)"):
+        deg2_witness_multigraph(4, edges, 0, 2, mask_of([1]))
 
 
 def test_deg2_multigraph_capacity():
