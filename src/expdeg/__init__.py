@@ -42,10 +42,7 @@ from .pm_dp import (
     PmDpResult,
     count_pm_dp,
 )
-from .pm_inex import (
-    count_pm_inex,
-    inex_accumulators,
-)
+from .pm_inex import count_pm_inex
 from .structure import (
     Deg2Witness,
     GapResult,
@@ -93,7 +90,6 @@ __all__ = [
     "gen_random_graph",
     "ham_path",
     "held_karp_cycle",
-    "inex_accumulators",
     "oracle_alternating_covers",
     "oracle_count_pm",
     "oracle_permanent",

@@ -39,6 +39,14 @@ def _elapsed_ms(start: float) -> float:
     return round((time.perf_counter() - start) * 1000, 3)
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type: an exact rational such as 3.55, 7/2 or 1e3."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _require_general(g) -> Graph:
     if not isinstance(g, Graph):
         raise ValueError("this command needs a general 'graph' input")
@@ -116,7 +124,7 @@ def _cmd_count_pm_bip(args) -> None:
         count = pm_bipartite.ryser_permanent(g)
         _emit({"count": str(count), "elapsed_ms": _elapsed_ms(start)})
         return
-    result = pm_bipartite.count_pm_bipartite(g, Fraction(args.alpha))
+    result = pm_bipartite.count_pm_bipartite(g, args.alpha)
     _emit(
         {
             "count": str(result.count),
@@ -130,9 +138,8 @@ def _cmd_count_pm_bip(args) -> None:
 
 def _cmd_stats(args) -> None:
     g = _require_general(_read_graph(args.input))
-    alpha = Fraction(args.alpha)
     profile = degree_profile(g)
-    gap = structure.find_gap_threshold(g, alpha)
+    gap = structure.find_gap_threshold(g, args.alpha)
     d = max(profile.avg, Fraction(1))
     max_deg = max(profile.max_degree, 1)
     disjoint = structure.find_disjoint_set(g, d, max_deg)
@@ -143,7 +150,7 @@ def _cmd_stats(args) -> None:
         "max_degree": profile.max_degree,
         "histogram": {str(k): v for k, v in sorted(profile.histogram.items())},
         "gap": {
-            "alpha": str(alpha),
+            "alpha": str(args.alpha),
             "d_threshold": gap.d_threshold,
             "count_above": gap.count_above,
             "bound": str(gap.bound),
@@ -223,7 +230,7 @@ def _bench_instance(task: dict) -> dict:
     else:  # count-pm-bip
         g = generate.random_bipartite_min2(task["k"], task["m"], seed)
         n, m = g.k, g.m
-        out = pm_bipartite.count_pm_bipartite(g, Fraction(task["alpha"]))
+        out = pm_bipartite.count_pm_bipartite(g, task["alpha"])
         result, states = str(out.count), out.stored_states
         denom = max(n, 1)
     if n == 0:
@@ -251,13 +258,20 @@ def run_bench(
     algo: str,
     model: str,
     sizes: list[int],
-    degrees: list[int],
+    degrees: list[float],
     seeds: list[int],
-    alpha: str = "3.55",
+    alpha: Fraction | str = "3.55",
 ) -> tuple[list[dict], list[dict]]:
     """Build the instance grid, run it (optionally in parallel), and return
     (rows, per-(n, d) summary).  Rows are sorted by (n, d, seed) so worker
-    scheduling never changes the artifact."""
+    scheduling never changes the artifact.  count-pm-bip runs the
+    'bipartite' model, the others 'gnm' or 'regular' (whole degrees)."""
+    if (model == "bipartite") != (algo == "count-pm-bip"):
+        raise ValueError(f"--algo {algo} does not run the {model!r} model")
+    if not all(math.isfinite(d) for d in degrees):
+        raise ValueError(f"degrees must be finite, got {degrees}")
+    if model == "regular" and any(d != int(d) for d in degrees):
+        raise ValueError("the 'regular' model needs whole degrees")
     tasks = []
     for n in sizes:
         for d in degrees:
@@ -268,7 +282,7 @@ def run_bench(
                     task["m"] = max(2 * n, round(n * d))
                 elif model == "regular":
                     task["n"] = n
-                    task["d"] = d
+                    task["d"] = int(d)
                 else:
                     task["n"] = n
                     task["m"] = round(n * d / 2)
@@ -302,8 +316,9 @@ def run_bench(
 
 
 def _cmd_bench(args) -> None:
+    model = args.model or ("bipartite" if args.algo == "count-pm-bip" else "gnm")
     rows, summary = run_bench(
-        args.algo, args.model, args.sizes, args.degrees, args.seeds, args.alpha
+        args.algo, model, args.sizes, args.degrees, args.seeds, args.alpha
     )
     if args.format == "csv":
         buf = io.StringIO()
@@ -337,14 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bip = sub.add_parser("count-pm-bip", help="count bipartite perfect matchings")
     p_bip.add_argument("--input", required=True)
-    p_bip.add_argument("--alpha", default="3.55")
+    p_bip.add_argument("--alpha", type=_rational, default="3.55")
     p_bip.add_argument("--swap-sides", action="store_true")
     p_bip.add_argument("--baseline", action="store_true")
     p_bip.set_defaults(func=_cmd_count_pm_bip)
 
     p_stats = sub.add_parser("stats", help="degree and structural statistics")
     p_stats.add_argument("--input", required=True)
-    p_stats.add_argument("--alpha", default="1")
+    p_stats.add_argument("--alpha", type=_rational, default="1")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random graph file")
@@ -363,11 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_bench.add_argument("--model", choices=["gnm", "regular", "bipartite"],
-                         default="gnm")
+                         help="default: bipartite for count-pm-bip, else gnm")
     p_bench.add_argument("--sizes", type=int, nargs="+", required=True)
     p_bench.add_argument("--degrees", type=float, nargs="+", required=True)
     p_bench.add_argument("--seeds", type=int, nargs="+", required=True)
-    p_bench.add_argument("--alpha", default="3.55")
+    p_bench.add_argument("--alpha", type=_rational, default="3.55")
     p_bench.add_argument("--format", choices=["json", "csv"], default="json")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -8,27 +8,32 @@ walks in this graph encode cycles that alternate between pairing steps and
 graph edges.
 
 A matching corresponds to a family of vertex-disjoint closed walks of total
-length n/2 using every label exactly once.  Counting families that avoid a
-label subset is polynomial (a layered walk DP plus a power series over the
-per-length walk totals), and inclusion-exclusion over the 2^(n/2) label
-subsets recovers the exact matching count in polynomial space.
+length n/2 using every label exactly once.  Each walk is anchored at its
+cycle's lowest vertex, which is even, and at most one walk is taken per
+anchor, so a family is a tuple with strictly increasing anchors: the tuples
+avoiding a label subset are counted by the product of (1 + W_a(x)) over the
+allowed anchors a, truncated after x^(n/2), where W_a sums a's closed walks
+by length.  Each family arises in one order only, so nothing is divided.
+Inclusion-exclusion over the 2^(n/2) label subsets keeps the tuples that
+use every label: the signed sum is the matching count at length n/2 and
+zero below it (fewer than n/2 arcs miss a label), which the counter checks.
 
 The subsets are enumerated depth first, deciding label n/2-1 first and
 label 0 last.  Banning label l deletes vertices 2l and 2l+1 from every
 closed walk, and a walk anchored at 2l never enters a vertex below 2l, so
 its counts depend only on the labels >= l.  The walk DP for anchor 2l
 therefore runs once per assignment of the labels above it, at the node
-that allows l, and every subset below that node shares its result: fewer
-than 2^(n/2) single-anchor DPs per graph.  The live state is one vector of
-n/2+1 running per-length totals per level of the recursion, so space stays
-polynomial: O(n^2) integers plus the arc lists.
+that allows l, and the product takes its factor there; every subset below
+that node shares both: fewer than 2^(n/2) single-anchor DPs per graph.
+The live state is one product vector of n/2+1 coefficients per level of
+the recursion, so space stays polynomial: O(n^2) integers plus the arc
+lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import unordered_total
 from .graphs import Graph, pair_partner
 
 
@@ -87,71 +92,61 @@ def count_anchored_walks(ag: ArcGraph, anchor: int, allowed: int) -> list[int]:
     return counts
 
 
-def count_walk_tuples(per_len: list[int]) -> list[int]:
-    """t[r] for 0 <= r <= L, where L = len(per_len) - 1: ordered r-tuples of
-    walks with total length L, given per_len[j] >= 0 walks of each length
-    j >= 1 (per_len[0] is ignored).
+def count_walk_tuples(prod: list[int], walks: list[int]) -> list[int]:
+    """prod * (1 + sum_{j >= 1} walks[j] x^j), truncated to len(prod) terms.
 
-    t[r] is the coefficient of x^L in P(x)^r for P(x) = sum_j per_len[j] x^j.
-    Only even-anchored walks belong in per_len: every closed walk family
-    that uses each label once consists of cycles whose lowest vertex is
-    even, while the reverse traversal of such a cycle anchors at the odd
-    partner; even anchors keep one direction per cycle.
+    prod[i] counts walk tuples of total length i whose anchors strictly
+    increase; walks[j] counts closed walks of length j at one more anchor
+    (walks[0] is ignored).  The product admits at most one walk at that
+    anchor, so each tuple arises in exactly one order.
     """
-    total_len = len(per_len) - 1
-    # Kronecker substitution: P is packed into one integer with a digit of
-    # `width` bits per coefficient.  Every coefficient of P^r is at most
-    # P(1)^r <= P(1)^L < 2^width, so no digit spills into the next; carries
-    # only travel upward, so masking to L+1 digits truncates exactly.
-    width = total_len * sum(per_len[1:]).bit_length() + 1
-    p = sum(c << (width * j) for j, c in enumerate(per_len) if j)
-    keep = (1 << (width * (total_len + 1))) - 1
-    t = [0] * (total_len + 1)
-    t[0] = int(total_len == 0)
-    power = 1
-    for r in range(1, total_len + 1):
-        power = power * p & keep
-        if not power:
-            break
-        t[r] = power >> (width * total_len)
-    return t
+    out = list(prod)
+    size = len(prod)
+    for j in range(1, min(len(walks), size)):
+        w = walks[j]
+        if w:
+            for i in range(size - j):
+                out[i + j] += w * prod[i]
+    return out
 
 
 def inex_accumulators(g: Graph) -> list[int]:
-    """Signed accumulators acc[r] (1-indexed), one per family size r.
+    """Signed per-length sums acc[j] for 0 <= j <= n/2.
 
-    acc[r] sums, over all label subsets I with sign (-1)^|I|, the number of
-    ordered r-tuples of anchored walks of total length n/2 avoiding I; by
-    inclusion-exclusion it equals r! times the number of matchings whose
-    pairing overlay splits into exactly r cycles.
+    acc[j] sums, over all label subsets I with sign (-1)^|I|, the number of
+    anchor-ordered walk tuples of total length j that avoid I.  By
+    inclusion-exclusion it counts the tuples that use every label, so
+    acc[n/2] is the number of perfect matchings and every lower entry is 0:
+    a tuple of length j < n/2 has only j arcs for n/2 labels.
     """
-    if g.n % 2 != 0:
-        raise ValueError("vertex count must be even")
-    half = g.n // 2
     ag = build_arc_graph(g)
+    half = g.n // 2
     acc = [0] * (half + 1)
 
-    def visit(label: int, allowed: int, totals: list[int], sign: int) -> None:
+    def visit(label: int, allowed: int, prod: list[int], sign: int) -> None:
         # labels above `label` are decided: `allowed` masks the vertices of
-        # the allowed ones, `totals` sums their anchors' walk counts by length
+        # the allowed ones, `prod` counts the walk tuples on their anchors
         if label < 0:
-            tuples = count_walk_tuples(totals)
-            for r in range(1, half + 1):
-                acc[r] += sign * tuples[r]
+            for j, c in enumerate(prod):
+                acc[j] += sign * c
             return
-        visit(label - 1, allowed, totals, -sign)
+        visit(label - 1, allowed, prod, -sign)
         allowed |= 3 << (2 * label)
         walks = count_anchored_walks(ag, 2 * label, allowed)
-        visit(label - 1, allowed, [t + w for t, w in zip(totals, walks)], sign)
+        visit(label - 1, allowed, count_walk_tuples(prod, walks), sign)
 
-    visit(half - 1, 0, [0] * (half + 1), 1)
+    visit(half - 1, 0, [1] + [0] * half, 1)
     return acc
 
 
 def count_pm_inex(g: Graph) -> int:
-    """Exact number of perfect matchings; odd vertex counts give 0."""
+    """Exact number of perfect matchings; odd vertex counts give 0.  Raises
+    AssertionError if a signed sum below length n/2 is nonzero (a fault)."""
     if g.n % 2 != 0:
         return 0
-    if g.n == 0:
-        return 1
-    return unordered_total(enumerate(inex_accumulators(g)))
+    acc = inex_accumulators(g)
+    if any(acc[:-1]):
+        raise AssertionError(
+            f"signed per-length sums {acc} are nonzero below length {g.n // 2}"
+        )
+    return acc[-1]

@@ -22,37 +22,44 @@ from .graphs import Graph, degree_profile
 DEG2_MAX_N = 16
 
 
-def _e_bounds(terms: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on e from the Taylor series with remainder."""
-    s = Fraction(0)
-    fact = 1
-    for k in range(terms + 1):
-        if k:
-            fact *= k
-        s += Fraction(1, fact)
-    return s, s + Fraction(2, fact * (terms + 1))
+def _ln_bounds(y: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Rational bounds on ln((1+y)/(1-y)) = 2*atanh(y) for 0 <= y < 1: the
+    partial sum of 2*y**(2k+1)/(2k+1) over k < terms, and that sum plus the
+    geometric bound 2*y**(2*terms+1) / ((2*terms+1) * (1-y*y)) on its tail."""
+    y2 = y * y
+    total, power = Fraction(0), y
+    for k in range(terms):
+        total += power / (2 * k + 1)
+        power *= y2
+    return 2 * total, 2 * (total + power / ((2 * terms + 1) * (1 - y2)))
 
 
 def exp_at_most(value: int, alpha: Fraction) -> bool:
-    """Certified check of value <= e**alpha in exact rational arithmetic.
+    """Certified check of value <= e**alpha, i.e. ln(value) <= alpha, in
+    exact rational arithmetic.
 
-    value <= e**(p/q)  iff  value**q <= e**p; e is bracketed by rational
-    Taylor bounds tightened until the comparison is unambiguous (e**alpha
-    is irrational for rational alpha != 0, so this terminates).
+    With value = 2**m * r and 1 <= r < 2, ln(value) = m*ln(2) + ln(r), and
+    both logarithms are bracketed by _ln_bounds at y = 1/3 and
+    y = (r-1)/(r+1) < 1/3, where each term gains a factor of at least 9.
+    The term count doubles until alpha lies outside the bracket; ln(value)
+    is irrational for an integer value >= 2, so this terminates, and the
+    work depends on how close alpha is to ln(value), not on the size of
+    alpha's numerator or denominator.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if value <= 1:
         return True
-    p, q = alpha.numerator, alpha.denominator
-    lhs = value**q
-    terms = 20
+    m = value.bit_length() - 1
+    r = Fraction(value, 1 << m)
+    terms = 8
     while True:
-        lo, hi = _e_bounds(terms)
-        if lhs <= lo**p:
-            return True
-        if lhs > hi**p:
+        lo2, hi2 = _ln_bounds(Fraction(1, 3), terms)
+        lo_r, hi_r = _ln_bounds((r - 1) / (r + 1), terms)
+        if alpha < m * lo2 + lo_r:
             return False
+        if alpha >= m * hi2 + hi_r:
+            return True
         terms *= 2
 
 

@@ -1,12 +1,15 @@
 """Shared graph builders and seeded ensembles for the test suite."""
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
+from math import factorial
 
 import pytest
 
 from expdeg import BipartiteGraph, Graph, random_gnm, random_regular
 from expdeg.pm_dp import LabeledMultigraph
+from expdeg.pm_inex import build_arc_graph, count_anchored_walks
 
 
 def complete_graph(n: int) -> Graph:
@@ -214,3 +217,53 @@ def naive_cover_dp(mg: LabeledMultigraph) -> OrderedCoverRun:
                                 pk = (x_mask | (1 << e), a, e, xe)
                                 tgt[pk] = tgt.get(pk, 0) + val * mult
     return OrderedCoverRun(full_covers, states, tuple(cover_keys), tuple(path_keys))
+
+
+def unordered_total(ordered: Iterable[tuple[int, int]]) -> int:
+    """Sum of count // r! over (r, count) pairs, where count tallies ordered
+    r-tuples of distinct members, so that it must be a nonnegative multiple
+    of r!; anything else means the count is wrong and raises."""
+    total = 0
+    for r, count in ordered:
+        f = factorial(r)
+        if count < 0 or count % f != 0:
+            raise AssertionError(
+                f"ordered count for r={r} is {count}, not a nonnegative multiple of {r}!"
+            )
+        total += count // f
+    return total
+
+
+def naive_walk_tuples(per_len: list[int]) -> list[int]:
+    """Reference knapsack: t[q] ordered q-tuples of walks of total length
+    L = len(per_len) - 1, given per_len[j] walks of each length j >= 1."""
+    total = len(per_len) - 1
+    t = [[0] * (total + 1) for _ in range(total + 1)]
+    t[0][0] = 1
+    for q in range(1, total + 1):
+        for i in range(total + 1):
+            t[q][i] = sum(per_len[j] * t[q - 1][i - j] for j in range(1, i + 1))
+    return [row[total] for row in t]
+
+
+def naive_inex_accumulators(g: Graph) -> list[int]:
+    """Reference ordered inclusion-exclusion: acc[r] (1-indexed) sums, over
+    every label subset I with sign (-1)^|I|, the ordered r-tuples of walks
+    of total length n/2 anchored at the even vertices of the labels outside
+    I, so it equals r! times the number of matchings whose pairing overlay
+    splits into exactly r cycles."""
+    half = g.n // 2
+    ag = build_arc_graph(g)
+    acc = [0] * (half + 1)
+    for banned in range(1 << half):
+        labels = [l for l in range(half) if not (banned >> l) & 1]
+        allowed = sum(3 << (2 * l) for l in labels)
+        per_len = [0] * (half + 1)
+        for l in labels:
+            for j, w in enumerate(count_anchored_walks(ag, 2 * l, allowed)):
+                per_len[j] += w
+        sign = -1 if banned.bit_count() % 2 else 1
+        tuples = naive_walk_tuples(per_len)
+        for r in range(1, half + 1):
+            acc[r] += sign * tuples[r]
+    return acc

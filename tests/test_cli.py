@@ -1,12 +1,28 @@
 """CLI dispatch: JSON shapes, exit codes, pipelines, bench determinism."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expdeg import count_pm_inex, generate, parse_graph, serialize_graph
+import expdeg
+from expdeg import (
+    count_pm_inex,
+    generate,
+    parse_graph,
+    random_bipartite,
+    random_gnm,
+    serialize_graph,
+)
 from expdeg.cli import BENCH_COLUMNS, main, run_bench
-from conftest import complete_graph
+from conftest import complete_graph, cycle_graph
 
 
 @pytest.fixture
@@ -205,7 +221,73 @@ def test_type_mismatch_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--alpha", "1/0"],
+        ["count-pm-bip", "--alpha", "1/0"],
+        ["bench", "--algo", "count-pm-bip", "--sizes", "6", "--degrees", "3",
+         "--seeds", "1", "--alpha", "1/0"],
+        ["bench", "--algo", "count-pm-inex", "--sizes", "6", "--degrees", "inf",
+         "--seeds", "1"],
+        ["bench", "--algo", "count-pm-inex", "--sizes", "6", "--degrees", "nan",
+         "--seeds", "1"],
+        ["stats", "--alpha", "abc"],
+    ],
+)
+def test_bad_numeric_flags_exit_2(capsys, k4_file, k33_file, argv):
+    if argv[0] == "stats":
+        argv = [*argv, "--input", k4_file]
+    elif argv[0] == "count-pm-bip":
+        argv = [*argv, "--input", k33_file]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["1e40", "1e400", "3." + "0" * 60 + "1"])
+def test_stats_large_alpha_returns(tmp_path, alpha):
+    path = tmp_path / "c6.txt"
+    path.write_text(serialize_graph(cycle_graph(6)))
+    src = str(Path(expdeg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "expdeg", "stats", "--input", str(path),
+         "--alpha", alpha],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    gap = json.loads(proc.stdout)["gap"]
+    assert gap["d_threshold"] == 2 and gap["count_above"] == 0
+
+
 # --- bench -------------------------------------------------------------------
+
+
+def test_bench_model_follows_algo(capsys):
+    grid = ["--sizes", "6", "--degrees", "3", "--seeds", "1"]
+    for argv in (
+        ["--algo", "tsp", "--model", "bipartite"],
+        ["--algo", "count-pm-bip", "--model", "regular"],
+        ["--algo", "count-pm-bip", "--model", "gnm"],
+    ):
+        assert main(["bench", *argv, *grid]) == 2
+        assert "model" in capsys.readouterr().err
+    for argv, model in (
+        (["--algo", "count-pm-bip"], "bipartite"),
+        (["--algo", "count-pm-dp"], "gnm"),
+        (["--algo", "tsp", "--model", "regular"], "regular"),
+    ):
+        code, payload = run_json(capsys, ["bench", *argv, *grid])
+        assert code == 0
+        assert [row["model"] for row in payload["rows"]] == [model]
+    # the regular model takes whole degrees only
+    assert main(["bench", "--algo", "tsp", "--model", "regular", "--sizes", "8",
+                 "--degrees", "3.5", "--seeds", "1"]) == 2
+    capsys.readouterr()
 
 
 def test_bench_rows_and_summary():
@@ -285,3 +367,92 @@ def test_bench_parallel_matches_serial(monkeypatch):
         {k: v for k, v in r.items() if k != "elapsed_ms"} for r in rows
     ]
     assert strip(serial) == strip(parallel)
+
+
+def test_swap_sides_keeps_the_count(capsys, tmp_path):
+    for seed in range(6):
+        g = random_bipartite(4, 10, seed)
+        path = tmp_path / f"b{seed}.txt"
+        path.write_text(serialize_graph(g))
+        counts = set()
+        for extra in ([], ["--swap-sides"], ["--baseline"],
+                      ["--swap-sides", "--baseline"]):
+            argv = ["count-pm-bip", "--input", str(path), *extra]
+            code, payload = run_json(capsys, argv)
+            assert code == 0
+            counts.add(payload["count"])
+        assert len(counts) == 1, (seed, counts)
+
+
+# --- argv fuzz ------------------------------------------------------------------
+
+FUZZ_VALUES = ["1/0", "0", "-1", "inf", "nan", "1e40", "3.55", "abc", "1", "2", "3", "8"]
+FUZZ_SIZES = ["-1", "0", "1", "2", "4", "6", "8", "abc"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A general graph with n = 8, a bipartite graph with k = 4, a malformed
+    file and a missing path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "general.txt": serialize_graph(random_gnm(8, 12, 3)),
+        "bipartite.txt": serialize_graph(random_bipartite(4, 10, 3)),
+        "malformed.txt": "graph 3 2\n0 1\n1 7\n",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in files] + [str(root / "missing.txt")]
+
+
+@st.composite
+def fuzz_argv(draw, inputs):
+    value = st.sampled_from(FUZZ_VALUES)
+    command = draw(
+        st.sampled_from(["tsp", "count-pm", "count-pm-bip", "stats", "gen", "bench"])
+    )
+    argv = [command]
+    if command in ("tsp", "count-pm", "count-pm-bip", "stats"):
+        argv += ["--input", draw(st.sampled_from(inputs))]
+    if command == "tsp":
+        if draw(st.booleans()):
+            argv += ["--path", draw(value), draw(value)]
+        argv += draw(st.sampled_from([[], ["--baseline"], ["--baseline", "oracle"]]))
+    elif command == "count-pm":
+        argv += ["--algo", draw(st.sampled_from(["inex", "dp", "oracle", "abc"]))]
+    elif command in ("count-pm-bip", "stats"):
+        if draw(st.booleans()):
+            argv += ["--alpha", draw(value)]
+        if command == "count-pm-bip":
+            argv += draw(st.sampled_from([[], ["--swap-sides"], ["--baseline"]]))
+    elif command == "gen":
+        # n, k <= 8 keeps the regular model's rejection pairing short
+        models = ["gnm", "regular", "regular-3", "bipartite", "tree"]
+        argv += ["--model", draw(st.sampled_from(models))]
+        for flag in ("--n", "--m", "--d", "--k"):
+            if draw(st.booleans()):
+                argv += [flag, draw(value)]
+        argv += ["--seed", draw(value)]
+    else:
+        algos = ["tsp", "count-pm-dp", "count-pm-inex", "count-pm-bip"]
+        argv += ["--algo", draw(st.sampled_from(algos))]
+        if draw(st.booleans()):
+            argv += ["--model", draw(st.sampled_from(["gnm", "regular", "bipartite"]))]
+        sizes = st.lists(st.sampled_from(FUZZ_SIZES), min_size=1, max_size=2)
+        argv += ["--sizes", *draw(sizes)]
+        argv += ["--degrees", *draw(st.lists(value, min_size=1, max_size=2))]
+        argv += ["--seeds", *draw(st.lists(value, min_size=1, max_size=2))]
+        if draw(st.booleans()):
+            argv += ["--alpha", draw(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(fuzz_inputs, data):
+    argv = data.draw(fuzz_argv(fuzz_inputs), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

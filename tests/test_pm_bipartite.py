@@ -1,5 +1,6 @@
 """Bipartite counter: peeling, trim plan, skip rule, state bound, baselines."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,3 +195,28 @@ def test_swap_sides_preserves_count():
         assert (
             count_pm_bipartite(g).count == count_pm_bipartite(g.transpose()).count
         ), seed
+
+
+def test_permanent_invariant_under_transpose_and_permutations():
+    rng = random.Random(17)
+    for seed in range(30):
+        k = rng.randint(2, 10)
+        g = random_bipartite_min2(k, rng.randint(2 * k, k * k), seed)
+        want = ryser_permanent(g)
+        if k <= 9:
+            assert oracle_permanent(g) == want, seed
+        rows = list(range(k))
+        cols = list(range(k))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        variants = [
+            g,
+            g.transpose(),
+            BipartiteGraph.from_edges(k, [(rows[i], j) for i, j in g.edges]),
+            BipartiteGraph.from_edges(k, [(i, cols[j]) for i, j in g.edges]),
+            BipartiteGraph.from_edges(k, [(cols[j], rows[i]) for i, j in g.edges]),
+        ]
+        for h in variants:
+            assert count_pm_bipartite(h).count == ryser_permanent(h) == want, seed
+            if k <= 8:
+                assert oracle_permanent(h) == want, seed

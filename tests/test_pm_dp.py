@@ -14,7 +14,6 @@ from expdeg import (
     oracle_count_pm,
     random_gnm,
 )
-from expdeg.counting import unordered_total
 from expdeg.pm_dp import LabeledMultigraph, build_contracted_graph, run_cover_dp
 from conftest import (
     complete_graph,
@@ -24,6 +23,7 @@ from conftest import (
     naive_cover_dp,
     petersen_graph,
     seeded_graph,
+    unordered_total,
 )
 
 # --- construction -----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Inclusion-exclusion matching counter: arc graph, walk DP, knapsack, counts."""
+"""Inclusion-exclusion matching counter: arc graph, walk DP, walk-tuple
+product, counts."""
 
 import random
 from math import factorial
@@ -11,15 +12,16 @@ from expdeg import (
     Graph,
     count_pm_dp,
     count_pm_inex,
-    inex_accumulators,
     oracle_alternating_covers,
     oracle_count_pm,
 )
+from expdeg import pm_inex
 from expdeg.pm_inex import (
     ArcGraph,
     build_arc_graph,
     count_anchored_walks,
     count_walk_tuples,
+    inex_accumulators,
 )
 from conftest import (
     complete_graph,
@@ -27,8 +29,10 @@ from conftest import (
     cycle_graph,
     k33_graph,
     matching_graph,
+    naive_inex_accumulators,
     petersen_graph,
     seeded_graph,
+    unordered_total,
 )
 
 # --- arc graph construction -------------------------------------------------
@@ -141,41 +145,56 @@ def test_walks_match_brute_force():
                     )
 
 
-# --- ordered tuples of walks --------------------------------------------------
+# --- anchor-ordered walk tuples ------------------------------------------------
 
 
-def naive_walk_tuples(per_len: list[int]) -> list[int]:
-    """Reference knapsack: t[q][i] ordered q-tuples of total length i."""
-    total = len(per_len) - 1
-    t = [[0] * (total + 1) for _ in range(total + 1)]
-    t[0][0] = 1
-    for q in range(1, total + 1):
-        for i in range(total + 1):
-            t[q][i] = sum(per_len[j] * t[q - 1][i - j] for j in range(1, i + 1))
-    return [row[total] for row in t]
-
-
-def test_tuples_ordered_pairs():
-    assert count_walk_tuples([0, 2, 0])[2] == 4
+def naive_truncated_product(prod: list[int], walks: list[int]) -> list[int]:
+    """Reference: coefficients 0..len(prod)-1 of prod * (1 + sum_j walks[j] x^j)."""
+    factor = [1] + list(walks[1:])
+    return [
+        sum(prod[i] * factor[k - i] for i in range(k + 1) if k - i < len(factor))
+        for k in range(len(prod))
+    ]
 
 
 def test_tuples_empty():
-    t = count_walk_tuples([0, 0, 0, 0])
-    assert t == [0, 0, 0, 0]
+    # no walks at the new anchor leaves prod as it is
+    assert count_walk_tuples([1, 5, 0, 2], [0, 0, 0, 0]) == [1, 5, 0, 2]
+    assert count_walk_tuples([1, 5, 0, 2], [0]) == [1, 5, 0, 2]
+    assert count_walk_tuples([], [0, 1]) == []
+
+
+def test_tuples_anchor_ordered_pairs():
+    # one anchor with two length-1 walks, then a second such anchor: the
+    # 2 * 2 pairs of length 2 arise in one order only, not in 2! orders
+    assert count_walk_tuples([1, 0, 0], [0, 2, 0]) == [1, 2, 0]
+    assert count_walk_tuples([1, 2, 0], [0, 2, 0]) == [1, 4, 4]
 
 
 def test_tuples_hand_recurrence():
-    assert count_walk_tuples([0, 1, 3, 0])[2] == 6  # 1*3 + 3*1
+    # (1 + x + 3x^2)^2 = 1 + 2x + 7x^2 + 6x^3, truncated to four terms
+    assert count_walk_tuples([1, 1, 3, 0], [0, 1, 3, 0]) == [1, 2, 7, 6]
+    # terms past len(prod) are dropped, and short walk lists read as padded
+    assert count_walk_tuples([1, 1], [0, 1, 5]) == [1, 2]
+    assert count_walk_tuples([1, 0, 0, 0], [0, 3]) == [1, 3, 0, 0]
+    # walks[0] is ignored, and prod is not modified
+    prod = [2, 0, 1]
+    assert count_walk_tuples(prod, [7, 0, 1]) == [2, 0, 3]
+    assert prod == [2, 0, 1]
 
 
-def test_tuples_match_naive_knapsack():
+def test_tuples_match_naive_product():
     rng = random.Random(5)
     for _ in range(300):
-        total = rng.randint(0, 12)
-        per_len = [0] + [
-            rng.choice([0, 0, 1, 2, rng.randint(0, 10**6)]) for _ in range(total)
+        size = rng.randint(0, 13)
+        prod = [rng.choice([0, 0, 1, 2, rng.randint(0, 10**6)]) for _ in range(size)]
+        walks = [rng.randint(0, 10**6)] + [
+            rng.choice([0, 0, 1, 2, rng.randint(0, 10**6)])
+            for _ in range(rng.randint(0, 14))
         ]
-        assert count_walk_tuples(per_len) == naive_walk_tuples(per_len), per_len
+        assert count_walk_tuples(prod, walks) == naive_truncated_product(
+            prod, walks
+        ), (prod, walks)
 
 
 # --- full counter ---------------------------------------------------------------
@@ -217,7 +236,7 @@ def test_accumulators_divisible_and_nonnegative():
         g = seeded_graph(seed, 10)
         if g.n % 2:
             continue
-        acc = inex_accumulators(g)
+        acc = naive_inex_accumulators(g)
         for r in range(1, len(acc)):
             assert acc[r] >= 0
             assert acc[r] % factorial(r) == 0
@@ -265,7 +284,7 @@ def test_accumulators_match_cycle_distribution():
         g = seeded_graph(seed + 2000, 10)
         if g.n % 2:
             continue
-        acc = inex_accumulators(g)
+        acc = naive_inex_accumulators(g)
         dist = overlay_cycle_distribution(g)
         for r in range(1, len(acc)):
             assert acc[r] == factorial(r) * dist.get(r, 0), (seed, r)
@@ -273,10 +292,55 @@ def test_accumulators_match_cycle_distribution():
 
 def test_accumulators_match_cycle_distribution_more_families():
     for g in cycle_distribution_cases():
-        acc = inex_accumulators(g)
+        acc = naive_inex_accumulators(g)
         dist = overlay_cycle_distribution(g)
         for r in range(1, len(acc)):
             assert acc[r] == factorial(r) * dist.get(r, 0), (g, r)
+
+
+def even_seeded_graph(seed: int, n_max: int) -> Graph:
+    """seeded_graph with its last vertex dropped when the order is odd."""
+    g = seeded_graph(seed, n_max)
+    n = g.n - g.n % 2
+    return Graph.from_edges(n, [(u, v) for u, v, _ in g.edges if v < n])
+
+
+def test_canonical_inex_exact():
+    """Every signed per-length sum below n/2 is zero, and the one at n/2 is
+    the matching count of the ordered reference and of the oracle."""
+    graphs = [even_seeded_graph(seed + 5000, 12) for seed in range(80)]
+    for g in graphs + cycle_distribution_cases():
+        half = g.n // 2
+        acc = inex_accumulators(g)
+        assert len(acc) == half + 1
+        assert acc[:half] == [0] * half, g
+        assert (
+            acc[half]
+            == count_pm_inex(g)
+            == unordered_total(enumerate(naive_inex_accumulators(g)))
+            == oracle_count_pm(g)
+        ), g
+
+
+def plus_one_at_x0(prod, walks):
+    out = count_walk_tuples(prod, walks)
+    out[0] += 1
+    return out
+
+
+def without_the_one(prod, walks):
+    # prod * W(x): the choice of no walk at the new anchor is missing
+    return [
+        sum(prod[i] * walks[k - i] for i in range(k) if k - i < len(walks))
+        for k in range(len(prod))
+    ]
+
+
+@pytest.mark.parametrize("wrong", [plus_one_at_x0, without_the_one])
+def test_wrong_tuple_product_is_caught(monkeypatch, wrong):
+    monkeypatch.setattr(pm_inex, "count_walk_tuples", wrong)
+    with pytest.raises(AssertionError, match="signed per-length sums .* nonzero"):
+        count_pm_inex(complete_graph(6))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
