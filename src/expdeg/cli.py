@@ -214,9 +214,7 @@ def _bench_instance(task: dict) -> dict:
             res = tsp.tsp_cycle(g)
             result = "" if res is None else str(res.weight)
             states = (
-                res.states_visited
-                if res is not None
-                else len(tsp.path_dp_states(g, tsp.anchor_vertex(g)))
+                res.states_visited if res is not None else tsp.cycle_dp_states(g)
             )
             denom = n
         elif algo == "count-pm-dp":

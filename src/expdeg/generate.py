@@ -6,6 +6,7 @@ exactly m distinct edges, so the average degree is exactly 2m/n.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import CapacityError
@@ -19,10 +20,20 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     total = n * (n - 1) // 2
     if m > total:
         raise ValueError(f"m={m} exceeds {total} possible edges on {n} vertices")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng = random.Random(seed)
-    chosen = rng.sample(pairs, m)
+    chosen = [_unrank_pair(n, i) for i in rng.sample(range(total), m)]
     return Graph.from_edges(n, chosen)
+
+
+def _unrank_pair(n: int, i: int) -> tuple[int, int]:
+    """The i-th pair (u, v), u < v < n, in lexicographic order: the same
+    pair a list of all pairs holds at index i, without building the list."""
+    # pairs from i on, counted from the end: j + 1 = r(r+1)/2 + c + 1 with
+    # r = n-2-u rows below u and c = n-1-v, so r = floor((sqrt(8j+1)-1)/2)
+    j = n * (n - 1) // 2 - 1 - i
+    r = (math.isqrt(8 * j + 1) - 1) // 2
+    u = n - 2 - r
+    return u, n - 1 - (j - r * (r + 1) // 2)
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
@@ -59,9 +70,8 @@ def random_bipartite(k: int, m: int, seed: int) -> BipartiteGraph:
     total = k * k
     if m > total:
         raise ValueError(f"m={m} exceeds {total} possible edges for k={k}")
-    pairs = [(i, j) for i in range(k) for j in range(k)]
     rng = random.Random(seed)
-    chosen = rng.sample(pairs, m)
+    chosen = [divmod(i, k) for i in rng.sample(range(total), m)]
     return BipartiteGraph.from_edges(k, chosen)
 
 

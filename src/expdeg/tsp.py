@@ -7,6 +7,15 @@ in tests.  Both reconstruct the optimal vertex order and report how many
 states they materialized.  Both first check that the graph is 2-connected
 (for an a-b path: the graph plus the edge ab), which every graph with a
 Hamiltonian cycle is, and answer None without a DP when it is not.
+
+The sparse solvers run the layered DP only to the half-way layer and join
+complementary halves.  A Hamiltonian cycle through the anchor a splits at
+its vertex v in position h = ceil((n+2)/2) into two a-v paths of the same
+DP, over S (|S| = h) and over (V - S) | {a, v}; an a-b path splits at its
+vertex in position ceil((n+1)/2) into a path from a over S and one from b
+over (V - S) | {v}.  The optimum is the cheapest such join.  Tie rule: among
+optimal joins the smallest split vertex v, then the smallest mask S; each
+half is the DP's kept path (smallest cheapest parent), the second reversed.
 """
 
 from __future__ import annotations
@@ -77,12 +86,15 @@ def _is_biconnected(g: Graph, extra: tuple[int, int] | None = None) -> bool:
 
 
 class _PathDP:
-    """Layered sparse DP from a fixed source a.
+    """Layered sparse DP from a fixed source a, run up to layer `last`
+    (default n: every layer).
 
     Layer i holds every (visited-set, endpoint) pair realizable by a simple
     path of i vertices starting at a, as one dict per endpoint v mapping the
-    visited mask to the cheapest cost; parents[i][v] maps the same masks to
-    the predecessor endpoint.  Only the current layer's costs are kept live.
+    visited mask to the cheapest cost; parents[i - 1][v] maps the same masks
+    to the predecessor endpoint.  Only the costs of the last two layers run
+    are kept: `final_layer` (layer `last`) and `prev_layer` (layer last - 1),
+    which is all a half-way join reads.
 
     Sources are relaxed in ascending endpoint order with strict improvement.
     Every source of a target (mask, v) has the mask mask ^ (1 << v) and
@@ -91,11 +103,13 @@ class _PathDP:
     reconstructed orders are deterministic without sorting a layer.
     """
 
-    def __init__(self, g: Graph, a: int):
+    def __init__(self, g: Graph, a: int, last: int | None = None):
         self.g = g
         self.a = a
+        self.last = g.n if last is None else last
         self.states_visited = 0
         self.parents: list[list[dict[int, int]]] = []
+        self.prev_layer: list[dict[int, int]] = []
         self.final_layer: list[dict[int, int]] = []
         self._run()
 
@@ -108,7 +122,8 @@ class _PathDP:
         first_parent[a][1 << a] = -1
         self.parents.append(first_parent)
         self.states_visited = 1
-        for _ in range(n - 1):
+        prev: list[dict[int, int]] = []
+        for _ in range(self.last - 1):
             nxt: list[dict[int, int]] = [{} for _ in range(n)]
             nxt_parent: list[dict[int, int]] = [{} for _ in range(n)]
             for u in range(n):
@@ -128,20 +143,23 @@ class _PathDP:
                         if old is None or cand < old:
                             dst[nmask] = cand
                             par[nmask] = u
-            layer = nxt
+            prev, layer = layer, nxt
             self.parents.append(nxt_parent)
             self.states_visited += sum(map(len, nxt))
-        self.final_layer = layer
+        self.prev_layer, self.final_layer = prev, layer
 
     def full_cost(self, b: int) -> int | None:
-        """Cheapest Hamiltonian a-b path cost, or None if there is none."""
+        """Cheapest Hamiltonian a-b path cost, or None if there is none
+        (always None unless every layer ran)."""
         return self.final_layer[b].get((1 << self.g.n) - 1)
 
-    def reconstruct(self, b: int) -> tuple[int, ...]:
-        full = (1 << self.g.n) - 1
+    def reconstruct(self, b: int, mask: int | None = None) -> tuple[int, ...]:
+        """The kept a..b path over the vertex set `mask` (default: all)."""
+        if mask is None:
+            mask = (1 << self.g.n) - 1
         order = [b]
-        mask, v = full, b
-        for i in range(self.g.n - 1, 0, -1):
+        v = b
+        for i in range(mask.bit_count() - 1, 0, -1):
             u = self.parents[i][v][mask]
             mask ^= 1 << v
             order.append(u)
@@ -158,9 +176,39 @@ class _PathDP:
         ]
 
 
+def _join(
+    left: _PathDP, right_layer: list[dict[int, int]], keep: int
+) -> tuple[int, int, int, int] | None:
+    """Cheapest join of a state (S, v) of left's final layer with the state
+    (T, v), T = (V - S) | keep | {v}, of `right_layer`, as (cost, v, S, T),
+    or None if no pair joins.  Ties go to the smallest split vertex v, then
+    the smallest mask S, whatever the dict order."""
+    full = (1 << left.g.n) - 1
+    best: tuple[int, int, int, int] | None = None
+    for v, (src, dst) in enumerate(zip(left.final_layer, right_layer)):
+        if not src or not dst:
+            continue
+        rest = keep | (1 << v)
+        get = dst.get
+        for mask, cost in src.items():
+            partner = (full ^ mask) | rest
+            other = get(partner)
+            if other is None:
+                continue
+            total = cost + other
+            if (
+                best is None
+                or total < best[0]
+                or (total == best[0] and v == best[1] and mask < best[2])
+            ):
+                best = (total, v, mask, partner)
+    return best
+
+
 def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
-    """Every (visited-set, endpoint) state the sparse path DP materializes
-    from source a; for instrumentation and state-space tests."""
+    """Every (visited-set, endpoint) state the full sparse path DP (all n
+    layers) materializes from source a; for instrumentation and state-space
+    tests."""
     if not 0 <= a < g.n:
         raise ValueError("source out of range")
     return _PathDP(g, a).all_state_keys()
@@ -170,6 +218,12 @@ def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
     """Cheapest Hamiltonian a-b path, or None if no such path exists.
 
     Answers None without a DP when g plus the edge ab is not 2-connected.
+    Otherwise runs the path DP from a up to layer h = ceil((n+1)/2) and from
+    b up to layer n+1-h, and joins (S, v) from a with ((V - S) | {v}, v) from
+    b: the optimal path's vertex in position h, read from a, is such a v.
+    Among optimal joins the smallest v, then the smallest S, is taken; each
+    half is the DP's kept path, the b half reversed.  `states_visited` counts
+    the states of both bounded DPs.
     """
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("endpoint out of range")
@@ -179,11 +233,15 @@ def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
         raise ValueError("need at least two vertices")
     if not _is_biconnected(g, (a, b)):
         return None
-    dp = _PathDP(g, a)
-    cost = dp.full_cost(b)
-    if cost is None:
+    h = (g.n + 2) // 2
+    left = _PathDP(g, a, h)
+    right = _PathDP(g, b, g.n + 1 - h)
+    best = _join(left, right.final_layer, 0)
+    if best is None:
         return None
-    return TourResult(cost, dp.reconstruct(b), dp.states_visited)
+    weight, v, mask, partner = best
+    order = left.reconstruct(v, mask) + right.reconstruct(v, partner)[-2::-1]
+    return TourResult(weight, order, left.states_visited + right.states_visited)
 
 
 def anchor_vertex(g: Graph) -> int:
@@ -191,29 +249,43 @@ def anchor_vertex(g: Graph) -> int:
     return min(range(g.n), key=lambda v: (g.degree(v), v))
 
 
+def _cycle_dp(g: Graph) -> _PathDP:
+    """The DP tsp_cycle joins: from the anchor up to layer ceil((n+2)/2)."""
+    return _PathDP(g, anchor_vertex(g), (g.n + 3) // 2)
+
+
+def cycle_dp_states(g: Graph) -> int:
+    """States of the bounded DP that tsp_cycle runs on g, found or not;
+    bench rows report it for graphs without a tour."""
+    return _cycle_dp(g).states_visited
+
+
 def tsp_cycle(g: Graph) -> TourResult | None:
     """Smallest-weight Hamiltonian cycle, or None if none exists.
 
-    Answers None at once when g is not 2-connected; otherwise runs one
-    sparse path DP from a minimum-degree anchor and closes the cycle over
-    the anchor's neighbors.
+    Answers None at once when g is not 2-connected.  Otherwise runs the path
+    DP from a minimum-degree anchor a up to layer h = ceil((n+2)/2) only.
+    Every Hamiltonian cycle splits at its vertex v in position h into two
+    a-v paths, one over a set S of h vertices and one over
+    T = (V - S) | {a, v} of n+2-h vertices, both states of that DP; the
+    cheapest c(S, v) + c(T, v) is the optimal weight.  Among optimal joins
+    the smallest v, then the smallest S, is taken; the order is the DP's
+    kept a..v path over S followed by its kept path over T reversed.
+    `states_visited` counts the states of the bounded DP.
     """
     if g.n < 3:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")
     if not _is_biconnected(g):
         return None
-    a = anchor_vertex(g)
-    dp = _PathDP(g, a)
-    best: tuple[int, int] | None = None  # (weight, end vertex)
-    for b, w in g.adjacency[a]:
-        cost = dp.full_cost(b)
-        if cost is not None:
-            total = cost + w
-            if best is None or total < best[0]:
-                best = (total, b)
+    dp = _cycle_dp(g)
+    # the second half has n+2-h vertices: layer h at even n, h-1 at odd n
+    other = dp.final_layer if 2 * dp.last == g.n + 2 else dp.prev_layer
+    best = _join(dp, other, 1 << dp.a)
     if best is None:
         return None
-    return TourResult(best[0], dp.reconstruct(best[1]), dp.states_visited)
+    weight, v, mask, partner = best
+    order = dp.reconstruct(v, mask) + dp.reconstruct(v, partner)[-2:0:-1]
+    return TourResult(weight, order, dp.states_visited)
 
 
 def held_karp_cycle(g: Graph) -> TourResult | None:

@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 
 import expdeg
 from expdeg import (
+    BipartiteGraph,
+    Graph,
     count_pm_inex,
     generate,
     parse_graph,
@@ -165,6 +170,49 @@ def test_gen_regular_gives_up_with_exit_3(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("expdeg: capacity: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_gen_draws_match_the_full_pair_list():
+    """Sampling indices and unranking them picks the pairs a sample of the
+    full pair list picks, so every seeded graph is the one it always was."""
+    for n in range(30):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert [generate._unrank_pair(n, i) for i in range(len(pairs))] == pairs
+        for m in sorted({0, min(1, len(pairs)), len(pairs) // 3, len(pairs)}):
+            for seed in range(3):
+                drawn = random.Random(seed).sample(pairs, m)
+                assert random_gnm(n, m, seed) == Graph.from_edges(n, drawn)
+    for k in range(16):
+        cells = [(i, j) for i in range(k) for j in range(k)]
+        for m in sorted({0, len(cells) // 3, len(cells)}):
+            for seed in range(3):
+                drawn = random.Random(seed).sample(cells, m)
+                assert random_bipartite(k, m, seed) == BipartiteGraph.from_edges(k, drawn)
+    n = 20000
+    total = n * (n - 1) // 2
+    for i in (0, 1, n - 2, n - 1, total // 2, total - 1):
+        u, v = generate._unrank_pair(n, i)
+        assert 0 <= u < v < n and u * n - u * (u + 1) // 2 + v - u - 1 == i
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--model", "gnm", "--n", "20000"], ["--model", "bipartite", "--k", "10000"]],
+)
+def test_gen_sparse_draw_on_many_vertices_stays_small(capsys, argv):
+    """Drawing 5 edges takes O(5) memory whatever n is; a graph that large is
+    over the vertex cap, so gen refuses it at once with exit 3."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["gen", *argv, "--m", "5", "--seed", "1"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("expdeg: capacity: ")
+    assert peak < 1 << 20 and elapsed < 1.0
 
 
 def test_stats_output(capsys, tmp_path):
@@ -319,6 +367,21 @@ def test_bench_tsp_generic_state_bound():
     assert len(rows) == 5
     for row in rows:
         assert row["states"] <= row["n"] * 2 ** (row["n"] - 1)
+
+
+def test_bench_tsp_rows_count_the_bounded_dp():
+    """Rows with and without a tour both report the states of the bounded DP
+    that tsp_cycle runs, so their log2 ratios compare like with like."""
+    from expdeg import tsp_cycle
+    from expdeg.tsp import cycle_dp_states
+
+    rows, _ = run_bench("tsp", "gnm", sizes=[12], degrees=[4], seeds=list(range(1, 11)))
+    assert {row["result"] == "" for row in rows} == {True, False}
+    for row in rows:
+        g = random_gnm(row["n"], row["m"], row["seed"])
+        assert row["states"] == cycle_dp_states(g) > 0
+        if row["result"]:
+            assert row["states"] == tsp_cycle(g).states_visited
 
 
 def test_bench_bipartite_state_bound():

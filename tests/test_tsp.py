@@ -21,6 +21,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     path_graph,
+    petersen_graph,
     seeded_graph,
     seeded_weighted_graph,
     star_graph,
@@ -212,11 +213,13 @@ def test_deterministic_reconstruction():
 class SortedKeyPathDP:
     """The layered path DP as it was before per-endpoint layers: one dict
     per layer keyed on mask << 6 | endpoint, relaxed in ascending key order
-    with strict improvement.  Test-only reference for ties and orders."""
+    with strict improvement, every layer run and every layer's costs kept.
+    Test-only reference for ties, orders and the half-way joins."""
 
     def __init__(self, g: Graph, a: int):
         self.g = g
         layer = {(1 << a) << 6 | a: 0}
+        self.layers = [layer]
         self.parents = [{(1 << a) << 6 | a: -1}]
         self.states_visited = 1
         for _ in range(g.n - 1):
@@ -233,21 +236,25 @@ class SortedKeyPathDP:
                         nxt[nk] = cand
                         nxt_parent[nk] = u
             layer = nxt
+            self.layers.append(nxt)
             self.parents.append(nxt_parent)
             self.states_visited += len(nxt)
         self.final_layer = layer
+
+    def trace(self, mask: int, b: int) -> tuple[int, ...]:
+        order, v = [b], b
+        for i in range(bin(mask).count("1") - 1, 0, -1):
+            u = self.parents[i][mask << 6 | v]
+            mask ^= 1 << v
+            order.append(u)
+            v = u
+        return tuple(reversed(order))
 
     def path(self, b: int) -> tuple[int, tuple[int, ...]] | None:
         full = (1 << self.g.n) - 1
         if full << 6 | b not in self.final_layer:
             return None
-        order, mask, v = [b], full, b
-        for i in range(self.g.n - 1, 0, -1):
-            u = self.parents[i][mask << 6 | v]
-            mask ^= 1 << v
-            order.append(u)
-            v = u
-        return self.final_layer[full << 6 | b], tuple(reversed(order))
+        return self.final_layer[full << 6 | b], self.trace(full, b)
 
     def cycle(self, a: int) -> tuple[int, tuple[int, ...]] | None:
         best = None
@@ -257,8 +264,31 @@ class SortedKeyPathDP:
                 best = (found[0] + w, found[1])
         return best
 
-    def state_set(self) -> set[tuple[int, int]]:
-        return {(k >> 6, k & 63) for lay in self.parents for k in lay}
+    def state_set(self, last: int | None = None) -> set[tuple[int, int]]:
+        """States of the first `last` layers (default: all)."""
+        return {(k >> 6, k & 63) for lay in self.parents[:last] for k in lay}
+
+    def state_count(self, last: int) -> int:
+        return sum(map(len, self.parents[:last]))
+
+
+def reference_join(left, h_left, right, h_right, keep):
+    """The stated tie rule on the reference's own tables: of every state
+    (S, v) in left's layer h_left whose partner ((V - S) | keep | {v}, v) is
+    in right's layer h_right, the minimum (weight, v, S); returned as
+    (weight, left's path over S, right's path over the partner)."""
+    full = (1 << left.g.n) - 1
+    joins = []
+    for key, cost in left.layers[h_left - 1].items():
+        mask, v = key >> 6, key & 63
+        rest = (full ^ mask) | keep | (1 << v)
+        other = right.layers[h_right - 1].get(rest << 6 | v)
+        if other is not None:
+            joins.append((cost + other, v, mask, rest))
+    if not joins:
+        return None
+    weight, v, mask, rest = min(joins)
+    return weight, left.trace(mask, v), right.trace(rest, v)
 
 
 def tie_heavy_graph(seed: int, n_max: int, n_min: int = 3) -> Graph:
@@ -274,34 +304,143 @@ def as_tuple(res):
 
 def test_path_dp_matches_sorted_key_reference():
     """Per-endpoint layers give the reference's costs, parents, orders and
-    state counts on every anchor, ties included."""
+    state counts on every anchor, ties included; the bounded DPs hold exactly
+    the reference's first layers; ham_path and tsp_cycle give the full
+    reference's weight, and the order and state count of the stated tie rule
+    applied to the reference's own tables."""
     for seed in range(40):
         g = tie_heavy_graph(seed + 7000, n_max=11, n_min=4)
-        for a in range(g.n):
-            ref = SortedKeyPathDP(g, a)
+        n = g.n
+        h_path, h_cycle = (n + 2) // 2, (n + 3) // 2
+        refs = [SortedKeyPathDP(g, a) for a in range(n)]
+        for a in range(n):
+            ref = refs[a]
             dp = _PathDP(g, a)
             assert dp.states_visited == ref.states_visited, (seed, a)
             assert set(path_dp_states(g, a)) == ref.state_set(), (seed, a)
-            for b in range(g.n):
+            for last in {h_path, n + 1 - h_path, h_cycle}:
+                bounded = _PathDP(g, a, last)
+                keys = bounded.all_state_keys()
+                assert len(keys) == len(set(keys)) == bounded.states_visited
+                assert set(keys) == ref.state_set(last), (seed, a, last)
+            for b in range(n):
                 if b == a:
                     continue
                 found = ref.path(b)
                 assert dp.full_cost(b) == (None if found is None else found[0]), (seed, a, b)
+                res = ham_path(g, a, b)
                 if found is not None:
                     assert dp.reconstruct(b) == found[1], (seed, a, b)
-                    res = ham_path(g, a, b)
-                    assert (res.weight, res.order) == found, (seed, a, b)
-                    assert res.states_visited == ref.states_visited
+                    weight, first, second = reference_join(
+                        ref, h_path, refs[b], n + 1 - h_path, 0
+                    )
+                    assert weight == found[0], (seed, a, b)
+                    assert (res.weight, res.order) == (weight, first + second[-2::-1])
+                    assert res.states_visited == (
+                        ref.state_count(h_path) + refs[b].state_count(n + 1 - h_path)
+                    ), (seed, a, b)
+                    assert tour_weight(g, res.order, cycle=False) == res.weight
                 else:
-                    assert ham_path(g, a, b) is None, (seed, a, b)
+                    assert res is None, (seed, a, b)
         a = anchor_vertex(g)
-        ref = SortedKeyPathDP(g, a)
+        ref = refs[a]
         expected = ref.cycle(a)
         got = tsp_cycle(g)
         if expected is None:
             assert got is None, seed
         else:
-            assert as_tuple(got) == (*expected, ref.states_visited), seed
+            weight, first, second = reference_join(ref, h_cycle, ref, n + 2 - h_cycle, 1 << a)
+            assert weight == expected[0], seed
+            order = first + second[-2:0:-1]
+            assert as_tuple(got) == (weight, order, ref.state_count(h_cycle)), seed
+            assert tour_weight(g, got.order, cycle=True) == got.weight
+
+
+# --- the half-way join: edge cases ----------------------------------------
+
+
+def reweighted(g: Graph, seed: int, w_max: int = 4) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(g.n, [(u, v, rng.randint(1, w_max)) for u, v, _ in g.edges])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_tsp_cycle_join_at_odd_and_even_n(n):
+    """At odd n the second half sits one layer below the first, at even n in
+    the same layer; n = 3 joins a full layer with single edges."""
+    cases = [reweighted(complete_graph(n), n), reweighted(cycle_graph(n), n)]
+    cases += [seeded_weighted_graph(seed, n_max=n, n_min=n, w_max=4)
+              for seed in range(100 * n, 100 * n + 30)]
+    tours = 0
+    for g in cases:
+        res = tsp_cycle(g)
+        dense = held_karp_cycle(g)
+        got = None if res is None else res.weight
+        assert got == (None if dense is None else dense.weight) == oracle_tsp(g), g
+        if res is not None:
+            assert res.order[0] == anchor_vertex(g)
+            assert tour_weight(g, res.order, cycle=True) == res.weight
+            tours += 1
+    assert tours > 2
+
+
+def test_ham_path_every_pair_against_brute_force():
+    graphs = [Graph.from_edges(2, [(0, 1, 5)]), Graph.from_edges(2, []),
+              path_graph(3, [2, 3]), reweighted(complete_graph(3), 3)]
+    graphs += [seeded_weighted_graph(seed + 600, n_max=7, n_min=2, w_max=4)
+               for seed in range(40)]
+    assert {g.n for g in graphs} == set(range(2, 8))
+    paths = 0
+    for g in graphs:
+        for a in range(g.n):
+            for b in range(g.n):
+                if a == b:
+                    continue
+                res = ham_path(g, a, b)
+                assert (None if res is None else res.weight) == brute_ham_path(g, a, b)
+                if res is not None:
+                    assert (res.order[0], res.order[-1]) == (a, b)
+                    assert tour_weight(g, res.order, cycle=False) == res.weight
+                    paths += 1
+    assert paths > 100
+
+
+def test_join_when_the_source_sees_every_vertex():
+    """In K_n the anchor is adjacent to every vertex; in a wheel the hub is,
+    as the source of an a-b path or as its far end."""
+    for n in (4, 5, 6, 7):
+        g = reweighted(complete_graph(n), 40 + n)
+        assert g.degree(anchor_vertex(g)) == n - 1
+        res = tsp_cycle(g)
+        assert res.weight == held_karp_cycle(g).weight == oracle_tsp(g)
+        assert tour_weight(g, res.order, cycle=True) == res.weight
+        rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+        wheel = reweighted(Graph.from_edges(n, [(0, i) for i in range(1, n)] + rim), n)
+        for b in range(1, n):
+            for a, z in ((0, b), (b, 0)):
+                res = ham_path(wheel, a, z)
+                assert res.weight == brute_ham_path(wheel, a, z)
+                assert tour_weight(wheel, res.order, cycle=False) == res.weight
+
+
+def test_join_finds_nothing_on_2_connected_non_hamiltonian_graphs(monkeypatch):
+    """The 2-connectivity check passes, the DPs run, and the join is empty."""
+    joins = []
+    real_join = tsp._join
+
+    def spy(*args):
+        joins.append(real_join(*args))
+        return joins[-1]
+
+    monkeypatch.setattr(tsp, "_join", spy)
+    k23 = Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    assert oracle_tsp(k23) is None and held_karp_cycle(petersen_graph()) is None
+    for g in (petersen_graph(), k23):
+        assert _is_biconnected(g)
+        assert tsp_cycle(g) is None
+    assert _is_biconnected(k23, (0, 1)) and brute_ham_path(k23, 0, 1) is None
+    assert ham_path(k23, 0, 1) is None
+    assert joins == [None, None, None]
 
 
 # --- the 2-connectivity check ----------------------------------------------
