@@ -3,12 +3,16 @@
 Exit codes: 0 success, 2 input errors, 3 capacity/budget refusals.
 Counts are always emitted as decimal strings so arbitrary-precision values
 survive JSON consumers; rationals are emitted as "p/q" strings.
+
+The argument parser is built once per process, on the first `main` call,
+and reused by every later call; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -60,6 +64,9 @@ def _require_bipartite(g) -> BipartiteGraph:
 
 
 def _cmd_tsp(args) -> None:
+    if args.path is not None and args.baseline is not None:
+        # both baselines solve cycles only
+        raise ValueError("--path and --baseline cannot be combined")
     g = _require_general(_read_graph(args.input))
     start = time.perf_counter()
     if args.baseline == "oracle":
@@ -328,6 +335,7 @@ def _cmd_bench(args) -> None:
         _emit({"rows": rows, "summary": summary})
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expdeg",

@@ -86,6 +86,7 @@ def random_bipartite_min2(k: int, m: int, seed: int) -> BipartiteGraph:
         raise ValueError(f"need m >= 2k, got m={m}, k={k}")
     if m > k * k:
         raise ValueError(f"m={m} exceeds {k * k} possible edges for k={k}")
+    BipartiteGraph(k, ())  # refuse a side over the vertex capacity before drawing
     rng = random.Random(seed)
     while True:
         p1 = list(range(k))
@@ -95,8 +96,17 @@ def random_bipartite_min2(k: int, m: int, seed: int) -> BipartiteGraph:
         if all(a != b for a, b in zip(p1, p2)) or k < 2:
             break
     edges = {(i, p1[i]) for i in range(k)} | {(i, p2[i]) for i in range(k)}
-    remaining = [(i, j) for i in range(k) for j in range(k) if (i, j) not in edges]
-    edges.update(rng.sample(remaining, m - len(edges)))
+    # the extras are indices into the row-major list of the k - 2 cells per
+    # row outside both matchings (none when k <= 2), unranked without the list
+    per_row = max(k - 2, 0)
+    for idx in rng.sample(range(k * per_row), m - len(edges)):
+        row, col = divmod(idx, per_row)
+        lo, hi = sorted((p1[row], p2[row]))
+        if col >= lo:
+            col += 1
+        if col >= hi:
+            col += 1
+        edges.add((row, col))
     return BipartiteGraph.from_edges(k, edges)
 
 

@@ -15,7 +15,13 @@ DP, over S (|S| = h) and over (V - S) | {a, v}; an a-b path splits at its
 vertex in position ceil((n+1)/2) into a path from a over S and one from b
 over (V - S) | {v}.  The optimum is the cheapest such join.  Tie rule: among
 optimal joins the smallest split vertex v, then the smallest mask S; each
-half is the DP's kept path (smallest cheapest parent), the second reversed.
+half is the DP's kept path, the second reversed.
+
+The sparse DP stores costs only, with no parent tables.  A kept path is
+rebuilt backwards from its last state: at each step the predecessor is the
+smallest neighbour u of the endpoint v whose cost over the set without v,
+plus w(u, v), equals the current cost (the smallest cheapest predecessor,
+which is the one the forward relaxation keeps).
 """
 
 from __future__ import annotations
@@ -89,17 +95,17 @@ class _PathDP:
     """Layered sparse DP from a fixed source a, run up to layer `last`
     (default n: every layer).
 
-    Layer i holds every (visited-set, endpoint) pair realizable by a simple
-    path of i vertices starting at a, as one dict per endpoint v mapping the
-    visited mask to the cheapest cost; parents[i - 1][v] maps the same masks
-    to the predecessor endpoint.  Only the costs of the last two layers run
-    are kept: `final_layer` (layer `last`) and `prev_layer` (layer last - 1),
-    which is all a half-way join reads.
+    layers[i] holds every (visited-set, endpoint) pair realizable by a simple
+    path of i + 1 vertices starting at a, as one dict per endpoint v mapping
+    the visited mask to the cheapest cost.  Only costs are stored: there are
+    no parent tables.
 
     Sources are relaxed in ascending endpoint order with strict improvement.
     Every source of a target (mask, v) has the mask mask ^ (1 << v) and
-    differs only in its endpoint u, and u reaches v by one arc, so the parent
-    kept is the smallest u among the cheapest: costs, parents and
+    differs only in its endpoint u, and u reaches v by one arc, so the path
+    kept is the one through the smallest u among the cheapest.  `reconstruct`
+    finds that u backwards: the smallest neighbour u of v whose cost over
+    mask ^ (1 << v) plus w(u, v) equals the cost of (mask, v).  Costs and
     reconstructed orders are deterministic without sorting a layer.
     """
 
@@ -108,9 +114,7 @@ class _PathDP:
         self.a = a
         self.last = g.n if last is None else last
         self.states_visited = 0
-        self.parents: list[list[dict[int, int]]] = []
-        self.prev_layer: list[dict[int, int]] = []
-        self.final_layer: list[dict[int, int]] = []
+        self.layers: list[list[dict[int, int]]] = []
         self._run()
 
     def _run(self) -> None:
@@ -118,21 +122,16 @@ class _PathDP:
         arcs = [[(1 << v, v, w) for v, w in g.adjacency[u]] for u in range(n)]
         layer: list[dict[int, int]] = [{} for _ in range(n)]
         layer[a][1 << a] = 0
-        first_parent: list[dict[int, int]] = [{} for _ in range(n)]
-        first_parent[a][1 << a] = -1
-        self.parents.append(first_parent)
+        self.layers.append(layer)
         self.states_visited = 1
-        prev: list[dict[int, int]] = []
         for _ in range(self.last - 1):
             nxt: list[dict[int, int]] = [{} for _ in range(n)]
-            nxt_parent: list[dict[int, int]] = [{} for _ in range(n)]
             for u in range(n):
                 src = layer[u]
                 if not src:
                     continue
                 for bit, v, w in arcs[u]:
                     dst = nxt[v]
-                    par = nxt_parent[v]
                     get = dst.get
                     for mask, cost in src.items():
                         if mask & bit:
@@ -142,35 +141,37 @@ class _PathDP:
                         old = get(nmask)
                         if old is None or cand < old:
                             dst[nmask] = cand
-                            par[nmask] = u
-            prev, layer = layer, nxt
-            self.parents.append(nxt_parent)
+            layer = nxt
+            self.layers.append(nxt)
             self.states_visited += sum(map(len, nxt))
-        self.prev_layer, self.final_layer = prev, layer
 
     def full_cost(self, b: int) -> int | None:
         """Cheapest Hamiltonian a-b path cost, or None if there is none
         (always None unless every layer ran)."""
-        return self.final_layer[b].get((1 << self.g.n) - 1)
+        return self.layers[-1][b].get((1 << self.g.n) - 1)
 
     def reconstruct(self, b: int, mask: int | None = None) -> tuple[int, ...]:
         """The kept a..b path over the vertex set `mask` (default: all)."""
         if mask is None:
             mask = (1 << self.g.n) - 1
+        adjacency, layers = self.g.adjacency, self.layers
         order = [b]
         v = b
         for i in range(mask.bit_count() - 1, 0, -1):
-            u = self.parents[i][v][mask]
+            cost = layers[i][v][mask]
             mask ^= 1 << v
-            order.append(u)
-            v = u
+            below = layers[i - 1]
+            v = next(
+                u for u, w in adjacency[v] if below[u].get(mask, _INF) + w == cost
+            )
+            order.append(v)
         order.reverse()
         return tuple(order)
 
     def all_state_keys(self) -> list[tuple[int, int]]:
         return [
             (mask, v)
-            for lay in self.parents
+            for lay in self.layers
             for v, masks in enumerate(lay)
             for mask in masks
         ]
@@ -185,7 +186,7 @@ def _join(
     the smallest mask S, whatever the dict order."""
     full = (1 << left.g.n) - 1
     best: tuple[int, int, int, int] | None = None
-    for v, (src, dst) in enumerate(zip(left.final_layer, right_layer)):
+    for v, (src, dst) in enumerate(zip(left.layers[-1], right_layer)):
         if not src or not dst:
             continue
         rest = keep | (1 << v)
@@ -236,7 +237,7 @@ def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
     h = (g.n + 2) // 2
     left = _PathDP(g, a, h)
     right = _PathDP(g, b, g.n + 1 - h)
-    best = _join(left, right.final_layer, 0)
+    best = _join(left, right.layers[-1], 0)
     if best is None:
         return None
     weight, v, mask, partner = best
@@ -278,9 +279,9 @@ def tsp_cycle(g: Graph) -> TourResult | None:
     if not _is_biconnected(g):
         return None
     dp = _cycle_dp(g)
-    # the second half has n+2-h vertices: layer h at even n, h-1 at odd n
-    other = dp.final_layer if 2 * dp.last == g.n + 2 else dp.prev_layer
-    best = _join(dp, other, 1 << dp.a)
+    # the second half has n+2-h vertices (h at even n, h-1 at odd n), so it
+    # is a state of layers[n+1-h]
+    best = _join(dp, dp.layers[g.n + 1 - dp.last], 1 << dp.a)
     if best is None:
         return None
     weight, v, mask, partner = best

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expdeg
+from expdeg import cli
 from expdeg import (
     BipartiteGraph,
     Graph,
@@ -23,6 +24,7 @@ from expdeg import (
     generate,
     parse_graph,
     random_bipartite,
+    random_bipartite_min2,
     random_gnm,
     serialize_graph,
 )
@@ -100,6 +102,52 @@ def test_tsp_baselines(capsys, c4w_file):
     assert code == 0 and payload["weight"] == 10
 
 
+def test_tsp_path_refuses_a_baseline(capsys, tmp_path):
+    """Both baselines solve cycles only, so --path with --baseline exits 2
+    with one line naming both flags instead of dropping one of them."""
+    path = tmp_path / "c4.txt"
+    path.write_text("graph 4 4\n0 1 1\n1 2 1\n2 3 1\n0 3 5\n")
+    code, payload = run_json(capsys, ["tsp", "--input", str(path), "--path", "0", "3"])
+    assert code == 0 and payload["weight"] == 3
+    for baseline in (["--baseline"], ["--baseline", "held-karp"], ["--baseline", "oracle"]):
+        code = main(["tsp", "--input", str(path), "--path", "0", "3", *baseline])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("expdeg: error: ") and captured.err.count("\n") == 1
+        assert "--path" in captured.err and "--baseline" in captured.err
+
+
+def test_parser_reuse_leaks_no_state(capsys, c4w_file, k4_file):
+    """One parser serves every main call in a process: each call of a
+    sequence prints what a freshly built parser prints for it."""
+    assert cli._build_parser() is cli._build_parser()
+    sequence = [
+        ["tsp", "--input", c4w_file, "--path", "0", "1"],
+        ["tsp", "--input", c4w_file],
+        ["count-pm", "--input", k4_file, "--algo", "dp"],
+        ["count-pm", "--input", k4_file],
+        ["count-pm", "--input", k4_file, "--algo", "nope"],
+        ["tsp", "--input", c4w_file, "--baseline"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        payload = json.loads(out) if code == 0 else out
+        if code == 0:
+            del payload["elapsed_ms"]
+        return code, payload
+
+    reused = [run(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 0, 0, 2, 0]
+    assert "order" in reused[0][1] and "subsets_processed" in reused[3][1]
+
+
 def test_count_pm_bip(capsys, k33_file):
     code, payload = run_json(capsys, ["count-pm-bip", "--input", k33_file])
     assert code == 0
@@ -172,9 +220,26 @@ def test_gen_regular_gives_up_with_exit_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def min2_from_the_full_cell_list(k: int, m: int, seed: int) -> BipartiteGraph:
+    """Reference for random_bipartite_min2: the extras are a sample of the
+    full list of cells outside both matchings."""
+    rng = random.Random(seed)
+    while True:
+        p1, p2 = list(range(k)), list(range(k))
+        rng.shuffle(p1)
+        rng.shuffle(p2)
+        if all(a != b for a, b in zip(p1, p2)) or k < 2:
+            break
+    edges = {(i, p1[i]) for i in range(k)} | {(i, p2[i]) for i in range(k)}
+    remaining = [(i, j) for i in range(k) for j in range(k) if (i, j) not in edges]
+    edges.update(rng.sample(remaining, m - len(edges)))
+    return BipartiteGraph.from_edges(k, edges)
+
+
 def test_gen_draws_match_the_full_pair_list():
     """Sampling indices and unranking them picks the pairs a sample of the
-    full pair list picks, so every seeded graph is the one it always was."""
+    full pair list picks, so every seeded graph is the one it always was;
+    likewise for the extra cells of random_bipartite_min2."""
     for n in range(30):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         assert [generate._unrank_pair(n, i) for i in range(len(pairs))] == pairs
@@ -188,6 +253,11 @@ def test_gen_draws_match_the_full_pair_list():
             for seed in range(3):
                 drawn = random.Random(seed).sample(cells, m)
                 assert random_bipartite(k, m, seed) == BipartiteGraph.from_edges(k, drawn)
+    for k in (0, 2, 3, 4, 5, 8, 13, 20):
+        for m in sorted({2 * k, min(2 * k + 1, k * k), (2 * k + k * k) // 2, k * k}):
+            for seed in range(3):
+                drawn = min2_from_the_full_cell_list(k, m, seed)
+                assert random_bipartite_min2(k, m, seed) == drawn, (k, m, seed)
     n = 20000
     total = n * (n - 1) // 2
     for i in (0, 1, n - 2, n - 1, total // 2, total - 1):
@@ -212,6 +282,24 @@ def test_gen_sparse_draw_on_many_vertices_stays_small(capsys, argv):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == 3 and err.startswith("expdeg: capacity: ")
+    assert peak < 1 << 20 and elapsed < 1.0
+
+
+def test_bench_bip_on_many_vertices_refuses_at_once(capsys):
+    """random_bipartite_min2 refuses a side over the vertex cap before it
+    draws, so bench exits 3 at once in small memory."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["bench", "--algo", "count-pm-bip", "--sizes", "10000",
+                     "--degrees", "3", "--seeds", "1"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("expdeg: capacity: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert peak < 1 << 20 and elapsed < 1.0
 
 

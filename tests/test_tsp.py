@@ -356,6 +356,29 @@ def test_path_dp_matches_sorted_key_reference():
             assert tour_weight(g, got.order, cycle=True) == got.weight
 
 
+def test_every_stored_state_reconstructs_as_the_reference():
+    """With no parent tables, reconstruct walks back by the smallest
+    neighbour whose cost plus the arc weight gives the state's cost: from
+    every stored state of every layer it rebuilds the path the reference's
+    parent table keeps (smallest cheapest parent), and that path covers the
+    state's mask, ends at its endpoint and weighs the stored cost."""
+    for seed in range(40):
+        g = tie_heavy_graph(seed + 7000, n_max=11, n_min=4)
+        for a in range(g.n):
+            ref = SortedKeyPathDP(g, a)
+            dp = _PathDP(g, a)
+            for i, layer in enumerate(dp.layers):
+                for v, costs in enumerate(layer):
+                    for mask, cost in costs.items():
+                        order = dp.reconstruct(v, mask)
+                        assert order == ref.trace(mask, v), (seed, a, mask, v)
+                        assert ref.layers[i][mask << 6 | v] == cost
+                        assert len(order) == i + 1 and order[0] == a
+                        assert sum(1 << x for x in set(order)) == mask
+                        steps = zip(order, order[1:])
+                        assert sum(g.weight(u, x) for u, x in steps) == cost
+
+
 # --- the half-way join: edge cases ----------------------------------------
 
 
