@@ -104,7 +104,7 @@ def _cmd_count_pm(args) -> None:
         _emit(
             {
                 "count": str(count),
-                "subsets_processed": 1 << (g.n // 2) if g.n % 2 == 0 else 0,
+                "subsets_processed": pm_inex.inex_subsets(g.n),
                 "elapsed_ms": _elapsed_ms(start),
             }
         )
@@ -230,7 +230,7 @@ def _bench_instance(task: dict) -> dict:
             denom = max(n // 2, 1)
         else:
             result = str(pm_inex.count_pm_inex(g))
-            states = 1 << (n // 2) if n % 2 == 0 else 0
+            states = pm_inex.inex_subsets(n)
             denom = max(n // 2, 1)
     else:  # count-pm-bip
         g = generate.random_bipartite_min2(task["k"], task["m"], seed)
@@ -293,7 +293,13 @@ def run_bench(
                     task["m"] = round(n * d / 2)
                 tasks.append(task)
 
-    workers = int(os.environ.get("EXPDEG_THREADS", "1"))
+    threads = os.environ.get("EXPDEG_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ValueError(
+            f"EXPDEG_THREADS must be a whole number, got {threads!r}"
+        ) from None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -19,15 +19,29 @@ use every label: the signed sum is the matching count at length n/2 and
 zero below it (fewer than n/2 arcs miss a label), which the counter checks.
 
 The subsets are enumerated depth first, deciding label n/2-1 first and
-label 0 last.  Banning label l deletes vertices 2l and 2l+1 from every
-closed walk, and a walk anchored at 2l never enters a vertex below 2l, so
-its counts depend only on the labels >= l.  The walk DP for anchor 2l
-therefore runs once per assignment of the labels above it, at the node
-that allows l, and the product takes its factor there; every subset below
-that node shares both: fewer than 2^(n/2) single-anchor DPs per graph.
-The live state is one product vector of n/2+1 coefficients per level of
-the recursion, so space stays polynomial: O(n^2) integers plus the arc
-lists.
+label 0 last, and the recursion carries a walk table down with it
+(path-algebra elimination, as in Tarjan's "A unified approach to path
+problems", J. ACM 1981).  At the node for label l, T[u][w] for u, w <=
+2l+1 is the series, truncated after x^(n/2), of the u->w walks of
+positive length whose inner vertices all belong to allowed labels above
+l; at the root it holds the arcs.  Banning l passes T on unchanged, since
+the rows and columns of 2l and 2l+1 are never read again.  Allowing l
+folds vertex 2l+1 into the table,
+
+    T[u][w] += T[u][v] * star(T[v][v]) * T[v][w],   star(s) = 1 / (1 - s),
+
+which admits v as an inner vertex; W_2l is then T[2l][2l], the closed
+walks at 2l that stay above it, and folding 2l the same way readies the
+table for label l-1.  At label l only vertices 0..2l+1 remain, so the
+2^(n/2-1) nodes at label 0 each cost O(1) series operations.
+
+Each series is one Python int holding its coefficients in F-bit fields
+(a Kronecker substitution x = 2^F), so a truncated product is one integer
+multiply and a mask; `field_width` gives F and proves that no field
+overflows.  Too narrow a width gives a wrong count that the zero check
+below length n/2 need not catch.  The live state is one table of O(n^2)
+packed series of (n/2+1)*F bits, and one product, per level of the
+recursion, so space stays polynomial.
 """
 
 from __future__ import annotations
@@ -61,53 +75,83 @@ def build_arc_graph(g: Graph) -> ArcGraph:
     return ArcGraph(g.n, tuple(tuple(heads) for heads in out))
 
 
-def count_anchored_walks(ag: ArcGraph, anchor: int, allowed: int) -> list[int]:
-    """counts[j] for 0 <= j <= n/2: closed walks of length j from anchor
-    that visit the anchor only at their ends and otherwise stay on vertices
-    above it whose bit is set in the allowed mask (the anchor's own bit is
-    not read)."""
-    max_len = ag.n // 2
-    out = ag.out
-    counts = [0] * (max_len + 1)
-    # walk[b]: anchor->b walks of the current length that have not closed
-    walk: dict[int, int] = {}
-    for b in out[anchor]:
-        if b == anchor:
-            counts[1] += 1
-        elif b > anchor and (allowed >> b) & 1:
-            walk[b] = walk.get(b, 0) + 1
-    for j in range(2, max_len + 1):
-        if not walk:
-            break
-        nxt: dict[int, int] = {}
-        closed = 0
-        for b, wb in walk.items():
-            for c in out[b]:
-                if c == anchor:
-                    closed += wb
-                elif c > anchor and (allowed >> c) & 1:
-                    nxt[c] = nxt.get(c, 0) + wb
-        counts[j] = closed
-        walk = nxt
-    return counts
+def inex_subsets(n: int) -> int:
+    """Label subsets the counter sums over: 2^(n/2), or 0 for odd n."""
+    return 1 << (n // 2) if n % 2 == 0 else 0
 
 
-def count_walk_tuples(prod: list[int], walks: list[int]) -> list[int]:
-    """prod * (1 + sum_{j >= 1} walks[j] x^j), truncated to len(prod) terms.
+def field_width(g: Graph) -> int:
+    """Bits per packed coefficient: F = bitlen(D^h * 8^h) + 1, with h = n/2
+    and D = max(1, maximum degree of g), so every field is below 2^F.
 
-    prod[i] counts walk tuples of total length i whose anchors strictly
-    increase; walks[j] counts closed walks of length j at one more anchor
-    (walks[0] is ignored).  The product admits at most one walk at that
+    Proof.  Every coefficient at or below x^h is an exact count.  The arcs
+    leaving v number deg(partner(v)) <= D, so a walk series counts at most
+    D^i <= D^h walks of length i; so does every product of walk series
+    formed on the way (star powers, T[u][v] * star * T[v][w]), since each
+    counts distinct walks.  A product coefficient counts anchor-ordered
+    walk tuples of total length i <= h: at most 2^h anchor sets times 2^i
+    compositions of i times D^i walks each, at most (4D)^h.  Each of the
+    two leaf sums adds at most 2^h products, at most (8D)^h < 2^F.
+    Coefficients above x^h may exceed the field, but a carry moves only
+    upward and the mask drops it.  The zero check below length h does not
+    guard this width: narrower fields can give a wrong count that passes.
+    """
+    half = g.n // 2
+    delta = max((g.degree(v) for v in range(g.n)), default=0)
+    return (max(delta, 1) ** half * 8**half).bit_length() + 1
+
+
+def _star(s: int, trunc: int) -> int:
+    """1 / (1 - s) = (1 + s)(1 + s^2)(1 + s^4)..., for a packed series s
+    without constant term, masked to trunc."""
+    total = 1 + s
+    while True:
+        s = s * s & trunc
+        if not s:
+            return total
+        total = total * (1 + s) & trunc
+
+
+def _eliminate(table: list[list[int]], v: int, trunc: int) -> list[list[int]]:
+    """The v x v table over vertices 0..v-1 whose walks may also pass
+    through v: T[u][w] + T[u][v] * star(T[v][v]) * T[v][w].  Rows and
+    columns past v are not read, and table is not modified."""
+    tail = [(w, r) for w, r in enumerate(table[v][:v]) if r]
+    loop = table[v][v]
+    if loop and tail:
+        loops = _star(loop, trunc)
+        tail = [(w, r * loops & trunc) for w, r in tail]
+    out = []
+    for u in range(v):
+        new = table[u][:v]
+        head = table[u][v]
+        if head:
+            for w, r in tail:
+                new[w] += head * r & trunc
+        out.append(new)
+    return out
+
+
+def count_anchored_walks(
+    table: list[list[int]], anchor: int, trunc: int
+) -> tuple[int, list[list[int]]]:
+    """Fold vertex anchor+1 into the walk table of the node that allows
+    label anchor//2.  Returns W, the packed series of closed walks at
+    anchor that visit it only at their ends and stay on anchor+1 and the
+    allowed vertices above it, and the folded table over 0..anchor."""
+    table = _eliminate(table, anchor + 1, trunc)
+    return table[anchor][anchor], table
+
+
+def count_walk_tuples(prod: int, walks: int, trunc: int) -> int:
+    """prod * (1 + walks), packed and masked to trunc.
+
+    prod counts walk tuples by total length whose anchors strictly
+    increase; walks counts the closed walks at one more anchor by length
+    and has no constant term.  The product admits at most one walk at that
     anchor, so each tuple arises in exactly one order.
     """
-    out = list(prod)
-    size = len(prod)
-    for j in range(1, min(len(walks), size)):
-        w = walks[j]
-        if w:
-            for i in range(size - j):
-                out[i + j] += w * prod[i]
-    return out
+    return prod * (1 + walks) & trunc
 
 
 def inex_accumulators(g: Graph) -> list[int]:
@@ -121,22 +165,32 @@ def inex_accumulators(g: Graph) -> list[int]:
     """
     ag = build_arc_graph(g)
     half = g.n // 2
-    acc = [0] * (half + 1)
+    width = field_width(g)
+    trunc = (1 << width * (half + 1)) - 1
+    step = 1 << width  # one arc: the series x
+    arcs = [[0] * g.n for _ in range(g.n)]
+    for u, heads in enumerate(ag.out):
+        for w in heads:
+            arcs[u][w] += step
+    sums = [0, 0]  # packed leaf products with sign +1 and -1
 
-    def visit(label: int, allowed: int, prod: list[int], sign: int) -> None:
-        # labels above `label` are decided: `allowed` masks the vertices of
+    def visit(label: int, table: list[list[int]], prod: int, negative: int) -> None:
+        # labels above `label` are decided: `table` holds the walks through
         # the allowed ones, `prod` counts the walk tuples on their anchors
         if label < 0:
-            for j, c in enumerate(prod):
-                acc[j] += sign * c
+            sums[negative] += prod
             return
-        visit(label - 1, allowed, prod, -sign)
-        allowed |= 3 << (2 * label)
-        walks = count_anchored_walks(ag, 2 * label, allowed)
-        visit(label - 1, allowed, count_walk_tuples(prod, walks), sign)
+        visit(label - 1, table, prod, negative ^ 1)
+        walks, table = count_anchored_walks(table, 2 * label, trunc)
+        prod = count_walk_tuples(prod, walks, trunc)
+        visit(label - 1, _eliminate(table, 2 * label, trunc), prod, negative)
 
-    visit(half - 1, 0, [1] + [0] * half, 1)
-    return acc
+    visit(half - 1, arcs, 1, 0)
+    field = (1 << width) - 1
+    return [
+        (sums[0] >> width * j & field) - (sums[1] >> width * j & field)
+        for j in range(half + 1)
+    ]
 
 
 def count_pm_inex(g: Graph) -> int:

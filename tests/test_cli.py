@@ -520,6 +520,16 @@ def test_bench_parallel_matches_serial(monkeypatch):
     assert strip(serial) == strip(parallel)
 
 
+def test_bench_bad_thread_count_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("EXPDEG_THREADS", "abc")
+    argv = ["bench", "--algo", "count-pm-inex", "--sizes", "8", "--degrees", "3",
+            "--seeds", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "EXPDEG_THREADS" in captured.err and "'abc'" in captured.err
+
+
 def test_swap_sides_keeps_the_count(capsys, tmp_path):
     for seed in range(6):
         g = random_bipartite(4, 10, seed)

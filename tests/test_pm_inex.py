@@ -1,5 +1,5 @@
-"""Inclusion-exclusion matching counter: arc graph, walk DP, walk-tuple
-product, counts."""
+"""Inclusion-exclusion matching counter: arc graph, walk table, walk-tuple
+product, field width, counts."""
 
 import random
 from math import factorial
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from expdeg import (
     Graph,
+    random_gnm,
     count_pm_dp,
     count_pm_inex,
     oracle_alternating_covers,
@@ -21,6 +22,7 @@ from expdeg.pm_inex import (
     build_arc_graph,
     count_anchored_walks,
     count_walk_tuples,
+    field_width,
     inex_accumulators,
 )
 from conftest import (
@@ -29,6 +31,7 @@ from conftest import (
     cycle_graph,
     k33_graph,
     matching_graph,
+    naive_anchored_walks,
     naive_inex_accumulators,
     petersen_graph,
     seeded_graph,
@@ -109,17 +112,17 @@ def allowed_mask(n: int, banned) -> int:
 
 def test_walks_single_edge():
     ag = build_arc_graph(Graph.from_edges(2, [(0, 1)]))
-    assert count_anchored_walks(ag, 0, 0b11) == [0, 1]
+    assert naive_anchored_walks(ag, 0, 0b11) == [0, 1]
     # anchored at 1, vertex 0 is never visited
-    assert count_anchored_walks(ag, 1, 0b11) == [0, 1]
+    assert naive_anchored_walks(ag, 1, 0b11) == [0, 1]
 
 
 def test_walks_c4_length_two():
     ag = build_arc_graph(cycle_graph(4))
-    walks = count_anchored_walks(ag, 0, 0b1111)
+    walks = naive_anchored_walks(ag, 0, 0b1111)
     assert walks[2] == brute_walk_count(ag, frozenset(), 0, 2) == 1
     # banning label 1 removes the only length-2 walk 0 -> 2 -> 0
-    assert count_anchored_walks(ag, 0, allowed_mask(4, {1}))[2] == 0
+    assert naive_anchored_walks(ag, 0, allowed_mask(4, {1}))[2] == 0
 
 
 def test_walks_match_brute_force():
@@ -134,7 +137,7 @@ def test_walks_match_brute_force():
             for a in range(g.n):
                 if a // 2 in banned:
                     continue  # the enumeration never anchors at a banned label
-                walks = count_anchored_walks(ag, a, allowed)
+                walks = naive_anchored_walks(ag, a, allowed)
                 assert len(walks) == half + 1 and walks[0] == 0
                 for j in range(1, half + 1):
                     assert walks[j] == brute_walk_count(ag, banned, a, j), (
@@ -143,6 +146,128 @@ def test_walks_match_brute_force():
                         a,
                         j,
                     )
+
+
+# --- the walk table ----------------------------------------------------------------
+
+WIDTH = 64  # wide enough for every coefficient the tuple tests below hold
+
+
+def pack(coeffs: list[int], width: int = WIDTH) -> int:
+    """Coefficient list -> packed series, one width-bit field per term."""
+    return sum(c << width * j for j, c in enumerate(coeffs))
+
+
+def unpack(packed: int, terms: int, width: int = WIDTH) -> list[int]:
+    return [packed >> width * j & ((1 << width) - 1) for j in range(terms)]
+
+
+def allowing_nodes(half: int) -> list[tuple[int, int]]:
+    """(anchor, allowed vertex mask) at each node that allows a label, in
+    the order the enumeration reaches them: label half-1 first, and each
+    label banned before it is allowed."""
+
+    def rec(label: int, allowed: int):
+        if label < 0:
+            return
+        yield from rec(label - 1, allowed)
+        allowed |= 3 << 2 * label
+        yield 2 * label, allowed
+        yield from rec(label - 1, allowed)
+
+    return list(rec(half - 1, 0))
+
+
+def with_pair_edges(g: Graph, seed: int) -> Graph:
+    """g plus random edges (2p, 2p+1), which become arc self-loops."""
+    rng = random.Random(seed)
+    pairs = [(2 * p, 2 * p + 1) for p in range(g.n // 2) if rng.random() < 0.5]
+    return Graph.from_edges(g.n, {(u, v) for u, v, _ in g.edges} | set(pairs))
+
+
+def test_table_walks_match_naive_dp(monkeypatch):
+    """At every node that allows a label, the closed walks the folded table
+    yields equal a fresh walk DP at that anchor and allowed mask."""
+    calls = []
+
+    def recording(table, anchor, trunc):
+        walks, folded = count_anchored_walks(table, anchor, trunc)
+        calls.append((anchor, walks))
+        return walks, folded
+
+    monkeypatch.setattr(pm_inex, "count_anchored_walks", recording)
+    graphs = [even_seeded_graph(seed + 7000, 12) for seed in range(40)]
+    graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs[:20])]
+    graphs += [complete_graph(12), Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])]
+    for g in graphs:
+        calls.clear()
+        inex_accumulators(g)
+        ag = build_arc_graph(g)
+        half, width = g.n // 2, field_width(g)
+        nodes = allowing_nodes(half)
+        assert [anchor for anchor, _ in calls] == [anchor for anchor, _ in nodes]
+        for (anchor, walks), (_, allowed) in zip(calls, nodes):
+            assert walks >> width * (half + 1) == 0, (g, anchor)
+            assert unpack(walks, half + 1, width) == naive_anchored_walks(
+                ag, anchor, allowed
+            ), (g, anchor, allowed)
+
+
+def hub_graph(n: int) -> Graph:
+    """Vertex 0 joined to every other vertex, which also form a cycle."""
+    spokes = [(0, v) for v in range(1, n)]
+    rim = [(v, v % (n - 1) + 1) for v in range(1, n)]
+    return Graph.from_edges(n, set(spokes) | {(min(e), max(e)) for e in rim})
+
+
+def test_field_width_holds_every_coefficient(monkeypatch):
+    """Rerun with fields three times as wide, where nothing can overflow,
+    and check that every coefficient the counter holds stays below 2^F for
+    the F that field_width gives: the walk tables in and out of each fold,
+    the closed-walk series, the products, and the two leaf sums, each of
+    which adds at most 2^(n/2) products."""
+    graphs = [complete_graph(n) for n in (12, 14, 16)]
+    graphs += [random_gnm(16, 100, 1), random_gnm(16, 110, 2), hub_graph(14)]
+    for g in graphs:
+        half, width = g.n // 2, field_width(g)
+        wide = 3 * width
+        largest = {"walks": 0, "products": 0}
+
+        def record(kind, series):
+            field = max(unpack(series, half + 1, wide))
+            largest[kind] = max(largest[kind], field)
+
+        def walks_recorded(table, anchor, trunc):
+            walks, folded = count_anchored_walks(table, anchor, trunc)
+            for row in table + folded:
+                for series in row:
+                    record("walks", series)
+            record("walks", walks)
+            return walks, folded
+
+        def tuples_recorded(prod, walks, trunc):
+            out = count_walk_tuples(prod, walks, trunc)
+            record("products", out)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(pm_inex, "field_width", lambda _: wide)
+            m.setattr(pm_inex, "count_anchored_walks", walks_recorded)
+            m.setattr(pm_inex, "count_walk_tuples", tuples_recorded)
+            acc = inex_accumulators(g)
+        assert acc == inex_accumulators(g), g
+        assert largest["walks"] < 1 << width, (g, largest, width)
+        assert largest["products"] << half < 1 << width, (g, largest, width)
+
+
+def test_narrow_width_gives_a_wrong_count_unflagged(monkeypatch):
+    """At F = 13 on K12 the fields overflow and the count is wrong, yet
+    every signed sum below n/2 still vanishes: only the comparison with an
+    oracle shows it, which is why field_width must be proved, not tuned."""
+    g = complete_graph(12)
+    assert field_width(g) > 13
+    monkeypatch.setattr(pm_inex, "field_width", lambda _: 13)
+    assert count_pm_inex(g) != oracle_count_pm(g) == 10395
 
 
 # --- anchor-ordered walk tuples ------------------------------------------------
@@ -157,30 +282,42 @@ def naive_truncated_product(prod: list[int], walks: list[int]) -> list[int]:
     ]
 
 
+def tuples(prod: list[int], walks: list[int], width: int = WIDTH) -> list[int]:
+    """count_walk_tuples on coefficient lists: walks[0] is left out of the
+    packed series, since a walk series has no constant term, and nothing
+    may be left past the truncation."""
+    trunc = (1 << width * len(prod)) - 1
+    out = count_walk_tuples(pack(prod, width), pack([0] + walks[1:], width), trunc)
+    assert out >> width * len(prod) == 0
+    return unpack(out, len(prod), width)
+
+
 def test_tuples_empty():
     # no walks at the new anchor leaves prod as it is
-    assert count_walk_tuples([1, 5, 0, 2], [0, 0, 0, 0]) == [1, 5, 0, 2]
-    assert count_walk_tuples([1, 5, 0, 2], [0]) == [1, 5, 0, 2]
-    assert count_walk_tuples([], [0, 1]) == []
+    assert tuples([1, 5, 0, 2], [0, 0, 0, 0]) == [1, 5, 0, 2]
+    assert tuples([1, 5, 0, 2], [0]) == [1, 5, 0, 2]
+    assert tuples([], [0, 1]) == []
 
 
 def test_tuples_anchor_ordered_pairs():
     # one anchor with two length-1 walks, then a second such anchor: the
     # 2 * 2 pairs of length 2 arise in one order only, not in 2! orders
-    assert count_walk_tuples([1, 0, 0], [0, 2, 0]) == [1, 2, 0]
-    assert count_walk_tuples([1, 2, 0], [0, 2, 0]) == [1, 4, 4]
+    assert tuples([1, 0, 0], [0, 2, 0]) == [1, 2, 0]
+    assert tuples([1, 2, 0], [0, 2, 0]) == [1, 4, 4]
 
 
 def test_tuples_hand_recurrence():
     # (1 + x + 3x^2)^2 = 1 + 2x + 7x^2 + 6x^3, truncated to four terms
-    assert count_walk_tuples([1, 1, 3, 0], [0, 1, 3, 0]) == [1, 2, 7, 6]
+    assert tuples([1, 1, 3, 0], [0, 1, 3, 0]) == [1, 2, 7, 6]
     # terms past len(prod) are dropped, and short walk lists read as padded
-    assert count_walk_tuples([1, 1], [0, 1, 5]) == [1, 2]
-    assert count_walk_tuples([1, 0, 0, 0], [0, 3]) == [1, 3, 0, 0]
-    # walks[0] is ignored, and prod is not modified
-    prod = [2, 0, 1]
-    assert count_walk_tuples(prod, [7, 0, 1]) == [2, 0, 3]
-    assert prod == [2, 0, 1]
+    assert tuples([1, 1], [0, 1, 5]) == [1, 2]
+    assert tuples([1, 0, 0, 0], [0, 3]) == [1, 3, 0, 0]
+    # the constant term of prod is kept
+    assert tuples([2, 0, 1], [0, 0, 1]) == [2, 0, 3]
+    # the same product in fields of 3 bits, the fewest that hold 7: the
+    # terms past the truncation overflow their fields, but carries only
+    # move upward, so the mask drops them
+    assert tuples([1, 1, 3, 0], [0, 1, 3, 0], width=3) == [1, 2, 7, 6]
 
 
 def test_tuples_match_naive_product():
@@ -192,9 +329,11 @@ def test_tuples_match_naive_product():
             rng.choice([0, 0, 1, 2, rng.randint(0, 10**6)])
             for _ in range(rng.randint(0, 14))
         ]
-        assert count_walk_tuples(prod, walks) == naive_truncated_product(
-            prod, walks
-        ), (prod, walks)
+        want = naive_truncated_product(prod, walks)
+        assert tuples(prod, walks) == want, (prod, walks)
+        # and in the narrowest fields that hold every input and output term
+        tight = max(prod + walks[1:] + want + [1]).bit_length()
+        assert tuples(prod, walks, tight) == want, (prod, walks, tight)
 
 
 # --- full counter ---------------------------------------------------------------
@@ -322,18 +461,13 @@ def test_canonical_inex_exact():
         ), g
 
 
-def plus_one_at_x0(prod, walks):
-    out = count_walk_tuples(prod, walks)
-    out[0] += 1
-    return out
+def plus_one_at_x0(prod, walks, trunc):
+    return count_walk_tuples(prod, walks, trunc) + 1
 
 
-def without_the_one(prod, walks):
+def without_the_one(prod, walks, trunc):
     # prod * W(x): the choice of no walk at the new anchor is missing
-    return [
-        sum(prod[i] * walks[k - i] for i in range(k) if k - i < len(walks))
-        for k in range(len(prod))
-    ]
+    return prod * walks & trunc
 
 
 @pytest.mark.parametrize("wrong", [plus_one_at_x0, without_the_one])
