@@ -57,7 +57,6 @@ from .tsp import (
     anchor_vertex,
     ham_path,
     held_karp_cycle,
-    path_dp_states,
     tsp_cycle,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "oracle_tsp",
     "pair_partner",
     "parse_graph",
-    "path_dp_states",
     "plan_trim",
     "random_bipartite",
     "random_bipartite_min2",

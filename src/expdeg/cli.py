@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 input errors, 3 capacity/budget refusals.
 Counts are always emitted as decimal strings so arbitrary-precision values
 survive JSON consumers; rationals are emitted as "p/q" strings.
 
+`SOLVERS` is the single dispatch point: every solver the CLI runs has one
+entry there, which `tsp`, `count-pm`, `count-pm-bip` and `bench` all call,
+so a bench row holds what the command prints for the same graph.
+
 The argument parser is built once per process, on the first `main` call,
 and reused by every later call; each call parses into a fresh namespace.
 """
@@ -20,6 +24,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import generate, oracles, pm_bipartite, pm_dp, pm_inex, structure, tsp
 from .bitset import bits
@@ -27,11 +32,17 @@ from .errors import CapacityError, ExpdegError, InputFormatError
 from .graphs import BipartiteGraph, Graph, degree_profile, parse_graph, serialize_graph
 
 
-def _read_graph(path: str) -> Graph | BipartiteGraph:
+def _read_graph(path: str, kind: type) -> Graph | BipartiteGraph:
+    """The graph in the file at `path` ("-": stdin), which must be a `kind`."""
     if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        g = parse_graph(sys.stdin.read())
+    else:
+        with open(path, encoding="utf-8") as fh:
+            g = parse_graph(fh.read())
+    if not isinstance(g, kind):
+        wanted = "general 'graph'" if kind is Graph else "'bigraph'"
+        raise ValueError(f"this command needs a {wanted} input")
+    return g
 
 
 def _emit(payload: dict) -> None:
@@ -51,100 +62,125 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _require_general(g) -> Graph:
-    if not isinstance(g, Graph):
-        raise ValueError("this command needs a general 'graph' input")
-    return g
+def _tour(result) -> dict:
+    if result is None:
+        return {"feasible": False}
+    return {
+        "weight": result.weight,
+        "order": list(result.order),
+        "states_visited": result.states_visited,
+    }
 
 
-def _require_bipartite(g) -> BipartiteGraph:
-    if not isinstance(g, BipartiteGraph):
-        raise ValueError("this command needs a 'bigraph' input")
-    return g
+def _weight(weight) -> dict:
+    return {"feasible": False} if weight is None else {"weight": weight}
+
+
+def _dp_count(result) -> dict:
+    return {"count": str(result.count), "states_visited": result.states_visited}
+
+
+def _bip_count(result) -> dict:
+    return {
+        "count": str(result.count),
+        "stored_states": result.stored_states,
+        "pruned_calls": result.pruned_calls,
+        "b0_size": result.b0_size,
+    }
+
+
+class Solver(NamedTuple):
+    kind: type  # the graph class the solver reads
+    run: Callable  # (graph, options) -> payload without elapsed_ms
+    states: str | None = None  # payload key of the stored-state count
+
+
+# Every solver the CLI runs, by name; the commands and bench dispatch here
+# and nowhere else.  Each entry looks its solver up in the module at call
+# time, so a module attribute rebound after import is the one called.
+SOLVERS = {
+    "tsp": Solver(Graph, lambda g, o: _tour(tsp.tsp_cycle(g)), "states_visited"),
+    "tsp --path": Solver(
+        Graph, lambda g, o: _tour(tsp.ham_path(g, *o.path)), "states_visited"
+    ),
+    "tsp --baseline held-karp": Solver(
+        Graph, lambda g, o: _tour(tsp.held_karp_cycle(g)), "states_visited"
+    ),
+    "tsp --baseline oracle": Solver(
+        Graph, lambda g, o: _weight(oracles.oracle_tsp(g))
+    ),
+    "count-pm-inex": Solver(
+        Graph,
+        lambda g, o: {
+            "count": str(pm_inex.count_pm_inex(g)),
+            "subsets_processed": pm_inex.inex_subsets(g.n),
+        },
+        "subsets_processed",
+    ),
+    "count-pm-dp": Solver(
+        Graph, lambda g, o: _dp_count(pm_dp.count_pm_dp(g)), "states_visited"
+    ),
+    "count-pm-oracle": Solver(
+        Graph, lambda g, o: {"count": str(oracles.oracle_count_pm(g))}
+    ),
+    "count-pm-bip": Solver(
+        BipartiteGraph,
+        lambda g, o: _bip_count(pm_bipartite.count_pm_bipartite(g, o.alpha)),
+        "stored_states",
+    ),
+    "count-pm-bip --baseline": Solver(
+        BipartiteGraph,
+        lambda g, o: {"count": str(pm_bipartite.ryser_permanent(g))},
+    ),
+}
+# count-pm --algo X runs count-pm-X; bench runs the flagless entries that
+# store states.
+COUNT_PM_ALGOS = [
+    name.removeprefix("count-pm-")
+    for name, solver in SOLVERS.items()
+    if name.startswith("count-pm-") and solver.kind is Graph
+]
+BENCH_ALGOS = [
+    name for name, solver in SOLVERS.items() if " " not in name and solver.states
+]
+
+
+def _solve(name: str, g, options) -> dict:
+    """The payload of SOLVERS[name] on g; elapsed_ms times the solve alone."""
+    start = time.perf_counter()
+    payload = SOLVERS[name].run(g, options)
+    payload["elapsed_ms"] = _elapsed_ms(start)
+    return payload
 
 
 def _cmd_tsp(args) -> None:
     if args.path is not None and args.baseline is not None:
         # both baselines solve cycles only
         raise ValueError("--path and --baseline cannot be combined")
-    g = _require_general(_read_graph(args.input))
-    start = time.perf_counter()
-    if args.baseline == "oracle":
-        weight = oracles.oracle_tsp(g)
-        if weight is None:
-            _emit({"feasible": False, "elapsed_ms": _elapsed_ms(start)})
-        else:
-            _emit({"weight": weight, "elapsed_ms": _elapsed_ms(start)})
-        return
     if args.path is not None:
-        a, b = args.path
-        result = tsp.ham_path(g, a, b)
-    elif args.baseline == "held-karp":
-        result = tsp.held_karp_cycle(g)
+        name = "tsp --path"
+    elif args.baseline is not None:
+        name = f"tsp --baseline {args.baseline}"
     else:
-        result = tsp.tsp_cycle(g)
-    if result is None:
-        _emit({"feasible": False, "elapsed_ms": _elapsed_ms(start)})
-    else:
-        _emit(
-            {
-                "weight": result.weight,
-                "order": list(result.order),
-                "states_visited": result.states_visited,
-                "elapsed_ms": _elapsed_ms(start),
-            }
-        )
+        name = "tsp"
+    _emit(_solve(name, _read_graph(args.input, SOLVERS[name].kind), args))
 
 
 def _cmd_count_pm(args) -> None:
-    g = _require_general(_read_graph(args.input))
-    start = time.perf_counter()
-    if args.algo == "inex":
-        count = pm_inex.count_pm_inex(g)
-        _emit(
-            {
-                "count": str(count),
-                "subsets_processed": pm_inex.inex_subsets(g.n),
-                "elapsed_ms": _elapsed_ms(start),
-            }
-        )
-    elif args.algo == "dp":
-        result = pm_dp.count_pm_dp(g)
-        _emit(
-            {
-                "count": str(result.count),
-                "states_visited": result.states_visited,
-                "elapsed_ms": _elapsed_ms(start),
-            }
-        )
-    else:
-        count = oracles.oracle_count_pm(g)
-        _emit({"count": str(count), "elapsed_ms": _elapsed_ms(start)})
+    name = f"count-pm-{args.algo}"
+    _emit(_solve(name, _read_graph(args.input, SOLVERS[name].kind), args))
 
 
 def _cmd_count_pm_bip(args) -> None:
-    g = _require_bipartite(_read_graph(args.input))
+    name = "count-pm-bip --baseline" if args.baseline else "count-pm-bip"
+    g = _read_graph(args.input, SOLVERS[name].kind)
     if args.swap_sides:
         g = g.transpose()
-    start = time.perf_counter()
-    if args.baseline:
-        count = pm_bipartite.ryser_permanent(g)
-        _emit({"count": str(count), "elapsed_ms": _elapsed_ms(start)})
-        return
-    result = pm_bipartite.count_pm_bipartite(g, args.alpha)
-    _emit(
-        {
-            "count": str(result.count),
-            "stored_states": result.stored_states,
-            "pruned_calls": result.pruned_calls,
-            "b0_size": result.b0_size,
-            "elapsed_ms": _elapsed_ms(start),
-        }
-    )
+    _emit(_solve(name, g, args))
 
 
 def _cmd_stats(args) -> None:
-    g = _require_general(_read_graph(args.input))
+    g = _read_graph(args.input, Graph)
     profile = degree_profile(g)
     gap = structure.find_gap_threshold(g, args.alpha)
     d = max(profile.avg, Fraction(1))
@@ -207,55 +243,33 @@ BENCH_COLUMNS = [
 
 def _bench_instance(task: dict) -> dict:
     """Run one bench instance described by plain parameters (kept picklable
-    so instances can run in worker processes)."""
-    algo = task["algo"]
-    seed = task["seed"]
-    start = time.perf_counter()
-    if algo in ("tsp", "count-pm-dp", "count-pm-inex"):
-        if task["model"] == "regular":
-            g = generate.random_regular(task["n"], task["d"], seed)
-        else:
-            g = generate.random_gnm(task["n"], task["m"], seed)
-        n, m = g.n, g.m
-        if algo == "tsp":
-            res = tsp.tsp_cycle(g)
-            result = "" if res is None else str(res.weight)
-            states = (
-                res.states_visited if res is not None else tsp.cycle_dp_states(g)
-            )
-            denom = n
-        elif algo == "count-pm-dp":
-            out = pm_dp.count_pm_dp(g)
-            result, states = str(out.count), out.states_visited
-            denom = max(n // 2, 1)
-        else:
-            result = str(pm_inex.count_pm_inex(g))
-            states = pm_inex.inex_subsets(n)
-            denom = max(n // 2, 1)
-    else:  # count-pm-bip
-        g = generate.random_bipartite_min2(task["k"], task["m"], seed)
-        n, m = g.k, g.m
-        out = pm_bipartite.count_pm_bipartite(g, task["alpha"])
-        result, states = str(out.count), out.stored_states
-        denom = max(n, 1)
-    if n == 0:
-        avg = Fraction(0)
-    elif algo == "count-pm-bip":
-        avg = Fraction(m, n)
+    so instances can run in worker processes): the row holds what the
+    command for `algo` prints for the generated graph."""
+    algo, model, n, seed = task["algo"], task["model"], task["n"], task["seed"]
+    if model == "bipartite":
+        g = generate.random_bipartite_min2(n, task["m"], seed)
+    elif model == "regular":
+        g = generate.random_regular(n, task["d"], seed)
     else:
-        avg = Fraction(2 * m, n)
-    ratio = round(math.log2(states) / denom, 6) if states > 0 else 0.0
+        g = generate.random_gnm(n, task["m"], seed)
+    payload = _solve(algo, g, argparse.Namespace(alpha=task["alpha"]))
+    states = payload.get(SOLVERS[algo].states, 0)
+    # a bipartite degree is per vertex of one side; log2(states) is per tour
+    # vertex, or per matching edge: k in a bipartite graph, n/2 in a general one
+    avg = Fraction(g.m if model == "bipartite" else 2 * g.m, max(n, 1))
+    per = n if algo == "tsp" or model == "bipartite" else n // 2
+    ratio = round(math.log2(states) / max(per, 1), 6) if states else 0.0
     return {
         "algo": algo,
-        "model": task["model"],
+        "model": model,
         "n": n,
-        "m": m,
+        "m": g.m,
         "avg_degree": str(avg),
         "seed": seed,
-        "result": result,
+        "result": str(payload.get("count", payload.get("weight", ""))),
         "states": states,
         "log2_states_ratio": ratio,
-        "elapsed_ms": _elapsed_ms(start),
+        "elapsed_ms": payload["elapsed_ms"],
     }
 
 
@@ -271,7 +285,8 @@ def run_bench(
     (rows, per-(n, d) summary).  Rows are sorted by (n, d, seed) so worker
     scheduling never changes the artifact.  count-pm-bip runs the
     'bipartite' model, the others 'gnm' or 'regular' (whole degrees)."""
-    if (model == "bipartite") != (algo == "count-pm-bip"):
+    bipartite = SOLVERS[algo].kind is BipartiteGraph
+    if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
     if not all(math.isfinite(d) for d in degrees):
         raise ValueError(f"degrees must be finite, got {degrees}")
@@ -281,15 +296,15 @@ def run_bench(
     for n in sizes:
         for d in degrees:
             for seed in seeds:
-                task = {"algo": algo, "model": model, "seed": seed, "alpha": alpha}
-                if algo == "count-pm-bip":
-                    task["k"] = n
+                # n is the side size k in the bipartite model
+                task = {
+                    "algo": algo, "model": model, "n": n, "seed": seed, "alpha": alpha
+                }
+                if bipartite:
                     task["m"] = max(2 * n, round(n * d))
                 elif model == "regular":
-                    task["n"] = n
                     task["d"] = int(d)
                 else:
-                    task["n"] = n
                     task["m"] = round(n * d / 2)
                 tasks.append(task)
 
@@ -309,25 +324,22 @@ def run_bench(
         rows = [_bench_instance(t) for t in tasks]
     rows.sort(key=lambda r: (r["n"], r["avg_degree"], r["seed"]))
 
-    groups: dict[tuple[int, str], list[float]] = {}
+    groups: dict[tuple[int, str], list[dict]] = {}
     for row in rows:
-        groups.setdefault((row["n"], row["avg_degree"]), []).append(
-            row["log2_states_ratio"]
-        )
-    summary = [
-        {
-            "n": n,
-            "avg_degree": d,
-            "instances": len(vals),
-            "mean_log2_states_ratio": round(sum(vals) / len(vals), 6),
-        }
-        for (n, d), vals in sorted(groups.items())
-    ]
+        groups.setdefault((row["n"], row["avg_degree"]), []).append(row)
+    summary = []
+    for (n, d), group in sorted(groups.items()):
+        # the mean skips rows that stored no states (a graph without a tour)
+        vals = [row["log2_states_ratio"] for row in group if row["states"] > 0]
+        mean = round(sum(vals) / len(vals), 6) if vals else 0.0
+        summary.append({"n": n, "avg_degree": d, "instances": len(group),
+                        "mean_log2_states_ratio": mean})
     return rows, summary
 
 
 def _cmd_bench(args) -> None:
-    model = args.model or ("bipartite" if args.algo == "count-pm-bip" else "gnm")
+    bipartite = SOLVERS[args.algo].kind is BipartiteGraph
+    model = args.model or ("bipartite" if bipartite else "gnm")
     rows, summary = run_bench(
         args.algo, model, args.sizes, args.degrees, args.seeds, args.alpha
     )
@@ -359,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pm = sub.add_parser("count-pm", help="count perfect matchings")
     p_pm.add_argument("--input", required=True)
-    p_pm.add_argument("--algo", choices=["inex", "dp", "oracle"], default="inex")
+    p_pm.add_argument("--algo", choices=COUNT_PM_ALGOS, default="inex")
     p_pm.set_defaults(func=_cmd_count_pm)
 
     p_bip = sub.add_parser("count-pm-bip", help="count bipartite perfect matchings")
@@ -384,11 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bench = sub.add_parser("bench", help="state-count benchmark harness")
-    p_bench.add_argument(
-        "--algo",
-        choices=["tsp", "count-pm-dp", "count-pm-inex", "count-pm-bip"],
-        required=True,
-    )
+    p_bench.add_argument("--algo", choices=BENCH_ALGOS, required=True)
     p_bench.add_argument("--model", choices=["gnm", "regular", "bipartite"],
                          help="default: bipartite for count-pm-bip, else gnm")
     p_bench.add_argument("--sizes", type=int, nargs="+", required=True)

@@ -145,15 +145,8 @@ class _PathDP:
             self.layers.append(nxt)
             self.states_visited += sum(map(len, nxt))
 
-    def full_cost(self, b: int) -> int | None:
-        """Cheapest Hamiltonian a-b path cost, or None if there is none
-        (always None unless every layer ran)."""
-        return self.layers[-1][b].get((1 << self.g.n) - 1)
-
-    def reconstruct(self, b: int, mask: int | None = None) -> tuple[int, ...]:
-        """The kept a..b path over the vertex set `mask` (default: all)."""
-        if mask is None:
-            mask = (1 << self.g.n) - 1
+    def reconstruct(self, b: int, mask: int) -> tuple[int, ...]:
+        """The kept a..b path over the vertex set `mask`."""
         adjacency, layers = self.g.adjacency, self.layers
         order = [b]
         v = b
@@ -250,17 +243,6 @@ def anchor_vertex(g: Graph) -> int:
     return min(range(g.n), key=lambda v: (g.degree(v), v))
 
 
-def _cycle_dp(g: Graph) -> _PathDP:
-    """The DP tsp_cycle joins: from the anchor up to layer ceil((n+2)/2)."""
-    return _PathDP(g, anchor_vertex(g), (g.n + 3) // 2)
-
-
-def cycle_dp_states(g: Graph) -> int:
-    """States of the bounded DP that tsp_cycle runs on g, found or not;
-    bench rows report it for graphs without a tour."""
-    return _cycle_dp(g).states_visited
-
-
 def tsp_cycle(g: Graph) -> TourResult | None:
     """Smallest-weight Hamiltonian cycle, or None if none exists.
 
@@ -278,7 +260,7 @@ def tsp_cycle(g: Graph) -> TourResult | None:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")
     if not _is_biconnected(g):
         return None
-    dp = _cycle_dp(g)
+    dp = _PathDP(g, anchor_vertex(g), (g.n + 3) // 2)
     # the second half has n+2-h vertices (h at even n, h-1 at odd n), so it
     # is a state of layers[n+1-h]
     best = _join(dp, dp.layers[g.n + 1 - dp.last], 1 << dp.a)

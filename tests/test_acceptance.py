@@ -22,7 +22,6 @@ from expdeg import (
     oracle_count_pm,
     oracle_permanent,
     oracle_tsp,
-    path_dp_states,
     random_bipartite_min2,
     random_regular,
     ryser_permanent,
@@ -32,6 +31,7 @@ from expdeg import (
 from expdeg.bitset import bits
 from expdeg.pm_dp import build_contracted_graph
 from expdeg.structure import exp_at_most
+from expdeg.tsp import path_dp_states
 from conftest import (
     complete_graph,
     cycle_graph,

@@ -458,18 +458,67 @@ def test_bench_tsp_generic_state_bound():
 
 
 def test_bench_tsp_rows_count_the_bounded_dp():
-    """Rows with and without a tour both report the states of the bounded DP
-    that tsp_cycle runs, so their log2 ratios compare like with like."""
+    """A row with a tour reports the states of the bounded DP that tsp_cycle
+    ran; a row without one reports 0, as the CLI prints no state count for
+    it, and stays out of the summary mean."""
     from expdeg import tsp_cycle
-    from expdeg.tsp import cycle_dp_states
 
-    rows, _ = run_bench("tsp", "gnm", sizes=[12], degrees=[4], seeds=list(range(1, 11)))
+    rows, summary = run_bench("tsp", "gnm", [12], [4], seeds=list(range(1, 11)))
     assert {row["result"] == "" for row in rows} == {True, False}
     for row in rows:
         g = random_gnm(row["n"], row["m"], row["seed"])
-        assert row["states"] == cycle_dp_states(g) > 0
+        res = tsp_cycle(g)
         if row["result"]:
-            assert row["states"] == tsp_cycle(g).states_visited
+            assert row["states"] == res.states_visited > 0
+        else:
+            assert res is None
+            assert (row["states"], row["log2_states_ratio"]) == (0, 0.0)
+    toured = [row["log2_states_ratio"] for row in rows if row["result"]]
+    assert summary == [{"n": 12, "avg_degree": "4", "instances": 10,
+                        "mean_log2_states_ratio": round(sum(toured) / len(toured), 6)}]
+
+
+def test_bench_rows_are_what_the_command_prints(capsys, tmp_path, monkeypatch):
+    """Each bench row's result and states equal the fields `main` prints for
+    the same graph read from a file, on grids with graphs that have no tour
+    (not 2-connected), no perfect matching, and, with the bipartite generator
+    swapped for one without the minimum-degree guarantee, bipartite graphs
+    with no perfect matching."""
+    monkeypatch.setattr(generate, "random_bipartite_min2", random_bipartite)
+    cases = [
+        ("tsp", "gnm", [12], [4], range(1, 11), ["tsp"], "weight", "states_visited"),
+        ("count-pm-dp", "gnm", [8, 10], [2, 3], [1, 2], ["count-pm", "--algo", "dp"],
+         "count", "states_visited"),
+        ("count-pm-inex", "gnm", [8, 10], [2, 3], [1, 2], ["count-pm", "--algo", "inex"],
+         "count", "subsets_processed"),
+        ("count-pm-bip", "bipartite", [6], [2, 3], [1, 2, 3], ["count-pm-bip"],
+         "count", "stored_states"),
+    ]
+    for algo, model, sizes, degrees, seeds, command, result_key, states_key in cases:
+        rows, _ = run_bench(algo, model, sizes, degrees, list(seeds))
+        for row in rows:
+            make = random_bipartite if algo == "count-pm-bip" else random_gnm
+            path = tmp_path / f"{algo}-{row['n']}-{row['m']}-{row['seed']}.txt"
+            path.write_text(serialize_graph(make(row["n"], row["m"], row["seed"])))
+            code, payload = run_json(capsys, [*command, "--input", str(path)])
+            assert code == 0
+            expected = (str(payload.get(result_key, "")), payload.get(states_key, 0))
+            assert (row["result"], row["states"]) == expected, (algo, row)
+        no_solution = "" if algo == "tsp" else "0"
+        assert no_solution in {row["result"] for row in rows}, algo
+        assert {row["result"] for row in rows} != {no_solution}, algo
+
+
+def test_bench_elapsed_ms_times_the_solve_alone(monkeypatch):
+    """Generating the graph is not part of a row's elapsed_ms."""
+
+    def slow_gnm(n, m, seed):
+        time.sleep(0.2)
+        return random_gnm(n, m, seed)
+
+    monkeypatch.setattr(generate, "random_gnm", slow_gnm)
+    rows, _ = run_bench("count-pm-dp", "gnm", sizes=[8], degrees=[3], seeds=[1])
+    assert rows[0]["elapsed_ms"] < 200
 
 
 def test_bench_bipartite_state_bound():
@@ -507,12 +556,15 @@ def test_bench_csv_format(capsys):
     assert len(lines) == 2
 
 
-def test_bench_parallel_matches_serial(monkeypatch):
-    serial, _ = run_bench("count-pm-dp", "gnm", sizes=[8], degrees=[2, 3], seeds=[1, 2])
+@pytest.mark.parametrize(
+    "algo, model",
+    [("tsp", "gnm"), ("count-pm-dp", "gnm"), ("count-pm-inex", "gnm"),
+     ("count-pm-bip", "bipartite")],
+)
+def test_bench_parallel_matches_serial(monkeypatch, algo, model):
+    serial, _ = run_bench(algo, model, sizes=[8], degrees=[2, 3], seeds=[1, 2])
     monkeypatch.setenv("EXPDEG_THREADS", "2")
-    parallel, _ = run_bench(
-        "count-pm-dp", "gnm", sizes=[8], degrees=[2, 3], seeds=[1, 2]
-    )
+    parallel, _ = run_bench(algo, model, sizes=[8], degrees=[2, 3], seeds=[1, 2])
     # timing fields differ between runs; everything else must be identical
     strip = lambda rows: [
         {k: v for k, v in r.items() if k != "elapsed_ms"} for r in rows

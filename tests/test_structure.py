@@ -15,12 +15,12 @@ from expdeg import (
     enumerate_deg2_sets,
     find_disjoint_set,
     find_gap_threshold,
-    path_dp_states,
     random_gnm,
     random_regular,
 )
 from expdeg.bitset import bits, mask_of
 from expdeg.structure import exp_at_most
+from expdeg.tsp import path_dp_states
 from conftest import (
     complete_graph,
     cycle_graph,
