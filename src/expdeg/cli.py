@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from . import generate, oracles, pm_bipartite, pm_dp, pm_inex, structure, tsp
 from .bitset import bits
-from .errors import CapacityError, ExpdegError, InputFormatError
+from .errors import CapacityError, ExpdegError
 from .graphs import BipartiteGraph, Graph, degree_profile, parse_graph, serialize_graph
 
 
@@ -345,7 +345,7 @@ def _cmd_bench(args) -> None:
     )
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
+        writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
@@ -417,16 +417,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         args.func(args)
-    except (InputFormatError, ValueError) as exc:
-        print(f"expdeg: error: {exc}", file=sys.stderr)
-        return 2
     except CapacityError as exc:
         print(f"expdeg: capacity: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"expdeg: error: {exc}", file=sys.stderr)
-        return 2
-    except ExpdegError as exc:
+    except (ExpdegError, ValueError, OSError) as exc:
         print(f"expdeg: error: {exc}", file=sys.stderr)
         return 2
     return 0

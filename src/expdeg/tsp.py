@@ -1,12 +1,14 @@
 """Cheapest Hamiltonian paths and cycles by subset dynamic programming.
 
 Two engines: a sparse layered DP that stores only states reachable by an
-actual path (per layer, one dictionary per endpoint keyed on the visited
-set), and a dense Held-Karp reference table used as the equality baseline
-in tests.  Both reconstruct the optimal vertex order and report how many
-states they materialized.  Both first check that the graph is 2-connected
-(for an a-b path: the graph plus the edge ab), which every graph with a
-Hamiltonian cycle is, and answer None without a DP when it is not.
+actual path that a Hamiltonian cycle (or a-b path) could still finish (per
+layer, one dictionary per endpoint keyed on the visited set), and a dense
+Held-Karp reference table, which keeps every reachable state, used as the
+equality baseline in tests.  Both reconstruct the optimal vertex order and
+report how many states they materialized.  Both first check that the graph
+is 2-connected (for an a-b path: the graph plus the edge ab), which every
+graph with a Hamiltonian cycle is, and answer None without a DP when it is
+not.
 
 The sparse solvers run the layered DP only to the half-way layer and join
 complementary halves.  A Hamiltonian cycle through the anchor a splits at
@@ -22,6 +24,13 @@ rebuilt backwards from its last state: at each step the predecessor is the
 smallest neighbour u of the endpoint v whose cost over the set without v,
 plus w(u, v), equals the current cost (the smallest cheapest predecessor,
 which is the one the forward relaxation keeps).
+
+The sparse DP drops a state when some unvisited vertex has fewer than two
+neighbours left for the rest of the tour (the completion test of
+`_PathDP`).  Only states that no tour can pass through are dropped, and a
+kept state keeps the cost it has without the test, so weights, orders and
+the tie rule are those of the DP without it; `states_visited` counts the
+kept states.
 """
 
 from __future__ import annotations
@@ -93,12 +102,39 @@ def _is_biconnected(g: Graph, extra: tuple[int, int] | None = None) -> bool:
 
 class _PathDP:
     """Layered sparse DP from a fixed source a, run up to layer `last`
-    (default n: every layer).
+    (default n: every layer), for cycles through a or, given the far end
+    `far` = b, for a-b paths.
 
-    layers[i] holds every (visited-set, endpoint) pair realizable by a simple
-    path of i + 1 vertices starting at a, as one dict per endpoint v mapping
-    the visited mask to the cheapest cost.  Only costs are stored: there are
-    no parent tables.
+    layers[i] holds the (visited-set, endpoint) pairs realizable by a simple
+    path of i + 1 vertices starting at a whose every state passes the
+    completion test, as one dict per endpoint v mapping the visited mask to
+    the cheapest cost.  Only costs are stored: there are no parent tables.
+
+    Completion test.  (S, v) is kept only if every vertex r outside S has at
+    least two neighbours in the free set (V - S) | {v, a}: the rest of a
+    cycle runs from v through V - S back to a, and r's two cycle neighbours
+    lie on it.  The rest of an a-b path runs from v through V - S to b, so a
+    is not free and b needs only one such neighbour; the code counts a
+    virtual vertex n, always free and adjacent to b alone, as b's second.
+    Every state made from a source (mask, u) has the free set
+    (V - mask) | {a} (or | {n}), the source's own free set without u, so only
+    neighbours of u can fall short and the test runs once per source: with
+    no short neighbour every free neighbour is a step, with one only that
+    neighbour is, with two or more none is.  The start state is tested
+    against the whole graph, so no kept state depends on the solvers' own
+    2-connectivity check.
+
+    Why costs, joins and ties are unchanged.  At any of its steps, a path
+    to (S, v) can fail the test only at a vertex outside S or at v: a vertex
+    it enters and leaves again keeps both path neighbours free until it is
+    entered.  Free sets only shrink, so the test of a kept (S, v) rules out
+    the first; and v has a free neighbour besides its kept predecessor,
+    which rules out the second.  So if one path reaches (S, v) through kept
+    states, every path does.  A kept state thus has its cost and its cheapest
+    predecessors from the DP without the test, and `reconstruct` rebuilds
+    the same path.  Every prefix of a Hamiltonian cycle through a (of an a-b
+    path) passes the test, so both halves of every optimal join are kept
+    and the joins, weights, orders and tie rule are unchanged.
 
     Sources are relaxed in ascending endpoint order with strict improvement.
     Every source of a target (mask, v) has the mask mask ^ (1 << v) and
@@ -109,9 +145,12 @@ class _PathDP:
     reconstructed orders are deterministic without sorting a layer.
     """
 
-    def __init__(self, g: Graph, a: int, last: int | None = None):
+    def __init__(
+        self, g: Graph, a: int, last: int | None = None, far: int | None = None
+    ):
         self.g = g
         self.a = a
+        self.far = far
         self.last = g.n if last is None else last
         self.states_visited = 0
         self.layers: list[list[dict[int, int]]] = []
@@ -119,28 +158,51 @@ class _PathDP:
 
     def _run(self) -> None:
         g, a, n = self.g, self.a, self.g.n
-        arcs = [[(1 << v, v, w) for v, w in g.adjacency[u]] for u in range(n)]
+        full = (1 << n) - 1
+        nbrs = [sum(1 << v for v, _ in g.adjacency[r]) for r in range(n)]
+        # always free: a for a cycle; for a path the virtual vertex n,
+        # adjacent to the far end alone
+        closer = 1 << a
+        if self.far is not None:
+            closer = 1 << n
+            nbrs[self.far] |= closer
+        arcs = [
+            [(1 << v, v, w, nbrs[v]) for v, w in g.adjacency[u]] for u in range(n)
+        ]
         layer: list[dict[int, int]] = [{} for _ in range(n)]
-        layer[a][1 << a] = 0
+        # every vertex is free in the start state
+        if all(nbrs[r].bit_count() >= 2 for r in range(n) if r != a):
+            layer[a][1 << a] = 0
         self.layers.append(layer)
-        self.states_visited = 1
+        self.states_visited = len(layer[a])
         for _ in range(self.last - 1):
             nxt: list[dict[int, int]] = [{} for _ in range(n)]
             for u in range(n):
                 src = layer[u]
                 if not src:
                     continue
-                for bit, v, w in arcs[u]:
-                    dst = nxt[v]
-                    get = dst.get
-                    for mask, cost in src.items():
-                        if mask & bit:
+                steps = [(bit, nxt[v], w, nb) for bit, v, w, nb in arcs[u]]
+                for mask, cost in src.items():
+                    # the free set of every state made from (mask, u)
+                    free = full ^ mask | closer
+                    short = None
+                    for step in steps:
+                        if mask & step[0]:
                             continue
-                        nmask = mask | bit
-                        cand = cost + w
-                        old = get(nmask)
-                        if old is None or cand < old:
-                            dst[nmask] = cand
+                        left = step[3] & free
+                        if not left & (left - 1):
+                            if short is not None:
+                                break
+                            short = (step,)
+                    else:
+                        for bit, dst, w, _ in short or steps:
+                            if mask & bit:
+                                continue
+                            nmask = mask | bit
+                            cand = cost + w
+                            old = dst.get(nmask)
+                            if old is None or cand < old:
+                                dst[nmask] = cand
             layer = nxt
             self.layers.append(nxt)
             self.states_visited += sum(map(len, nxt))
@@ -200,9 +262,9 @@ def _join(
 
 
 def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
-    """Every (visited-set, endpoint) state the full sparse path DP (all n
-    layers) materializes from source a; for instrumentation and state-space
-    tests."""
+    """Every (visited-set, endpoint) state the full sparse cycle DP (all n
+    layers, cycle completion test) keeps from source a; for instrumentation
+    and state-space tests."""
     if not 0 <= a < g.n:
         raise ValueError("source out of range")
     return _PathDP(g, a).all_state_keys()
@@ -212,9 +274,10 @@ def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
     """Cheapest Hamiltonian a-b path, or None if no such path exists.
 
     Answers None without a DP when g plus the edge ab is not 2-connected.
-    Otherwise runs the path DP from a up to layer h = ceil((n+1)/2) and from
-    b up to layer n+1-h, and joins (S, v) from a with ((V - S) | {v}, v) from
-    b: the optimal path's vertex in position h, read from a, is such a v.
+    Otherwise runs the path DP from a, with far end b, up to layer
+    h = ceil((n+1)/2) and from b, with far end a, up to layer n+1-h, and
+    joins (S, v) from a with ((V - S) | {v}, v) from b: the optimal path's
+    vertex in position h, read from a, is such a v.
     Among optimal joins the smallest v, then the smallest S, is taken; each
     half is the DP's kept path, the b half reversed.  `states_visited` counts
     the states of both bounded DPs.
@@ -228,8 +291,8 @@ def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
     if not _is_biconnected(g, (a, b)):
         return None
     h = (g.n + 2) // 2
-    left = _PathDP(g, a, h)
-    right = _PathDP(g, b, g.n + 1 - h)
+    left = _PathDP(g, a, h, far=b)
+    right = _PathDP(g, b, g.n + 1 - h, far=a)
     best = _join(left, right.layers[-1], 0)
     if best is None:
         return None

@@ -551,7 +551,9 @@ def test_bench_csv_format(capsys):
         ]
     )
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    assert "\r" not in out
+    lines = out.strip().splitlines()
     assert lines[0] == ",".join(BENCH_COLUMNS)
     assert len(lines) == 2
 

@@ -188,13 +188,62 @@ def enumerate_path_states(g: Graph, a: int) -> set[tuple[int, int]]:
     return found
 
 
+def completion_kept_layers(g: Graph, a: int, far: int | None = None) -> list[set]:
+    """Layer by layer, every (visited set, endpoint) pair one step from a
+    kept pair of the layer before that passes the completion test, scanned
+    in full: each vertex r outside the set has at least two neighbours in
+    the free set, which is the unvisited vertices plus the endpoint, plus a
+    for a cycle (far is None); with far end b, a is not free and r = b needs
+    one.  The start pair is tested too."""
+
+    full = (1 << g.n) - 1
+    nbrs = [g.neighbors(r) for r in range(g.n)]
+    checks = [
+        (1 << r, sum(1 << x for x in nbrs[r]), 1 if r == far else 2) for r in range(g.n)
+    ]
+
+    def passes(mask: int, v: int) -> bool:
+        free = (full ^ mask) | (1 << v) | (1 << a if far is None else 0)
+        for bit, nbr_mask, need in checks:
+            if not mask & bit and (nbr_mask & free).bit_count() < need:
+                return False
+        return True
+
+    layers = [{(1 << a, a)} if passes(1 << a, a) else set()]
+    for _ in range(g.n - 1):
+        layers.append({
+            (mask | (1 << v), v)
+            for mask, u in layers[-1]
+            for v in nbrs[u]
+            if not (mask >> v) & 1 and passes(mask | (1 << v), v)
+        })
+    return layers
+
+
+def layer_sets(dp: _PathDP) -> list[set]:
+    return [{(mask, v) for v, masks in enumerate(lay) for mask in masks}
+            for lay in dp.layers]
+
+
 def test_states_equal_path_reachable_pairs():
+    """The full DP keeps exactly the pairs a full-scan layered search
+    reaches through pairs that pass the completion test, for the cycle rule
+    and for every far end; they are pairs simple paths from the source
+    realize."""
+    kept = 0
     for seed in range(20):
         g = seeded_weighted_graph(seed + 900, n_max=9, n_min=2)
         states = path_dp_states(g, 0)
         assert len(states) == len(set(states))
-        assert set(states) == enumerate_path_states(g, 0)
+        assert set(states) == set().union(*completion_kept_layers(g, 0))
+        assert set(states) <= enumerate_path_states(g, 0)
         assert len(states) <= g.n * 2 ** (g.n - 1)
+        kept += bool(states)
+        for b in range(1, g.n):
+            dp = _PathDP(g, 0, far=b)
+            assert layer_sets(dp) == completion_kept_layers(g, 0, b), (seed, b)
+            assert set(dp.all_state_keys()) <= enumerate_path_states(g, 0)
+    assert kept > 5
 
 
 def test_deterministic_reconstruction():
@@ -212,15 +261,15 @@ def test_deterministic_reconstruction():
 class SortedKeyPathDP:
     """The layered path DP as it was before per-endpoint layers: one dict
     per layer keyed on mask << 6 | endpoint, relaxed in ascending key order
-    with strict improvement, every layer run and every layer's costs kept.
-    Test-only reference for ties, orders and the half-way joins."""
+    with strict improvement, every layer run and every layer's costs kept,
+    and no completion test: every reachable state is stored.  Test-only
+    reference for costs, ties, orders and the half-way joins."""
 
     def __init__(self, g: Graph, a: int):
         self.g = g
         layer = {(1 << a) << 6 | a: 0}
         self.layers = [layer]
         self.parents = [{(1 << a) << 6 | a: -1}]
-        self.states_visited = 1
         for _ in range(g.n - 1):
             nxt, nxt_parent = {}, {}
             for key in sorted(layer):
@@ -237,7 +286,6 @@ class SortedKeyPathDP:
             layer = nxt
             self.layers.append(nxt)
             self.parents.append(nxt_parent)
-            self.states_visited += len(nxt)
         self.final_layer = layer
 
     def trace(self, mask: int, b: int) -> tuple[int, ...]:
@@ -262,13 +310,6 @@ class SortedKeyPathDP:
             if found is not None and (best is None or found[0] + w < best[0]):
                 best = (found[0] + w, found[1])
         return best
-
-    def state_set(self, last: int | None = None) -> set[tuple[int, int]]:
-        """States of the first `last` layers (default: all)."""
-        return {(k >> 6, k & 63) for lay in self.parents[:last] for k in lay}
-
-    def state_count(self, last: int) -> int:
-        return sum(map(len, self.parents[:last]))
 
 
 def reference_join(left, h_left, right, h_right, keep):
@@ -297,15 +338,16 @@ def tie_heavy_graph(seed: int, n_max: int, n_min: int = 3) -> Graph:
     return Graph.from_edges(g.n, [(u, v, rng.randint(1, 2)) for u, v, _ in g.edges])
 
 
-def full_cost(dp: _PathDP, b: int) -> int | None:
-    """Cheapest Hamiltonian a-b path cost of a DP that ran every layer, or
-    None if there is none."""
-    return dp.layers[-1][b].get((1 << dp.g.n) - 1)
+def full_cost(dp: _PathDP) -> int | None:
+    """Cheapest Hamiltonian a-b path cost of a DP with far end b that ran
+    every layer, or None if there is none."""
+    return dp.layers[-1][dp.far].get((1 << dp.g.n) - 1)
 
 
-def full_path(dp: _PathDP, b: int) -> tuple[int, ...]:
-    """The kept Hamiltonian a..b path of a DP that ran every layer."""
-    return dp.reconstruct(b, (1 << dp.g.n) - 1)
+def full_path(dp: _PathDP) -> tuple[int, ...]:
+    """The kept Hamiltonian a..b path of a DP with far end b that ran every
+    layer."""
+    return dp.reconstruct(dp.far, (1 << dp.g.n) - 1)
 
 
 def as_tuple(res):
@@ -313,41 +355,54 @@ def as_tuple(res):
 
 
 def test_path_dp_matches_sorted_key_reference():
-    """Per-endpoint layers give the reference's costs, parents, orders and
-    state counts on every anchor, ties included; the bounded DPs hold exactly
-    the reference's first layers; ham_path and tsp_cycle give the full
-    reference's weight, and the order and state count of the stated tie rule
-    applied to the reference's own tables."""
+    """On every anchor, ties included, for the cycle rule and for every far
+    end: every layer of the DP, full or bounded, holds exactly the pairs of
+    the full-scan completion search; ham_path and tsp_cycle give the full
+    reference's weight, the order of the stated tie rule applied to the
+    reference's own tables, and the state count of the completion search's
+    bounded layers."""
     for seed in range(40):
         g = tie_heavy_graph(seed + 7000, n_max=11, n_min=4)
         n = g.n
         h_path, h_cycle = (n + 2) // 2, (n + 3) // 2
         refs = [SortedKeyPathDP(g, a) for a in range(n)]
-        for a in range(n):
-            ref = refs[a]
-            dp = _PathDP(g, a)
-            assert dp.states_visited == ref.states_visited, (seed, a)
-            assert set(path_dp_states(g, a)) == ref.state_set(), (seed, a)
-            for last in {h_path, n + 1 - h_path, h_cycle}:
-                bounded = _PathDP(g, a, last)
+        kept = {
+            (a, far): completion_kept_layers(g, a, far)
+            for a in range(n)
+            for far in (None, *range(n))
+            if far != a
+        }
+        full_dps = {}
+        for (a, far), want in kept.items():
+            dp = full_dps[a, far] = _PathDP(g, a, far=far)
+            assert layer_sets(dp) == want, (seed, a, far)
+            assert dp.states_visited == sum(map(len, want)), (seed, a, far)
+            lasts = {h_path, n + 1 - h_path} | ({h_cycle} if far is None else set())
+            for last in lasts:
+                bounded = _PathDP(g, a, last, far)
                 keys = bounded.all_state_keys()
                 assert len(keys) == len(set(keys)) == bounded.states_visited
-                assert set(keys) == ref.state_set(last), (seed, a, last)
+                assert layer_sets(bounded) == want[:last], (seed, a, far, last)
+        for a in range(n):
+            ref = refs[a]
+            assert set(path_dp_states(g, a)) == set().union(*kept[a, None]), (seed, a)
             for b in range(n):
                 if b == a:
                     continue
                 found = ref.path(b)
-                assert full_cost(dp, b) == (None if found is None else found[0]), (seed, a, b)
+                dp = full_dps[a, b]
+                cost = None if found is None else found[0]
+                assert full_cost(dp) == cost, (seed, a, b)
                 res = ham_path(g, a, b)
                 if found is not None:
-                    assert full_path(dp, b) == found[1], (seed, a, b)
+                    assert full_path(dp) == found[1], (seed, a, b)
                     weight, first, second = reference_join(
                         ref, h_path, refs[b], n + 1 - h_path, 0
                     )
                     assert weight == found[0], (seed, a, b)
                     assert (res.weight, res.order) == (weight, first + second[-2::-1])
-                    assert res.states_visited == (
-                        ref.state_count(h_path) + refs[b].state_count(n + 1 - h_path)
+                    assert res.states_visited == sum(
+                        map(len, kept[a, b][:h_path] + kept[b, a][: n + 1 - h_path])
                     ), (seed, a, b)
                     assert tour_weight(g, res.order, cycle=False) == res.weight
                 else:
@@ -362,31 +417,80 @@ def test_path_dp_matches_sorted_key_reference():
             weight, first, second = reference_join(ref, h_cycle, ref, n + 2 - h_cycle, 1 << a)
             assert weight == expected[0], seed
             order = first + second[-2:0:-1]
-            assert as_tuple(got) == (weight, order, ref.state_count(h_cycle)), seed
+            states = sum(map(len, kept[a, None][:h_cycle]))
+            assert as_tuple(got) == (weight, order, states), seed
             assert tour_weight(g, got.order, cycle=True) == got.weight
 
 
 def test_every_stored_state_reconstructs_as_the_reference():
     """With no parent tables, reconstruct walks back by the smallest
     neighbour whose cost plus the arc weight gives the state's cost: from
-    every stored state of every layer it rebuilds the path the reference's
-    parent table keeps (smallest cheapest parent), and that path covers the
-    state's mask, ends at its endpoint and weighs the stored cost."""
+    every kept state of every layer, for the cycle rule and for every far
+    end, it rebuilds the path the unpruned reference's parent table keeps
+    (smallest cheapest parent), the state's cost is the reference's, and
+    that path covers the state's mask, ends at its endpoint and weighs the
+    stored cost.  Far ends are swept on the graphs with n <= 9 only, which
+    keeps the run short."""
     for seed in range(40):
         g = tie_heavy_graph(seed + 7000, n_max=11, n_min=4)
+        fars = range(g.n) if g.n <= 9 else ()
         for a in range(g.n):
             ref = SortedKeyPathDP(g, a)
-            dp = _PathDP(g, a)
-            for i, layer in enumerate(dp.layers):
-                for v, costs in enumerate(layer):
-                    for mask, cost in costs.items():
-                        order = dp.reconstruct(v, mask)
-                        assert order == ref.trace(mask, v), (seed, a, mask, v)
-                        assert ref.layers[i][mask << 6 | v] == cost
-                        assert len(order) == i + 1 and order[0] == a
-                        assert sum(1 << x for x in set(order)) == mask
-                        steps = zip(order, order[1:])
-                        assert sum(g.weight(u, x) for u, x in steps) == cost
+            for far in (None, *fars):
+                if far == a:
+                    continue
+                dp = _PathDP(g, a, far=far)
+                for i, layer in enumerate(dp.layers):
+                    for v, costs in enumerate(layer):
+                        for mask, cost in costs.items():
+                            order = dp.reconstruct(v, mask)
+                            assert order == ref.trace(mask, v), (seed, a, far, mask, v)
+                            assert ref.layers[i][mask << 6 | v] == cost
+                            assert len(order) == i + 1 and order[0] == a
+                            assert sum(1 << x for x in set(order)) == mask
+                            steps = zip(order, order[1:])
+                            assert sum(g.weight(u, x) for u, x in steps) == cost
+
+
+def hamiltonian_paths(g: Graph, a: int):
+    """Every Hamiltonian path of g that starts at a, as a vertex order."""
+    stack = [(a,)]
+    while stack:
+        order = stack.pop()
+        if len(order) == g.n:
+            yield order
+            continue
+        stack.extend(order + (v,) for v in g.neighbors(order[-1]) if v not in order)
+
+
+def test_every_state_on_a_tour_is_kept():
+    """The completion test never drops a state a tour passes through: every
+    prefix of every Hamiltonian cycle through a, either way round, is kept
+    by the cycle DP from a, and every prefix of every Hamiltonian a-b path
+    by the DP from a with far end b (the b..a direction is the same check
+    from b)."""
+    graphs = [tie_heavy_graph(seed + 7000, n_max=8, n_min=3) for seed in range(40)]
+    graphs += [complete_graph(6), cycle_graph(7), petersen_graph()]
+    cycles = paths = 0
+    for g in graphs:
+        for a in range(g.n):
+            cycle_states = set(path_dp_states(g, a))
+            path_states = {}
+            for order in hamiltonian_paths(g, a):
+                b = order[-1]
+                if b not in path_states:
+                    path_states[b] = set(_PathDP(g, a, far=b).all_state_keys())
+                prefixes = set()
+                mask = 0
+                for v in order:
+                    mask |= 1 << v
+                    prefixes.add((mask, v))
+                assert prefixes <= path_states[b], (g, order)
+                paths += 1
+                if g.has_edge(b, a):
+                    assert prefixes <= cycle_states, (g, order)
+                    cycles += 1
+    assert cycles > 1000 and paths > 10000
 
 
 # --- the half-way join: edge cases ----------------------------------------
