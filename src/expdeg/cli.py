@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 from . import generate, oracles, pm_bipartite, pm_dp, pm_inex, structure, tsp
 from .bitset import bits
+from .counting import exact_fraction
 from .errors import CapacityError, ExpdegError
 from .graphs import BipartiteGraph, Graph, degree_profile, parse_graph, serialize_graph
 
@@ -300,12 +301,14 @@ def run_bench(
                 task = {
                     "algo": algo, "model": model, "n": n, "seed": seed, "alpha": alpha
                 }
+                # m in exact arithmetic from the decimal d: a float n * d
+                # overflows for a huge d and drifts off an exact half
                 if bipartite:
-                    task["m"] = max(2 * n, round(n * d))
+                    task["m"] = max(2 * n, round(n * exact_fraction(d)))
                 elif model == "regular":
                     task["d"] = int(d)
                 else:
-                    task["m"] = round(n * d / 2)
+                    task["m"] = round(n * exact_fraction(d) / 2)
                 tasks.append(task)
 
     threads = os.environ.get("EXPDEG_THREADS", "1")

@@ -20,6 +20,7 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     total = n * (n - 1) // 2
     if m > total:
         raise ValueError(f"m={m} exceeds {total} possible edges on {n} vertices")
+    Graph(n, ())  # refuse a size over the vertex capacity before drawing
     rng = random.Random(seed)
     chosen = [_unrank_pair(n, i) for i in rng.sample(range(total), m)]
     return Graph.from_edges(n, chosen)
@@ -44,6 +45,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"degree d={d} infeasible for n={n}")
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
+    Graph(n, ())  # refuse a size over the vertex capacity before drawing
     if d == 0:
         return Graph.from_edges(n, [])
     rng = random.Random(seed)
@@ -70,6 +72,7 @@ def random_bipartite(k: int, m: int, seed: int) -> BipartiteGraph:
     total = k * k
     if m > total:
         raise ValueError(f"m={m} exceeds {total} possible edges for k={k}")
+    BipartiteGraph(k, ())  # refuse a side over the vertex capacity before drawing
     rng = random.Random(seed)
     chosen = [divmod(i, k) for i in rng.sample(range(total), m)]
     return BipartiteGraph.from_edges(k, chosen)

@@ -1,14 +1,13 @@
-"""Bipartite perfect-matching counting by one-sided subset DP with a
-low-degree skip rule, plus a Ryser permanent baseline.
+"""Bipartite perfect-matching counting by a forward one-sided subset DP,
+plus a Ryser permanent baseline.
 
 After peeling forced degree-0/1 vertices, a block B0 of the lowest-degree
 B-vertices is chosen and the A side is ordered so that vertices with no
-neighbor in B0 come first.  The DP value for X (a subset of B) counts
-matchings of the first |X| A-vertices into X; while |X| is small enough
-that only B0-free A-vertices have been consumed, any X touching B0 leaves
-an isolated vertex and counts zero, so those calls are skipped and never
-stored.  The number of memoized states is therefore bounded by an explicit
-formula instead of 2^k.
+neighbor in B0 come first.  Level i maps each subset Y of B with |Y| = i to
+the number of matchings of the first i A-vertices into Y, and drops Y when
+a B-vertex outside it has no neighbor among the A-vertices still to come.
+While only B0-free A-vertices have been matched, every kept set misses B0,
+so the kept sets are bounded by an explicit formula instead of 2^k.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ class ReducedInstance:
     graph: BipartiteGraph
     feasible: bool
     forced_pairs: tuple[tuple[int, int], ...]
-    a_orig: tuple[int, ...]
-    b_orig: tuple[int, ...]
 
 
 def reduce_degree_one(g: BipartiteGraph) -> ReducedInstance:
@@ -70,7 +67,7 @@ def reduce_degree_one(g: BipartiteGraph) -> ReducedInstance:
         iso_b = next((j for j in sorted(alive_b) if not adj_b[j]), None)
         if iso_a is not None or iso_b is not None:
             return ReducedInstance(
-                BipartiteGraph.from_edges(0, []), False, tuple(forced), (), ()
+                BipartiteGraph.from_edges(0, []), False, tuple(forced)
             )
         deg1_a = next((i for i in sorted(alive_a) if len(adj_a[i]) == 1), None)
         if deg1_a is not None:
@@ -94,7 +91,7 @@ def reduce_degree_one(g: BipartiteGraph) -> ReducedInstance:
         (a_new[i], b_new[j]) for i in a_orig for j in adj_a[i]
     ]
     reduced = BipartiteGraph.from_edges(len(a_orig), edges)
-    return ReducedInstance(reduced, True, tuple(forced), a_orig, b_orig)
+    return ReducedInstance(reduced, True, tuple(forced))
 
 
 @dataclass(frozen=True)
@@ -102,27 +99,26 @@ class TrimPlan:
     """b0: lowest-degree block on side B; order_a puts A-vertices with no
     neighbor in b0 first; low_card_limit = floor((1 - 1/alpha) * k)."""
 
-    k: int
     alpha: Fraction
     d: Fraction
     b0: tuple[int, ...]
-    b0_mask: int
     a0: tuple[int, ...]
     order_a: tuple[int, ...]
     low_card_limit: int
 
 
 def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> TrimPlan:
-    """Choose the skip block and A-side order for a minimum-degree-2 instance.
+    """Choose the block B0 and A-side order for a minimum-degree-2 instance.
 
     b0 holds the floor(k/(alpha*d)) smallest-degree B-vertices (ties by
     index) where d = m/k exactly; its neighborhood a0 then has at most
-    k/alpha vertices, which is what makes the skip rule sound.
+    k/alpha vertices, so the first low_card_limit A-vertices of order_a
+    have no neighbor in b0: no kept set of at most that size meets it.
     """
     alpha = _check_alpha(alpha)
     k = g.k
     if k == 0:
-        return TrimPlan(0, alpha, Fraction(0), (), 0, (), (), 0)
+        return TrimPlan(alpha, Fraction(0), (), (), (), 0)
     if any(len(g.adj_a[i]) < 2 for i in range(k)) or any(
         len(g.adj_b[j]) < 2 for j in range(k)
     ):
@@ -135,12 +131,10 @@ def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> Tri
     for j in b0:
         a0.update(g.adj_b[j])
     if len(a0) * alpha > k:
-        raise AssertionError("skip block neighborhood exceeds k/alpha")
+        raise AssertionError("b0 neighborhood exceeds k/alpha")
     order_a = tuple(i for i in range(k) if i not in a0) + tuple(sorted(a0))
     low_card_limit = math.floor((1 - 1 / alpha) * k)
-    return TrimPlan(
-        k, alpha, d, b0, mask_of(b0), tuple(sorted(a0)), order_a, low_card_limit
-    )
+    return TrimPlan(alpha, d, b0, tuple(sorted(a0)), order_a, low_card_limit)
 
 
 @dataclass(frozen=True)
@@ -154,14 +148,40 @@ class BipCountResult:
     alpha: Fraction
 
 
+def _levels(h: BipartiteGraph, order_a: tuple[int, ...]):
+    """Yield (kept, dropped) per level i = 0..k.  kept maps each set Y with
+    |Y| = i to its number of matchings of order_a[:i] into Y.  A new set is
+    dropped, and counted once per parent that built it, when some B-vertex
+    outside it has no neighbor in order_a[i:].  Two levels are live at once."""
+    full = (1 << h.k) - 1
+    nbr = [mask_of(h.adj_a[a]) for a in order_a]
+    later = [0] * h.k  # later[i]: the B-vertices order_a[i + 1:] reach
+    for i in range(h.k - 1, 0, -1):
+        later[i - 1] = later[i] | nbr[i]
+    level = {0: 1}
+    yield level, 0
+    for a_mask, reach in zip(nbr, later):
+        built: dict[int, int] = {}
+        dropped = 0
+        for y, ways in level.items():
+            free = a_mask & ~y
+            while free:
+                low = free & -free
+                free ^= low
+                child = y | low
+                if child | reach == full:
+                    built[child] = built.get(child, 0) + ways
+                else:
+                    dropped += 1
+        level = built
+        yield level, dropped
+
+
 def count_pm_bipartite(
     g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA
 ) -> BipCountResult:
-    """Exact perfect-matching count with skip-rule memoization statistics.
-
-    Top-down evaluation from the full B set; calls hitting the skip rule
-    return zero without being memoized, everything else is cached.
-    """
+    """Exact perfect-matching count by one forward pass over _levels; stored
+    states are the kept sets of all levels, pruned calls the dropped ones."""
     alpha = _check_alpha(alpha)
     red = reduce_degree_one(g)
     if not red.feasible:
@@ -171,39 +191,17 @@ def count_pm_bipartite(
     if k == 0:
         return BipCountResult(1, 0, 0, 0, 0, Fraction(0), alpha)
     plan = plan_trim(h, alpha)
-    nbr_mask = [mask_of(h.adj_a[i]) for i in range(k)]
-    order_a = plan.order_a
-    b0_mask = plan.b0_mask
-    limit = plan.low_card_limit
-    memo: dict[int, int] = {}
-    pruned = 0
-
-    def value(x_mask: int) -> int:
-        nonlocal pruned
-        if x_mask == 0:
-            memo[0] = 1
-            return 1
-        size = x_mask.bit_count()
-        if size <= limit and x_mask & b0_mask:
-            pruned += 1
-            return 0
-        cached = memo.get(x_mask)
-        if cached is not None:
-            return cached
-        a = order_a[size - 1]
-        total = 0
-        for j in bits(nbr_mask[a] & x_mask):
-            total += value(x_mask & ~(1 << j))
-        memo[x_mask] = total
-        return total
-
-    count = value((1 << k) - 1)
-    return BipCountResult(count, len(memo), pruned, len(plan.b0), k, plan.d, alpha)
+    stored = pruned = 0
+    for level, dropped in _levels(h, plan.order_a):
+        stored += len(level)
+        pruned += dropped
+    count = level.get((1 << k) - 1, 0)
+    return BipCountResult(count, stored, pruned, len(plan.b0), k, plan.d, alpha)
 
 
 def stored_state_bound(k: int, d: Fraction, alpha: Fraction) -> int:
-    """Explicit cap on memoized states: 2^(k - floor(k/(alpha d)) + 1)
-    + k * C(k, ceil(k/alpha)) + 1."""
+    """Explicit cap on the kept sets of all levels, the empty set included:
+    2^(k - floor(k/(alpha d)) + 1) + k * C(k, ceil(k/alpha)) + 1."""
     b0_size = math.floor(Fraction(k, alpha * d)) if d else 0
     return (
         2 ** (k - b0_size + 1)

@@ -267,15 +267,21 @@ def test_gen_draws_match_the_full_pair_list():
 
 @pytest.mark.parametrize(
     "argv",
-    [["--model", "gnm", "--n", "20000"], ["--model", "bipartite", "--k", "10000"]],
+    [
+        ["--model", "gnm", "--n", "20000", "--m", "5"],
+        ["--model", "bipartite", "--k", "10000", "--m", "5"],
+        ["--model", "regular-3", "--n", "100000"],
+        ["--model", "gnm", "--n", "2000", "--m", "100000"],
+        ["--model", "bipartite", "--k", "1000", "--m", "100000"],
+    ],
 )
 def test_gen_sparse_draw_on_many_vertices_stays_small(capsys, argv):
-    """Drawing 5 edges takes O(5) memory whatever n is; a graph that large is
-    over the vertex cap, so gen refuses it at once with exit 3."""
+    """A graph over the vertex cap is refused before any edge is drawn, so
+    gen exits 3 at once in small memory, however many edges it asks for."""
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        code = main(["gen", *argv, "--m", "5", "--seed", "1"])
+        code = main(["gen", *argv, "--seed", "1"])
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -369,6 +375,10 @@ def test_type_mismatch_is_input_error(tmp_path, capsys):
         ["bench", "--algo", "count-pm-inex", "--sizes", "6", "--degrees", "nan",
          "--seeds", "1"],
         ["stats", "--alpha", "abc"],
+        ["bench", "--algo", "tsp", "--sizes", "10", "--degrees", "1e308",
+         "--seeds", "1"],
+        ["bench", "--algo", "count-pm-bip", "--sizes", "10", "--degrees", "1e308",
+         "--seeds", "1"],
     ],
 )
 def test_bad_numeric_flags_exit_2(capsys, k4_file, k33_file, argv):
@@ -601,7 +611,9 @@ def test_swap_sides_keeps_the_count(capsys, tmp_path):
 
 # --- argv fuzz ------------------------------------------------------------------
 
-FUZZ_VALUES = ["1/0", "0", "-1", "inf", "nan", "1e40", "3.55", "abc", "1", "2", "3", "8"]
+FUZZ_VALUES = [
+    "1/0", "0", "-1", "inf", "nan", "1e40", "1e308", "3.55", "abc", "1", "2", "3", "8"
+]
 FUZZ_SIZES = ["-1", "0", "1", "2", "4", "6", "8", "abc"]
 
 

@@ -1,5 +1,7 @@
-"""Bipartite counter: peeling, trim plan, skip rule, state bound, baselines."""
+"""Bipartite counter: peeling, trim plan, forward levels, state bound,
+baselines."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from expdeg import (
     stored_state_bound,
 )
 from expdeg.bitset import bits
-from expdeg.pm_bipartite import DEFAULT_ALPHA
+from expdeg.pm_bipartite import DEFAULT_ALPHA, _levels
 from conftest import complete_bipartite, seeded_bipartite
 
 ALPHAS = (Fraction(5, 2), Fraction("3.55"), Fraction(5))
@@ -104,16 +106,13 @@ def test_plan_rejects_degree_one():
 
 
 def test_plan_prefix_avoids_block_neighborhood():
-    import math
-
     for seed in range(20):
         k = 6 + (seed % 6)
         g = random_bipartite_min2(k, 2 * k + seed % 5, seed)
         plan = plan_trim(g)
         assert len(plan.a0) * plan.alpha <= k
         b0 = set(plan.b0)
-        limit = math.floor((1 - 1 / plan.alpha) * k)
-        for pos in range(limit):
+        for pos in range(plan.low_card_limit):
             a = plan.order_a[pos]
             assert not (set(g.adj_a[a]) & b0)
 
@@ -149,32 +148,77 @@ def test_ryser_examples():
     assert ryser_permanent(BipartiteGraph.from_edges(0, [])) == 1
 
 
-# --- skip rule and state accounting ----------------------------------------------
+# --- forward levels and state accounting ----------------------------------------
 
 
-def test_pruned_sets_are_provably_zero():
-    """Exhaustive check of the skip rule: every subset X of B it could fire
-    on (|X| <= low_card_limit and X meets the block b0), whether or not the
-    DP reaches it, holds a block vertex with no neighbour among the first
-    |X| A-vertices of order_a, so X counts zero."""
-    fired = 0
+def test_levels_keep_exactly_the_completable_matchable_sets():
+    """Brute force over every subset Y of B, level by level: the kept sets
+    at level i are exactly the Y with |Y| = i that order_a[:i] can match
+    perfectly and whose outside B-vertices all have a neighbour in
+    order_a[i:], each with its matching count; the dropped count is the
+    (kept parent, new vertex) pairs whose set fails that test; every level
+    still accounts for every perfect matching; and no kept set of at most
+    low_card_limit vertices meets b0."""
+    pruned = 0
     cases = [random_bipartite_min2(8, 16, seed) for seed in range(6)]
     cases += [random_bipartite_min2(10, 21, seed) for seed in range(6)]
     cases += [seeded_bipartite(seed + 400, 8, k_min=4) for seed in range(30)]
     for idx, g in enumerate(cases):
-        fired += count_pm_bipartite(g).pruned_calls
+        res = count_pm_bipartite(g)
+        pruned += res.pruned_calls
         red = reduce_degree_one(g)
         if not red.feasible or red.graph.k == 0:
             continue
         h = red.graph
+        k = h.k
         plan = plan_trim(h)
-        for x_mask in range(1, 1 << h.k):
-            if x_mask.bit_count() > plan.low_card_limit or not x_mask & plan.b0_mask:
-                continue
-            prefix = set(plan.order_a[: x_mask.bit_count()])
-            hit = [j for j in bits(x_mask & plan.b0_mask) if not set(h.adj_b[j]) & prefix]
-            assert hit, (idx, bin(x_mask))
-    assert fired > 0  # the rule must actually fire somewhere
+        order = plan.order_a
+        full = (1 << k) - 1
+
+        @functools.lru_cache(maxsize=None)
+        def matchings(lo: int, hi: int, y: int) -> int:
+            # perfect matchings of order[lo:hi] onto the B-vertices of y
+            if lo == hi:
+                return int(y == 0)
+            return sum(
+                matchings(lo + 1, hi, y & ~(1 << j))
+                for j in h.adj_a[order[lo]]
+                if y >> j & 1
+            )
+
+        def completable(i: int, y: int) -> bool:
+            return all(set(h.adj_b[j]) & set(order[i:]) for j in bits(full & ~y))
+
+        levels = list(_levels(h, order))
+        assert len(levels) == k + 1
+        total = matchings(0, k, full)
+        assert res.count == total == ryser_permanent(h), idx
+        assert res.stored_states == sum(len(kept) for kept, _ in levels)
+        assert res.pruned_calls == sum(dropped for _, dropped in levels)
+        for i, (kept, dropped) in enumerate(levels):
+            want = {}
+            for y in range(full + 1):
+                if y.bit_count() == i and completable(i, y):
+                    ways = matchings(0, i, y)
+                    if ways:
+                        want[y] = ways
+            assert kept == want, (idx, i)
+            assert total == sum(
+                ways * matchings(i, k, full & ~y) for y, ways in kept.items()
+            ), (idx, i)
+            if i <= plan.low_card_limit:
+                assert not any(j in plan.b0 for y in kept for j in bits(y)), (idx, i)
+            if i:
+                a = order[i - 1]
+                assert dropped == sum(
+                    not completable(i, y | 1 << j)
+                    for y in levels[i - 1][0]
+                    for j in h.adj_a[a]
+                    if not y >> j & 1
+                ), (idx, i)
+            else:
+                assert dropped == 0
+    assert pruned > 0  # the prune must actually drop sets somewhere
 
 
 def test_stored_state_bound_holds():
