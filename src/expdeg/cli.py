@@ -283,9 +283,10 @@ def run_bench(
     alpha: Fraction | str = "3.55",
 ) -> tuple[list[dict], list[dict]]:
     """Build the instance grid, run it (optionally in parallel), and return
-    (rows, per-(n, d) summary).  Rows are sorted by (n, d, seed) so worker
-    scheduling never changes the artifact.  count-pm-bip runs the
-    'bipartite' model, the others 'gnm' or 'regular' (whole degrees)."""
+    (rows, per-(n, d) summary).  Rows are sorted by (n, d, seed), d as an
+    exact number, so worker scheduling never changes the artifact.
+    count-pm-bip runs the 'bipartite' model, the others 'gnm' or 'regular'
+    (whole degrees)."""
     bipartite = SOLVERS[algo].kind is BipartiteGraph
     if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
@@ -325,13 +326,14 @@ def run_bench(
             rows = list(pool.map(_bench_instance, tasks))
     else:
         rows = [_bench_instance(t) for t in tasks]
-    rows.sort(key=lambda r: (r["n"], r["avg_degree"], r["seed"]))
+    # d in numeric order: as strings "10" would sort before "3" and "5/2"
+    rows.sort(key=lambda r: (r["n"], Fraction(r["avg_degree"]), r["seed"]))
 
     groups: dict[tuple[int, str], list[dict]] = {}
     for row in rows:
         groups.setdefault((row["n"], row["avg_degree"]), []).append(row)
     summary = []
-    for (n, d), group in sorted(groups.items()):
+    for (n, d), group in groups.items():  # in row order
         # the mean skips rows that stored no states (a graph without a tour)
         vals = [row["log2_states_ratio"] for row in group if row["states"] > 0]
         mean = round(sum(vals) / len(vals), 6) if vals else 0.0

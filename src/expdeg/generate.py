@@ -15,11 +15,18 @@ from .graphs import BipartiteGraph, Graph
 _REGULAR_ATTEMPTS = 100_000
 
 
+def _too_many_edges(m: int, total: int, where: str) -> ValueError:
+    """The error for m over the pair count; a huge m (from a huge bench
+    degree) is not printed in full, so the message stays one short line."""
+    shown = f"m={m}" if m < 10**18 else "m (over 10^18)"
+    return ValueError(f"{shown} exceeds {total} possible edges {where}")
+
+
 def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph with exactly n vertices and m edges."""
     total = n * (n - 1) // 2
     if m > total:
-        raise ValueError(f"m={m} exceeds {total} possible edges on {n} vertices")
+        raise _too_many_edges(m, total, f"on {n} vertices")
     Graph(n, ())  # refuse a size over the vertex capacity before drawing
     rng = random.Random(seed)
     chosen = [_unrank_pair(n, i) for i in rng.sample(range(total), m)]
@@ -71,7 +78,7 @@ def random_bipartite(k: int, m: int, seed: int) -> BipartiteGraph:
     """Uniform bipartite graph with sides of size k and exactly m edges."""
     total = k * k
     if m > total:
-        raise ValueError(f"m={m} exceeds {total} possible edges for k={k}")
+        raise _too_many_edges(m, total, f"for k={k}")
     BipartiteGraph(k, ())  # refuse a side over the vertex capacity before drawing
     rng = random.Random(seed)
     chosen = [divmod(i, k) for i in rng.sample(range(total), m)]
@@ -88,7 +95,7 @@ def random_bipartite_min2(k: int, m: int, seed: int) -> BipartiteGraph:
     if m < 2 * k:
         raise ValueError(f"need m >= 2k, got m={m}, k={k}")
     if m > k * k:
-        raise ValueError(f"m={m} exceeds {k * k} possible edges for k={k}")
+        raise _too_many_edges(m, k * k, f"for k={k}")
     BipartiteGraph(k, ())  # refuse a side over the vertex capacity before drawing
     rng = random.Random(seed)
     while True:

@@ -24,12 +24,30 @@ from .errors import CapacityError, InputFormatError
 VERTEX_CAPACITY = 64
 
 
+class _EdgeError(ValueError):
+    """A bad edge; `index` is its position in the order the edges were given."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _check_size(size: int, what: str) -> None:
+    if size < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    if size > VERTEX_CAPACITY:
+        raise CapacityError(f"{what} is {size}, capacity is {VERTEX_CAPACITY}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected weighted graph on vertices 0..n-1.
 
-    edges holds canonical (u, v, w) triples with u < v, sorted; adjacency
-    is derived and symmetric.  No self-loops, no parallel edges.
+    The constructor takes (u, v, w) triples in any order and orientation and
+    checks each in turn: int endpoints in range, no self-loop, no duplicate
+    in either orientation, an int weight >= 0.  edges then holds the
+    canonical triples with u < v, sorted; adjacency is derived, symmetric
+    and sorted by neighbour.
     """
 
     n: int
@@ -39,46 +57,39 @@ class Graph:
     )
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if self.n > VERTEX_CAPACITY:
-            raise CapacityError(
-                f"graph has {self.n} vertices, capacity is {VERTEX_CAPACITY}"
-            )
+        n = self.n
+        _check_size(n, "vertex count")
         seen = set()
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        canon = []
+        for index, (u, v, w) in enumerate(self.edges):
+            if type(u) is not int or type(v) is not int:
+                raise _EdgeError(f"edge ({u!r},{v!r}) has a non-integer endpoint", index)
+            if not (0 <= u < n and 0 <= v < n):
+                raise _EdgeError(f"edge ({u},{v}) out of range for n={n}", index)
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                raise ValueError("edges must be stored as (u, v, w) with u < v")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise _EdgeError(f"self-loop at vertex {u}", index)
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise _EdgeError(f"duplicate edge ({u},{v})", index)
+            if type(w) is not int:
+                raise _EdgeError(f"weight {w!r} on edge ({u},{v}) is not an integer", index)
             if w < 0:
-                raise ValueError(f"negative weight on edge ({u},{v})")
-            seen.add((u, v))
+                raise _EdgeError(f"negative weight on edge ({u},{v})", index)
+            seen.add(key)
+            canon.append((*key, w))
+        canon.sort()
+        # sorted edges fill every adjacency list in neighbour order
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for u, v, w in canon:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        object.__setattr__(
-            self, "adjacency", tuple(tuple(sorted(a)) for a in adj)
-        )
+        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
-        """Build from (u, v) pairs or (u, v, w) triples in any order."""
-        canon = []
-        for e in edges:
-            if len(e) == 2:
-                u, v = e
-                w = 1
-            else:
-                u, v, w = e
-            if u > v:
-                u, v = v, u
-            canon.append((u, v, w))
-        return cls(n, tuple(sorted(canon)))
+        """Build from (u, v) pairs, weight 1, or (u, v, w) triples."""
+        return cls(n, [(*e, 1) if len(e) == 2 else e for e in edges])
 
     @property
     def m(self) -> int:
@@ -102,7 +113,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite graph with sides A and B of equal size k, edges (i, j)."""
+    """Bipartite graph with sides A and B of equal size k, edges (i, j).
+
+    The constructor takes the edges in any order and checks each in turn:
+    int indices in range, no duplicate.  edges then holds them sorted.
+    """
 
     k: int
     edges: tuple[tuple[int, int], ...]
@@ -110,36 +125,38 @@ class BipartiteGraph:
     adj_b: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("side size must be nonnegative")
-        if self.k > VERTEX_CAPACITY:
-            raise CapacityError(
-                f"bipartite side has {self.k} vertices, capacity is {VERTEX_CAPACITY}"
-            )
+        k = self.k
+        _check_size(k, "bipartite side size")
         seen = set()
-        adj_a: list[list[int]] = [[] for _ in range(self.k)]
-        adj_b: list[list[int]] = [[] for _ in range(self.k)]
-        for i, j in self.edges:
-            if not (0 <= i < self.k and 0 <= j < self.k):
-                raise ValueError(f"edge ({i},{j}) out of range for k={self.k}")
+        for index, (i, j) in enumerate(self.edges):
+            if type(i) is not int or type(j) is not int:
+                raise _EdgeError(f"edge ({i!r},{j!r}) has a non-integer index", index)
+            if not (0 <= i < k and 0 <= j < k):
+                raise _EdgeError(f"edge ({i},{j}) out of range for k={k}", index)
             if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
+                raise _EdgeError(f"duplicate edge ({i},{j})", index)
             seen.add((i, j))
+        edges = sorted(seen)
+        # sorted edges fill both adjacency sides in index order
+        adj_a: list[list[int]] = [[] for _ in range(k)]
+        adj_b: list[list[int]] = [[] for _ in range(k)]
+        for i, j in edges:
             adj_a[i].append(j)
             adj_b[j].append(i)
-        object.__setattr__(self, "adj_a", tuple(tuple(sorted(a)) for a in adj_a))
-        object.__setattr__(self, "adj_b", tuple(tuple(sorted(b)) for b in adj_b))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "adj_a", tuple(map(tuple, adj_a)))
+        object.__setattr__(self, "adj_b", tuple(map(tuple, adj_b)))
 
     @classmethod
     def from_edges(cls, k: int, edges) -> BipartiteGraph:
-        return cls(k, tuple(sorted((i, j) for i, j in edges)))
+        return cls(k, edges)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def transpose(self) -> BipartiteGraph:
-        return BipartiteGraph.from_edges(self.k, ((j, i) for i, j in self.edges))
+        return BipartiteGraph(self.k, [(j, i) for i, j in self.edges])
 
 
 @dataclass(frozen=True)
@@ -148,7 +165,6 @@ class DegreeProfile:
 
     histogram: dict[int, int]
     avg: Fraction
-    by_degree_asc: tuple[int, ...]
 
     @property
     def max_degree(self) -> int:
@@ -159,14 +175,13 @@ class DegreeProfile:
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    """Degree histogram, exact average degree and (degree, index) vertex order."""
+    """Degree histogram and exact average degree."""
     hist: dict[int, int] = {}
     for v in range(g.n):
         d = g.degree(v)
         hist[d] = hist.get(d, 0) + 1
     avg = Fraction(2 * g.m, g.n) if g.n else Fraction(0)
-    order = tuple(sorted(range(g.n), key=lambda v: (g.degree(v), v)))
-    return DegreeProfile(hist, avg, order)
+    return DegreeProfile(hist, avg)
 
 
 def pair_partner(v: int) -> int:
@@ -177,8 +192,9 @@ def pair_partner(v: int) -> int:
 def parse_graph(text: str) -> Graph | BipartiteGraph:
     """Parse the text format described in the module docstring.
 
-    Raises InputFormatError with a line number on malformed input and
-    CapacityError when the declared size exceeds the vertex capacity.
+    Raises InputFormatError with a line number on malformed input (for a
+    bad edge, the constructor's message) and CapacityError when the
+    declared size exceeds the vertex capacity.
     """
     lines = text.splitlines()
     content: list[tuple[int, list[str]]] = []
@@ -213,47 +229,23 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
             f"header declares {m} edges but {len(body)} edge lines found", header_line
         )
 
+    # the constructor checks the edges; a bad one is reported at its line
     if header[0] == "graph":
-        seen: set[tuple[int, int]] = set()
-        edges = []
-        for line_no, tok in body:
-            if len(tok) not in (2, 3):
-                raise InputFormatError("edge line must be 'u v' or 'u v w'", line_no)
-            try:
-                nums = [int(t) for t in tok]
-            except ValueError:
-                raise InputFormatError("edge fields must be integers", line_no) from None
-            u, v = nums[0], nums[1]
-            w = nums[2] if len(nums) == 3 else 1
-            if not (0 <= u < size and 0 <= v < size):
-                raise InputFormatError(f"vertex index out of range [0,{size})", line_no)
-            if u == v:
-                raise InputFormatError(f"self-loop at vertex {u}", line_no)
-            if w < 0:
-                raise InputFormatError("negative weight", line_no)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InputFormatError(f"duplicate edge ({key[0]},{key[1]})", line_no)
-            seen.add(key)
-            edges.append((key[0], key[1], w))
-        return Graph(size, tuple(sorted(edges)))
-
-    seen_b: set[tuple[int, int]] = set()
-    bedges = []
+        kind, arity, shape = Graph, (2, 3), "edge line must be 'u v' or 'u v w'"
+    else:
+        kind, arity, shape = BipartiteGraph, (2,), "bipartite edge line must be 'i j'"
+    edges = []
     for line_no, tok in body:
-        if len(tok) != 2:
-            raise InputFormatError("bipartite edge line must be 'i j'", line_no)
+        if len(tok) not in arity:
+            raise InputFormatError(shape, line_no)
         try:
-            i, j = int(tok[0]), int(tok[1])
+            edges.append(tuple(map(int, tok)))
         except ValueError:
             raise InputFormatError("edge fields must be integers", line_no) from None
-        if not (0 <= i < size and 0 <= j < size):
-            raise InputFormatError(f"vertex index out of range [0,{size})", line_no)
-        if (i, j) in seen_b:
-            raise InputFormatError(f"duplicate edge ({i},{j})", line_no)
-        seen_b.add((i, j))
-        bedges.append((i, j))
-    return BipartiteGraph(size, tuple(sorted(bedges)))
+    try:
+        return kind.from_edges(size, edges)
+    except _EdgeError as exc:
+        raise InputFormatError(str(exc), body[exc.index][0]) from None
 
 
 def serialize_graph(g: Graph | BipartiteGraph) -> str:

@@ -391,6 +391,25 @@ def test_bad_numeric_flags_exit_2(capsys, k4_file, k33_file, argv):
     assert "error: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--algo", "tsp", "--sizes", "10", "--degrees", "1e308",
+         "--seeds", "1"],
+        ["bench", "--algo", "count-pm-bip", "--sizes", "10", "--degrees", "1e308",
+         "--seeds", "1"],
+        ["gen", "--model", "gnm", "--n", "10", "--m", str(10**300), "--seed", "1"],
+        ["gen", "--model", "bipartite", "--k", "10", "--m", str(10**300),
+         "--seed", "1"],
+    ],
+)
+def test_huge_m_error_is_one_short_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "exceeds" in err and err.count("\n") == 1 and len(err) < 200
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("alpha", ["1e40", "1e400", "3." + "0" * 60 + "1"])
 def test_stats_large_alpha_returns(tmp_path, alpha):
     path = tmp_path / "c6.txt"
@@ -456,6 +475,17 @@ def test_bench_rows_and_summary():
         # generic key-space cap: cover keys X plus path keys (X, a, b, x)
         k = row["n"] // 2
         assert row["states"] <= (2**k) * (1 + 2 * k * k)
+
+
+def test_bench_orders_rows_and_summary_by_numeric_degree(capsys):
+    argv = ["bench", "--algo", "count-pm-dp", "--sizes", "12", "--degrees", "10",
+            "2.5", "3", "--seeds", "2", "1"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert [(r["avg_degree"], r["seed"]) for r in payload["rows"]] == [
+        ("5/2", 1), ("5/2", 2), ("3", 1), ("3", 2), ("10", 1), ("10", 2)
+    ]
+    assert [s["avg_degree"] for s in payload["summary"]] == ["5/2", "3", "10"]
 
 
 def test_bench_tsp_generic_state_bound():
@@ -664,11 +694,21 @@ def fuzz_argv(draw, inputs):
         algos = ["tsp", "count-pm-dp", "count-pm-inex", "count-pm-bip"]
         argv += ["--algo", draw(st.sampled_from(algos))]
         if draw(st.booleans()):
-            argv += ["--model", draw(st.sampled_from(["gnm", "regular", "bipartite"]))]
-        sizes = st.lists(st.sampled_from(FUZZ_SIZES), min_size=1, max_size=2)
-        argv += ["--sizes", *draw(sizes)]
-        argv += ["--degrees", *draw(st.lists(value, min_size=1, max_size=2))]
-        argv += ["--seeds", *draw(st.lists(value, min_size=1, max_size=2))]
+            # the algorithm's own model, a valid size and seed, and finite
+            # degrees, so the degrees alone decide the outcome (m for 1e308
+            # must be computed without overflow)
+            finite = [v for v in FUZZ_VALUES if v not in ("1/0", "inf", "nan", "abc")]
+            degrees = st.lists(st.sampled_from(finite), min_size=1, max_size=4, unique=True)
+            argv += ["--sizes", draw(st.sampled_from(["4", "8"])),
+                     "--degrees", *draw(degrees), "--seeds", "1"]
+        else:
+            if draw(st.booleans()):
+                models = ["gnm", "regular", "bipartite"]
+                argv += ["--model", draw(st.sampled_from(models))]
+            sizes = st.lists(st.sampled_from(FUZZ_SIZES), min_size=1, max_size=2)
+            argv += ["--sizes", *draw(sizes)]
+            argv += ["--degrees", *draw(st.lists(value, min_size=1, max_size=2))]
+            argv += ["--seeds", *draw(st.lists(value, min_size=1, max_size=2))]
         if draw(st.booleans()):
             argv += ["--alpha", draw(value)]
     return argv

@@ -70,6 +70,73 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     assert "line" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("graph 2 1\n0 5", 2),
+        ("graph 3 2\n0 1\n1 1", 3),
+        ("graph 3 2\n0 1\n1 0", 3),
+        ("graph 3 3\n0 2\n0 1\n0 1", 4),
+        ("graph 3 2\n0 1\n1 2 -3", 3),
+        ("bigraph 2 2\n0 0\n3 1", 3),
+        ("bigraph 2 3\n0 0\n1 0\n0 0", 4),
+    ],
+)
+def test_parse_faults_carry_the_constructor_message(text, line):
+    # one message for a bad edge whichever path it takes; the parser adds
+    # the line the edge is on
+    header, *rows = text.splitlines()
+    kind = Graph if header.startswith("graph") else BipartiteGraph
+    size = int(header.split()[1])
+    with pytest.raises(ValueError) as built:
+        kind.from_edges(size, [tuple(map(int, row.split())) for row in rows])
+    with pytest.raises(InputFormatError) as parsed:
+        parse_graph(text)
+    assert str(parsed.value) == f"line {line}: {built.value}"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_edges(3, [(0, 1, 1.5), (1, 2, 1), (0, 2, 1)]),
+        lambda: Graph.from_edges(3, [(0, 1.0), (1, 2)]),
+        lambda: Graph.from_edges(3, [(True, 2), (0, 1)]),
+        lambda: Graph.from_edges(3, [(0, 1, True), (1, 2)]),
+        lambda: Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1.0)]),
+        lambda: BipartiteGraph.from_edges(2, [(0, 1.0)]),
+        lambda: BipartiteGraph.from_edges(2, [(0, 0), (False, 1)]),
+    ],
+    ids=[
+        "float-weight", "float-endpoint", "bool-endpoint", "bool-weight",
+        "float-weight-triple", "bip-float-index", "bip-bool-index",
+    ],
+)
+def test_constructors_reject_non_integer_edges(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_constructors_accept_any_order_and_orientation(seed, n):
+    import random
+
+    rng = random.Random(seed)
+    g = random_gnm(n, rng.randint(0, n * (n - 1) // 2), seed)
+    weighted = Graph.from_edges(n, [(u, v, rng.randint(0, 9)) for u, v, _ in g.edges])
+    mixed = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in weighted.edges]
+    rng.shuffle(mixed)
+    h = Graph(n, mixed)
+    assert h == weighted and h.edges == weighted.edges
+    assert h.adjacency == weighted.adjacency
+    bg = random_bipartite(n, rng.randint(0, n * n), seed)
+    shuffled = list(bg.edges)
+    rng.shuffle(shuffled)
+    hb = BipartiteGraph(n, shuffled)
+    assert hb == bg and (hb.adj_a, hb.adj_b) == (bg.adj_a, bg.adj_b)
+    assert hb.transpose().transpose() == bg
+
+
 def test_parse_rejects_over_capacity():
     with pytest.raises(CapacityError):
         parse_graph("graph 65 0\n")
@@ -140,11 +207,6 @@ def test_degree_profile_empty_graph():
     prof = degree_profile(empty_graph(0))
     assert prof.avg == 0
     assert prof.histogram == {}
-
-
-def test_degree_profile_tie_break_by_index():
-    g = path_graph(4)  # degrees 1,2,2,1
-    assert degree_profile(g).by_degree_asc == (0, 3, 1, 2)
 
 
 # --- pair partner --------------------------------------------------------
