@@ -36,7 +36,10 @@ def _check_size(size: int, what: str) -> None:
     if size < 0:
         raise ValueError(f"{what} must be nonnegative")
     if size > VERTEX_CAPACITY:
-        raise CapacityError(f"{what} is {size}, capacity is {VERTEX_CAPACITY}")
+        # a huge size (from the command line) is not printed in full, so the
+        # message stays one short line
+        shown = size if size < 10**18 else "over 10^18"
+        raise CapacityError(f"{what} is {shown}, capacity is {VERTEX_CAPACITY}")
 
 
 @dataclass(frozen=True)
@@ -218,10 +221,11 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
         raise InputFormatError("header sizes must be integers", header_line) from None
     if size < 0 or m < 0:
         raise InputFormatError("header sizes must be nonnegative", header_line)
-    if size > VERTEX_CAPACITY:
-        raise CapacityError(
-            f"line {header_line}: {size} vertices exceeds capacity {VERTEX_CAPACITY}"
-        )
+    what = "vertex count" if header[0] == "graph" else "bipartite side size"
+    try:
+        _check_size(size, what)
+    except CapacityError as exc:
+        raise CapacityError(f"line {header_line}: {exc}") from None
 
     body = content[1:]
     if len(body) != m:

@@ -214,11 +214,11 @@ def ryser_permanent(g: BipartiteGraph) -> int:
     """Permanent of the biadjacency matrix by subset inclusion-exclusion.
 
     Iterates column subsets in Gray-code order, updating row sums one
-    column at a time; exponential in k, capped at k <= 30.
+    column at a time; exponential in k (about 2x per +1), capped at k <= 24.
     """
     k = g.k
-    if k > 30:
-        raise CapacityError("Ryser evaluation is limited to k <= 30")
+    if k > 24:
+        raise CapacityError("Ryser evaluation is limited to k <= 24")
     if k == 0:
         return 1
     col_rows = [mask_of(g.adj_b[j]) for j in range(k)]  # rows per column

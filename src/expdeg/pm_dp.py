@@ -32,6 +32,10 @@ entries they feed.  Since each cover arises in exactly one order and one
 direction, cover[all nodes] is the unordered count and no division by the
 number of cycles is needed.
 
+The generator _strata yields each stratum as (paths, covers), in the
+pattern of pm_bipartite._levels, and drops it when it moves on;
+run_cover_dp sums their entries into states_visited.
+
 Only nonzero entries are stored or pushed.  Every push follows an edge that
 exists: per-(node, label bit) neighbour lists, built once per call, give
 the edges that seed or extend a path, and one dictionary lookup per path
@@ -72,18 +76,15 @@ def build_contracted_graph(g: Graph) -> LabeledMultigraph:
 
 
 @dataclass(frozen=True)
-class CoverDpRun:
-    """count: label-disjoint cycle covers of the whole node set;
-    states_visited counts every nonzero table entry; key dumps (cover keys
-    X, path keys (X, a, b, x)) are kept only when requested."""
-
+class PmDpResult:
     count: int
     states_visited: int
-    cover_keys: tuple[int, ...] | None
-    path_keys: tuple[tuple[int, int, int, int], ...] | None
 
 
-def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
+def _strata(mg: LabeledMultigraph):
+    """Yield (paths, covers) for each stratum |X| = 0..k: its nonzero path
+    entries keyed (X, a, b, x) and its nonzero cover entries keyed X, once
+    its paths have closed into its covers."""
     k = mg.k
     loops = [0] * k
     emult: dict[tuple[int, int, int, int], int] = {}
@@ -105,18 +106,12 @@ def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
 
     cover_strata: dict[int, dict[int, int]] = {0: {0: 1}}
     path_strata: dict[int, dict[tuple[int, int, int, int], int]] = {}
-    states = 0
-    cover_keys: list[int] = []
-    path_keys: list[tuple[int, int, int, int]] = []
 
     for i in range(k + 1):
         # closing a path keeps |X|, so this stratum's paths run first
         covers = cover_strata.pop(i, {})
-        paths = path_strata.pop(i, None)
+        paths = path_strata.pop(i, {})
         if paths:
-            states += len(paths)
-            if keep_keys:
-                path_keys.extend(paths)
             extend_tgt = path_strata.setdefault(i + 1, {})
             for (x_mask, a, c, z), val in paths.items():
                 # close the cycle: edge a-c whose label is {2a+1, 2c+(z^1)}
@@ -129,9 +124,7 @@ def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
                         pk = (x_mask | (1 << e), a, e, xe)
                         extend_tgt[pk] = extend_tgt.get(pk, 0) + val * mult
 
-        states += len(covers)
-        if keep_keys:
-            cover_keys.extend(covers)
+        yield paths, covers
         if i == k or not covers:
             continue
         loop_tgt = cover_strata.setdefault(i + 1, {})
@@ -149,23 +142,20 @@ def run_cover_dp(mg: LabeledMultigraph, keep_keys: bool = False) -> CoverDpRun:
                     pk = (xa | (1 << b), a, b, xb)
                     seed_tgt[pk] = seed_tgt.get(pk, 0) + val * mult
 
-    return CoverDpRun(
-        covers.get((1 << k) - 1, 0),
-        states,
-        tuple(cover_keys) if keep_keys else None,
-        tuple(path_keys) if keep_keys else None,
-    )
 
-
-@dataclass(frozen=True)
-class PmDpResult:
-    count: int
-    states_visited: int
+def run_cover_dp(mg: LabeledMultigraph) -> PmDpResult:
+    """count: label-disjoint cycle covers of the whole node set;
+    states_visited: the nonzero entries of every stratum."""
+    states = 0
+    for paths, covers in _strata(mg):
+        states += len(paths) + len(covers)
+        count = covers.get((1 << mg.k) - 1, 0)
+        del paths, covers  # let _strata free this stratum when it moves on
+    return PmDpResult(count, states)
 
 
 def count_pm_dp(g: Graph) -> PmDpResult:
     """Exact number of perfect matchings via the contracted cover DP."""
     if g.n % 2 != 0:
         return PmDpResult(0, 0)
-    run = run_cover_dp(build_contracted_graph(g))
-    return PmDpResult(run.count, run.states_visited)
+    return run_cover_dp(build_contracted_graph(g))

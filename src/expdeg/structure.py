@@ -149,101 +149,49 @@ def _witness_search(
     x_mask: int,
 ) -> tuple[tuple[int, int], ...] | None:
     """Backtracking search for F over an edge list that may contain parallel
-    edges and self-loops (a self-loop adds 2 to its endpoint's degree).
+    edges and self-loops.
 
-    Branches, for each vertex of X in ascending order, on which of its
-    incident candidate edges complete its required degree of 2.
+    Each vertex of X, in ascending order, takes the degree it still lacks
+    from the candidate edges at it, in index order, so each edge set is
+    tried once.  An edge adds 1 at each end, so a self-loop adds 2 to its
+    vertex, and it must leave both ends within their capacity: 2 on X, 1 on
+    s and t.  An edge back to an earlier vertex of X never fits, since that
+    vertex already has its 2, so no edge is taken twice.
     """
     members = list(bits(x_mask))
-    allowed = x_mask | (1 << s) | (1 << t)
     cap = [0] * n
     for v in members:
         cap[v] = 2
-    cap[s] = max(cap[s], 1)
-    cap[t] = max(cap[t], 1)
-
-    cand: list[tuple[int, int, int]] = []  # (index, u, v)
-    incident: list[list[int]] = [[] for _ in range(n)]
+    cap[s] = cap[t] = 1
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in edges:
-        if (allowed >> u) & 1 and (allowed >> v) & 1:
-            idx = len(cand)
-            cand.append((idx, u, v))
-            incident[u].append(idx)
+        if cap[u] and cap[v]:
+            at[u].append((u, v))
             if v != u:
-                incident[v].append(idx)
-
+                at[v].append((u, v))
     deg = [0] * n
-    used = [False] * len(cand)
-    chosen: list[int] = []
+    chosen: list[tuple[int, int]] = []
 
-    def place(idx: int) -> bool:
-        _, u, v = cand[idx]
-        if u == v:
-            if deg[u] + 2 > cap[u]:
-                return False
-            deg[u] += 2
-        else:
-            if deg[u] + 1 > cap[u] or deg[v] + 1 > cap[v]:
-                return False
-            deg[u] += 1
-            deg[v] += 1
-        used[idx] = True
-        chosen.append(idx)
-        return True
-
-    def unplace(idx: int) -> None:
-        _, u, v = cand[idx]
-        if u == v:
-            deg[u] -= 2
-        else:
-            deg[u] -= 1
-            deg[v] -= 1
-        used[idx] = False
-        chosen.pop()
-
-    def solve(pos: int) -> bool:
+    def solve(pos: int, start: int) -> bool:
         if pos == len(members):
             return True
         x = members[pos]
-        deficit = 2 - deg[x]
-        if deficit == 0:
-            return solve(pos + 1)
-        options = [i for i in incident[x] if not used[i]]
-        if deficit == 2:
-            for a in range(len(options)):
-                ia = options[a]
-                if cand[ia][1] == cand[ia][2]:  # self-loop completes x alone
-                    if place(ia):
-                        if solve(pos + 1):
-                            return True
-                        unplace(ia)
-                    continue
-                if not place(ia):
-                    continue
-                for b in range(a + 1, len(options)):
-                    ib = options[b]
-                    if cand[ib][1] == cand[ib][2]:
-                        continue
-                    if place(ib):
-                        if solve(pos + 1):
-                            return True
-                        unplace(ib)
-                unplace(ia)
-            return False
-        # deficit == 1: one more non-loop edge at x
-        for ia in options:
-            if cand[ia][1] == cand[ia][2]:
-                continue
-            if place(ia):
-                if solve(pos + 1):
+        if deg[x] == 2:
+            return solve(pos + 1, 0)
+        for j in range(start, len(at[x])):
+            u, v = at[x][j]
+            deg[u] += 1
+            deg[v] += 1
+            if deg[u] <= cap[u] and deg[v] <= cap[v]:
+                chosen.append((min(u, v), max(u, v)))
+                if solve(pos, j + 1):
                     return True
-                unplace(ia)
+                chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
         return False
 
-    if solve(0):
-        return tuple(sorted((min(u, v), max(u, v)) for i, u, v in
-                            (cand[c] for c in chosen)))
-    return None
+    return tuple(sorted(chosen)) if solve(0, 0) else None
 
 
 def _check_deg2_args(n: int, s: int, t: int, x_mask: int) -> None:
@@ -288,14 +236,12 @@ def deg2_witness_multigraph(
 
 def enumerate_deg2_sets(g: Graph, s: int, t: int) -> list[int]:
     """All degree-2 subsets for (s, t) as sorted bit masks; small n only."""
-    if g.n > DEG2_MAX_N:
-        raise CapacityError(f"degree-2 enumeration is limited to n <= {DEG2_MAX_N}")
+    _check_deg2_args(g.n, s, t, 0)
+    edges = [(u, v) for u, v, _ in g.edges]
     rest = [v for v in range(g.n) if v not in (s, t)]
-    found = []
+    found = []  # sub -> x_mask keeps the order, so found comes out sorted
     for sub in range(1 << len(rest)):
-        x_mask = 0
-        for i in bits(sub):
-            x_mask |= 1 << rest[i]
-        if deg2_witness(g, s, t, x_mask) is not None:
+        x_mask = mask_of(rest[i] for i in bits(sub))
+        if _witness_search(g.n, edges, s, t, x_mask) is not None:
             found.append(x_mask)
-    return sorted(found)
+    return found

@@ -41,7 +41,7 @@ from .bitset import bits
 from .errors import CapacityError
 from .graphs import Graph
 
-HELD_KARP_MAX_N = 24
+HELD_KARP_MAX_N = 22
 _INF = float("inf")
 
 
@@ -337,8 +337,9 @@ def tsp_cycle(g: Graph) -> TourResult | None:
 def held_karp_cycle(g: Graph) -> TourResult | None:
     """Dense-table Hamiltonian cycle reference; same answers as tsp_cycle.
 
-    Uses the classical 2^n x n cost table anchored at vertex 0, so it is
-    capped at n <= 24.
+    Uses the classical 2^n x n cost and parent tables anchored at vertex 0,
+    so it is capped at n <= HELD_KARP_MAX_N: both fit in 1.5 GB at n = 22,
+    and would take 3.1 GB at n = 23.
     """
     if g.n < 3:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")

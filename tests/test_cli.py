@@ -309,6 +309,52 @@ def test_bench_bip_on_many_vertices_refuses_at_once(capsys):
     assert peak < 1 << 20 and elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "text, argv, want",
+    [
+        (None, ["gen", "--model", "gnm", "--n", str(10**300), "--m", "5",
+                "--seed", "1"], "vertex count is over 10^18, capacity is 64"),
+        (f"# a comment\ngraph {10**300} 0\n", ["stats"],
+         "line 2: vertex count is over 10^18, capacity is 64"),
+        ("graph 65 0\n", ["stats"], "line 1: vertex count is 65, capacity is 64"),
+        ("bigraph 65 0\n", ["count-pm-bip"],
+         "line 1: bipartite side size is 65, capacity is 64"),
+    ],
+)
+def test_size_over_capacity_is_one_short_line(capsys, tmp_path, text, argv, want):
+    """A size over the vertex capacity exits 3 with one line under 200
+    characters, however large the size; the header check words it as the
+    constructors do, plus its line."""
+    if text is not None:
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        argv = [*argv, "--input", str(path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"expdeg: capacity: {want}\n" and len(err) < 200
+
+
+def test_dense_baselines_refuse_past_their_caps(capsys, tmp_path):
+    """Held-Karp stops at n = 22 (two 2^n x n tables, 1.5 GB there) and
+    Ryser at k = 24; one size more exits 3 at once."""
+    cycle = tmp_path / "c23.txt"
+    cycle.write_text(serialize_graph(cycle_graph(23)))
+    matching = tmp_path / "m25.txt"
+    diagonal = BipartiteGraph.from_edges(25, [(i, i) for i in range(25)])
+    matching.write_text(serialize_graph(diagonal))
+    for argv, cap in (
+        (["tsp", "--input", str(cycle), "--baseline"], "n=22"),
+        (["count-pm-bip", "--input", str(matching), "--baseline"], "k <= 24"),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("expdeg: capacity: ") and cap in err, err
+        assert main(argv[:-1]) == 0  # the sparse solver takes the same input
+        capsys.readouterr()
+
+
 def test_stats_output(capsys, tmp_path):
     path = tmp_path / "star.txt"
     path.write_text("graph 6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n")

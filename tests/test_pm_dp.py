@@ -14,7 +14,13 @@ from expdeg import (
     oracle_count_pm,
     random_gnm,
 )
-from expdeg.pm_dp import LabeledMultigraph, build_contracted_graph, run_cover_dp
+from expdeg.bitset import bits, mask_of
+from expdeg.pm_dp import (
+    LabeledMultigraph,
+    _strata,
+    build_contracted_graph,
+    run_cover_dp,
+)
 from conftest import (
     complete_graph,
     cycle_distribution_cases,
@@ -238,6 +244,15 @@ def brute_canonical_cover_keys(mg: LabeledMultigraph) -> set[int]:
     return keys
 
 
+def strata_keys(mg):
+    """Every cover key and every path key that _strata yields, in order."""
+    cover_keys, path_keys = [], []
+    for paths, covers in _strata(mg):
+        path_keys.extend(paths)
+        cover_keys.extend(covers)
+    return cover_keys, path_keys
+
+
 def test_canonical_cover_states_exact():
     """The canonical DP counts what the ordered reference counts, divided
     out, and what the oracle counts; its path keys are reference path keys
@@ -256,7 +271,8 @@ def test_canonical_cover_states_exact():
         small.append(Graph.from_edges(n, {(u, v) for u, v, _ in g.edges} | set(pairs)))
     for g in cover_dp_cases() + small:
         mg = build_contracted_graph(g)
-        got = run_cover_dp(mg, keep_keys=True)
+        got = run_cover_dp(mg)
+        cover_keys, path_keys = strata_keys(mg)
         want = naive_cover_dp(mg)
         assert (
             count_pm_dp(g).count
@@ -265,19 +281,72 @@ def test_canonical_cover_states_exact():
             == oracle_count_pm(g)
         ), g
         assert got.states_visited <= want.states_visited, g
-        assert len(got.cover_keys) == len(set(got.cover_keys))
-        assert len(got.path_keys) == len(set(got.path_keys))
-        assert set(got.path_keys) <= {key[1:] for key in want.path_keys}, g
+        assert got.states_visited == len(cover_keys) + len(path_keys), g
+        assert len(cover_keys) == len(set(cover_keys))
+        assert len(path_keys) == len(set(path_keys))
+        assert set(path_keys) <= {key[1:] for key in want.path_keys}, g
         if mg.k <= 5:
             links = [(p, q) for p, q, _, _ in mg.edges if p != q]
             saw_loop |= len(links) < len(mg.edges)
             saw_parallel |= len(set(links)) < len(links)
-            assert set(got.cover_keys) == brute_canonical_cover_keys(mg), g
+            assert set(cover_keys) == brute_canonical_cover_keys(mg), g
             brute_checked += 1
     assert saw_loop and saw_parallel and brute_checked >= 50
 
 
 # --- sparse-state soundness ----------------------------------------------------
+
+
+def brute_multigraph_deg2_sets(n, edges, s, t):
+    """Every X that some sub-multiset F of the edges makes a degree-2 subset
+    for (s, t), a self-loop adding 2 to its vertex; exponential in m."""
+    rest = [v for v in range(n) if v not in (s, t)]
+    found = set()
+    for chosen in range(1 << len(edges)):
+        deg = [0] * n
+        for i in bits(chosen):
+            u, v = edges[i]
+            deg[u] += 1
+            deg[v] += 1
+        if deg[s] <= 1 and deg[t] <= 1 and all(deg[v] in (0, 2) for v in rest):
+            found.add(mask_of(v for v in rest if deg[v] == 2))
+    return found
+
+
+def test_multigraph_witness_matches_all_edge_subsets():
+    """deg2_witness_multigraph, which the next test relies on for contracted
+    multigraphs, finds exactly the sets an enumeration of every edge subset
+    finds, on random multigraphs with self-loops and parallel edges, and
+    every witness it returns is a sub-multiset of the edges with the right
+    degrees."""
+    rng = random.Random(15)
+    saw_loop = saw_parallel = found = missed = 0
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
+        edges += rng.sample(edges, min(len(edges), 2))  # parallel copies
+        s, t = rng.sample(range(n), 2)
+        want = brute_multigraph_deg2_sets(n, edges, s, t)
+        rest = [v for v in range(n) if v not in (s, t)]
+        for sub in range(1 << len(rest)):
+            x_mask = mask_of(rest[i] for i in bits(sub))
+            f = deg2_witness_multigraph(n, edges, s, t, x_mask)
+            assert (f is not None) == (x_mask in want), (n, edges, s, t, x_mask)
+            if f is None:
+                missed += 1
+                continue
+            found += 1
+            pool = sorted((min(u, v), max(u, v)) for u, v in edges)
+            deg = [0] * n
+            for u, v in f:
+                pool.remove((u, v))  # raises unless f is a sub-multiset
+                deg[u] += 1
+                deg[v] += 1
+            assert all(deg[v] == 2 * ((x_mask >> v) & 1) for v in rest)
+            assert deg[s] <= 1 and deg[t] <= 1
+            saw_loop += any(u == v for u, v in f)
+            saw_parallel += len(set(f)) < len(f)
+    assert saw_loop >= 20 and saw_parallel >= 20 and found >= 300 and missed >= 300
 
 
 def test_nonzero_states_are_degree2_subsets():
@@ -291,14 +360,14 @@ def test_nonzero_states_are_degree2_subsets():
         mg = build_contracted_graph(g)
         if mg.k < 2:
             continue
-        run = run_cover_dp(mg, keep_keys=True)
+        cover_keys, path_keys = strata_keys(mg)
         edge_list = [(p, q) for p, q, _, _ in mg.edges]
-        for x_mask, a, b, _ in run.path_keys:
+        for x_mask, a, b, _ in path_keys:
             interior = x_mask & ~(1 << a) & ~(1 << b)
             assert (
                 deg2_witness_multigraph(mg.k, edge_list, a, b, interior) is not None
             ), (seed, bin(x_mask), a, b)
-        for x_mask in run.cover_keys:
+        for x_mask in cover_keys:
             free = [v for v in range(mg.k) if not (x_mask >> v) & 1]
             if len(free) < 2:
                 continue  # no two distinct terminals available outside X
@@ -308,6 +377,12 @@ def test_nonzero_states_are_degree2_subsets():
 
 def test_states_visited_counts_nonzero_keys():
     g = cycle_graph(6)
-    run = run_cover_dp(build_contracted_graph(g), keep_keys=True)
-    assert run.states_visited == len(run.cover_keys) + len(run.path_keys)
-    assert count_pm_dp(g).states_visited == run.states_visited
+    mg = build_contracted_graph(g)
+    cover_keys, path_keys = strata_keys(mg)
+    run = run_cover_dp(mg)
+    assert run.states_visited == len(cover_keys) + len(path_keys)
+    assert count_pm_dp(g) == run
+    for i, (paths, covers) in enumerate(_strata(mg)):
+        assert all(x_mask.bit_count() == i for x_mask in covers)
+        assert all(key[0].bit_count() == i for key in paths)
+    assert i == mg.k and covers == {(1 << mg.k) - 1: run.count}
