@@ -1,6 +1,6 @@
 """Command-line front end: JSON reports on stdout, diagnostics on stderr.
 
-Exit codes: 0 success, 2 input errors, 3 capacity/budget refusals.
+Exit codes: 0 success, 2 input errors, 3 capacity/budget/memory refusals.
 Counts are always emitted as decimal strings so arbitrary-precision values
 survive JSON consumers; rationals are emitted as "p/q" strings.
 
@@ -424,6 +424,9 @@ def main(argv=None) -> int:
         args.func(args)
     except CapacityError as exc:
         print(f"expdeg: capacity: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("expdeg: capacity: out of memory", file=sys.stderr)
         return 3
     except (ExpdegError, ValueError, OSError) as exc:
         print(f"expdeg: error: {exc}", file=sys.stderr)

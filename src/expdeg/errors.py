@@ -5,6 +5,13 @@ CapacityError (including budget refusals) to exit code 3.
 """
 
 
+def _shown(x: int) -> int | str:
+    """x for an error message, or its bound past 10^18: one short line."""
+    if abs(x) < 10**18:
+        return x
+    return "over 10^18" if x > 0 else "under -10^18"
+
+
 class ExpdegError(Exception):
     pass
 

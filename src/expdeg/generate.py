@@ -9,24 +9,21 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import CapacityError
+from .errors import CapacityError, _shown
 from .graphs import BipartiteGraph, Graph
 
 _REGULAR_ATTEMPTS = 100_000
 
 
 def _too_many_edges(m: int, total: int, where: str) -> ValueError:
-    """The error for m over the pair count; a huge m (from a huge bench
-    degree) is not printed in full, so the message stays one short line."""
-    shown = f"m={m}" if m < 10**18 else "m (over 10^18)"
-    return ValueError(f"{shown} exceeds {total} possible edges {where}")
+    return ValueError(f"m={_shown(m)} exceeds {_shown(total)} possible edges {where}")
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph with exactly n vertices and m edges."""
     total = n * (n - 1) // 2
     if m > total:
-        raise _too_many_edges(m, total, f"on {n} vertices")
+        raise _too_many_edges(m, total, f"on {_shown(n)} vertices")
     Graph(n, ())  # refuse a size over the vertex capacity before drawing
     rng = random.Random(seed)
     chosen = [_unrank_pair(n, i) for i in rng.sample(range(total), m)]
@@ -49,9 +46,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     CapacityError when no attempt gives a simple graph, which is the rule
     for larger d."""
     if d < 0 or d >= max(n, 1):
-        raise ValueError(f"degree d={d} infeasible for n={n}")
+        raise ValueError(f"degree d={_shown(d)} infeasible for n={_shown(n)}")
     if (n * d) % 2 != 0:
-        raise ValueError(f"n*d must be even, got n={n}, d={d}")
+        raise ValueError(f"n*d must be even, got n={_shown(n)}, d={_shown(d)}")
     Graph(n, ())  # refuse a size over the vertex capacity before drawing
     if d == 0:
         return Graph.from_edges(n, [])
@@ -78,7 +75,7 @@ def random_bipartite(k: int, m: int, seed: int) -> BipartiteGraph:
     """Uniform bipartite graph with sides of size k and exactly m edges."""
     total = k * k
     if m > total:
-        raise _too_many_edges(m, total, f"for k={k}")
+        raise _too_many_edges(m, total, f"for k={_shown(k)}")
     BipartiteGraph(k, ())  # refuse a side over the vertex capacity before drawing
     rng = random.Random(seed)
     chosen = [divmod(i, k) for i in rng.sample(range(total), m)]
@@ -93,9 +90,9 @@ def random_bipartite_min2(k: int, m: int, seed: int) -> BipartiteGraph:
     would otherwise collapse the instance.
     """
     if m < 2 * k:
-        raise ValueError(f"need m >= 2k, got m={m}, k={k}")
+        raise ValueError(f"need m >= 2k, got m={_shown(m)}, k={_shown(k)}")
     if m > k * k:
-        raise _too_many_edges(m, k * k, f"for k={k}")
+        raise _too_many_edges(m, k * k, f"for k={_shown(k)}")
     BipartiteGraph(k, ())  # refuse a side over the vertex capacity before drawing
     rng = random.Random(seed)
     while True:

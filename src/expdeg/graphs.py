@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CapacityError, InputFormatError
+from .errors import CapacityError, InputFormatError, _shown
 
 VERTEX_CAPACITY = 64
 
@@ -36,10 +36,7 @@ def _check_size(size: int, what: str) -> None:
     if size < 0:
         raise ValueError(f"{what} must be nonnegative")
     if size > VERTEX_CAPACITY:
-        # a huge size (from the command line) is not printed in full, so the
-        # message stays one short line
-        shown = size if size < 10**18 else "over 10^18"
-        raise CapacityError(f"{what} is {shown}, capacity is {VERTEX_CAPACITY}")
+        raise CapacityError(f"{what} is {_shown(size)}, capacity is {VERTEX_CAPACITY}")
 
 
 @dataclass(frozen=True)

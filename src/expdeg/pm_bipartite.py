@@ -12,6 +12,7 @@ so the kept sets are bounded by an explicit formula instead of 2^k.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,53 +46,48 @@ class ReducedInstance:
 
 
 def reduce_degree_one(g: BipartiteGraph) -> ReducedInstance:
-    """Peel isolated vertices (infeasible) and forced degree-1 matches."""
-    alive_a = set(range(g.k))
-    alive_b = set(range(g.k))
-    adj_a = {i: set(g.adj_a[i]) for i in range(g.k)}
-    adj_b = {j: set(g.adj_b[j]) for j in range(g.k)}
+    """Peel isolated vertices (infeasible) and forced degree-1 matches.
+
+    One worklist pass over vertex ids 0..2k-1 (A-vertex i is i, B-vertex j
+    is k + j), seeded with every vertex of degree <= 1: a popped vertex
+    already removed is skipped, one of degree 0 makes g infeasible, and one
+    of degree 1 is matched to its neighbour; both are removed, and each
+    neighbour of the partner whose degree drops to <= 1 is pushed.  The
+    worklist is a heap on (degree, id), so isolation is found before any
+    further forcing and the lowest id is forced first.  Survivors are
+    reindexed in their original order.
+
+    Peeling is confluent, so the pop order does not change the result.  Of
+    two forcings both available: if they share no vertex they commute; if
+    they force the same isolated edge they are the same step; if they share
+    a partner, each one isolates the other's vertex.  An isolated vertex is
+    never removed, so every order ends in the same remainder, or in
+    infeasible.
+    """
+    k = g.k
+    nbrs = [{k + j for j in row} for row in g.adj_a] + [set(row) for row in g.adj_b]
+    alive = [True] * (2 * k)
     forced: list[tuple[int, int]] = []
-
-    def remove_pair(i: int, j: int) -> None:
-        alive_a.discard(i)
-        alive_b.discard(j)
-        for jj in adj_a.pop(i):
-            if jj != j:
-                adj_b[jj].discard(i)
-        for ii in adj_b.pop(j):
-            if ii != i:
-                adj_a[ii].discard(j)
-
-    while True:
-        iso_a = next((i for i in sorted(alive_a) if not adj_a[i]), None)
-        iso_b = next((j for j in sorted(alive_b) if not adj_b[j]), None)
-        if iso_a is not None or iso_b is not None:
-            return ReducedInstance(
-                BipartiteGraph.from_edges(0, []), False, tuple(forced)
-            )
-        deg1_a = next((i for i in sorted(alive_a) if len(adj_a[i]) == 1), None)
-        if deg1_a is not None:
-            j = next(iter(adj_a[deg1_a]))
-            forced.append((deg1_a, j))
-            remove_pair(deg1_a, j)
+    work = [(len(nbrs[x]), x) for x in range(2 * k) if len(nbrs[x]) <= 1]
+    heapq.heapify(work)
+    while work:
+        _, x = heapq.heappop(work)
+        if not alive[x]:
             continue
-        deg1_b = next((j for j in sorted(alive_b) if len(adj_b[j]) == 1), None)
-        if deg1_b is not None:
-            i = next(iter(adj_b[deg1_b]))
-            forced.append((i, deg1_b))
-            remove_pair(i, deg1_b)
-            continue
-        break
-
-    a_orig = tuple(sorted(alive_a))
-    b_orig = tuple(sorted(alive_b))
-    a_new = {v: idx for idx, v in enumerate(a_orig)}
-    b_new = {v: idx for idx, v in enumerate(b_orig)}
-    edges = [
-        (a_new[i], b_new[j]) for i in a_orig for j in adj_a[i]
-    ]
-    reduced = BipartiteGraph.from_edges(len(a_orig), edges)
-    return ReducedInstance(reduced, True, tuple(forced))
+        if not nbrs[x]:
+            return ReducedInstance(BipartiteGraph(0, ()), False, tuple(forced))
+        (y,) = nbrs[x]
+        alive[x] = alive[y] = False
+        forced.append((x, y - k) if x < k else (y, x - k))
+        for z in nbrs[y]:
+            if z != x:
+                nbrs[z].discard(y)
+                if len(nbrs[z]) <= 1:
+                    heapq.heappush(work, (len(nbrs[z]), z))
+    keep_a = [i for i in range(k) if alive[i]]
+    new_b = {y: t for t, y in enumerate(y for y in range(k, 2 * k) if alive[y])}
+    edges = [(s, new_b[y]) for s, i in enumerate(keep_a) for y in nbrs[i]]
+    return ReducedInstance(BipartiteGraph(len(keep_a), edges), True, tuple(forced))
 
 
 @dataclass(frozen=True)

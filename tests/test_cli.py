@@ -335,7 +335,7 @@ def test_size_over_capacity_is_one_short_line(capsys, tmp_path, text, argv, want
 
 
 def test_dense_baselines_refuse_past_their_caps(capsys, tmp_path):
-    """Held-Karp stops at n = 22 (two 2^n x n tables, 1.5 GB there) and
+    """Held-Karp stops at n = 22 (one 2^n x n table, 720 MB RSS there) and
     Ryser at k = 24; one size more exits 3 at once."""
     cycle = tmp_path / "c23.txt"
     cycle.write_text(serialize_graph(cycle_graph(23)))
@@ -454,6 +454,41 @@ def test_huge_m_error_is_one_short_line(capsys, argv):
     err = capsys.readouterr().err
     assert "exceeds" in err and err.count("\n") == 1 and len(err) < 200
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--model", "gnm", "--n", str(10**300), "--m", str(10**700),
+         "--seed", "1"],
+        ["gen", "--model", "regular", "--n", str(10**300), "--d", str(10**300),
+         "--seed", "1"],
+        ["gen", "--model", "regular", "--n", str(10**300 + 1), "--d", "3",
+         "--seed", "1"],
+        ["gen", "--model", "regular", "--n", "5", "--d", str(-(10**300)),
+         "--seed", "1"],
+    ],
+)
+def test_huge_gen_sizes_error_is_one_short_line(capsys, argv):
+    """Every size in a gen error message is abbreviated past 10^18: the
+    pair total and n of gnm, and n and d of both regular messages."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("expdeg: error: ") and err.count("\n") == 1
+    assert len(err) < 200 and "Traceback" not in err
+
+
+def test_out_of_memory_exits_3_in_one_line(capsys, monkeypatch, k4_file):
+    """A solver that runs out of memory exits 3 with one stderr line."""
+
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(expdeg.tsp, "held_karp_cycle", exhausted)
+    assert main(["tsp", "--baseline", "--input", k4_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "expdeg: capacity: out of memory\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("alpha", ["1e40", "1e400", "3." + "0" * 60 + "1"])

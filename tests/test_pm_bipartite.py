@@ -66,6 +66,46 @@ def test_reduce_preserves_count():
             assert oracle_permanent(red.graph) == want
 
 
+def test_reduce_replays_as_degree_one_forcings():
+    """On random bipartite graphs, infeasible ones included: forced_pairs,
+    replayed in order on g, is a sequence of forcings of a degree-1 vertex
+    with no isolated vertex before any of them; feasible is false exactly
+    when the replay ends with an isolated vertex; otherwise the remainder is
+    g induced on the survivors, reindexed in order, with minimum degree 2."""
+    infeasible = feasible_peeled = 0
+    for seed in range(400):
+        g = seeded_bipartite(seed + 5100, 9)
+        red = reduce_degree_one(g)
+        alive_a, alive_b = set(range(g.k)), set(range(g.k))
+
+        def degrees():
+            return [len(alive_b.intersection(g.adj_a[i])) for i in sorted(alive_a)] + [
+                len(alive_a.intersection(g.adj_b[j])) for j in sorted(alive_b)
+            ]
+
+        for i, j in red.forced_pairs:
+            assert 0 not in degrees(), seed
+            assert i in alive_a and j in alive_b and j in g.adj_a[i], seed
+            assert 1 in (len(alive_b.intersection(g.adj_a[i])),
+                         len(alive_a.intersection(g.adj_b[j]))), seed
+            alive_a.remove(i)
+            alive_b.remove(j)
+        assert red.feasible == (0 not in degrees()), seed
+        if not red.feasible:
+            assert red.graph.k == 0
+            infeasible += 1
+            continue
+        assert min(degrees(), default=2) >= 2, seed
+        keep_a, keep_b = sorted(alive_a), sorted(alive_b)
+        assert red.graph == BipartiteGraph.from_edges(len(keep_a), [
+            (keep_a.index(i), keep_b.index(j))
+            for i, j in g.edges
+            if i in alive_a and j in alive_b
+        ]), seed
+        feasible_peeled += bool(red.forced_pairs)
+    assert infeasible > 50 and feasible_peeled > 20
+
+
 # --- trim plan ------------------------------------------------------------------
 
 

@@ -119,6 +119,31 @@ def test_held_karp_capacity():
         held_karp_cycle(Graph.from_edges(25, [(i, i + 1) for i in range(24)]))
 
 
+def test_held_karp_order_is_the_smallest_reversed_tail():
+    """Held-Karp walks back by cost, and its order is the optimal cycle from
+    0 whose reversed tail (last vertex first) is lexicographically smallest,
+    checked against every permutation on tie-heavy graphs with n <= 8."""
+    tours = 0
+    for seed in range(400):
+        g = tie_heavy_graph(seed + 8100, n_max=8)
+        weight = {(u, v): w for u, v, w in g.edges}
+        weight.update({(v, u): w for (u, v), w in weight.items()})
+        best = None
+        for tail in permutations(range(1, g.n)):
+            order = (0, *tail)
+            steps = list(zip(order, order[1:] + (0,)))
+            if all(step in weight for step in steps):
+                key = (sum(weight[step] for step in steps), tail[::-1])
+                best = key if best is None or key < best else best
+        res = held_karp_cycle(g)
+        if best is None:
+            assert res is None, seed
+        else:
+            assert (res.weight, res.order) == (best[0], (0, *best[1][::-1])), seed
+            tours += 1
+    assert tours > 100
+
+
 # --- agreement and state properties ----------------------------------------
 
 
@@ -188,14 +213,18 @@ def enumerate_path_states(g: Graph, a: int) -> set[tuple[int, int]]:
     return found
 
 
-def completion_kept_layers(g: Graph, a: int, far: int | None = None) -> list[set]:
-    """Layer by layer, every (visited set, endpoint) pair one step from a
-    kept pair of the layer before that passes the completion test, scanned
-    in full: each vertex r outside the set has at least two neighbours in
-    the free set, which is the unvisited vertices plus the endpoint, plus a
-    for a cycle (far is None); with far end b, a is not free and r = b needs
-    one.  The start pair is tested too."""
+def completion_kept_layers(
+    g: Graph, a: int, far: int | None = None, last: int | None = None
+) -> list[set]:
+    """Layer by layer up to layer `last` (default n), every (visited set,
+    endpoint) pair one step from a kept pair of the layer before that passes
+    the completion test, scanned in full: each vertex r outside the set has
+    at least two neighbours in the free set, which is the unvisited vertices
+    plus the endpoint, plus a for a cycle (far is None); with far end b, a
+    is not free, r = b needs one, and a step onto b is taken only into the
+    final layer.  The start pair is tested too."""
 
+    last = g.n if last is None else last
     full = (1 << g.n) - 1
     nbrs = [g.neighbors(r) for r in range(g.n)]
     checks = [
@@ -210,12 +239,14 @@ def completion_kept_layers(g: Graph, a: int, far: int | None = None) -> list[set
         return True
 
     layers = [{(1 << a, a)} if passes(1 << a, a) else set()]
-    for _ in range(g.n - 1):
+    for i in range(1, last):
         layers.append({
             (mask | (1 << v), v)
             for mask, u in layers[-1]
             for v in nbrs[u]
-            if not (mask >> v) & 1 and passes(mask | (1 << v), v)
+            if not (mask >> v) & 1
+            and (v != far or i == last - 1)
+            and passes(mask | (1 << v), v)
         })
     return layers
 
@@ -357,7 +388,7 @@ def as_tuple(res):
 def test_path_dp_matches_sorted_key_reference():
     """On every anchor, ties included, for the cycle rule and for every far
     end: every layer of the DP, full or bounded, holds exactly the pairs of
-    the full-scan completion search; ham_path and tsp_cycle give the full
+    the full-scan completion search run to the same last layer; ham_path and tsp_cycle give the full
     reference's weight, the order of the stated tie rule applied to the
     reference's own tables, and the state count of the completion search's
     bounded layers."""
@@ -372,7 +403,7 @@ def test_path_dp_matches_sorted_key_reference():
             for far in (None, *range(n))
             if far != a
         }
-        full_dps = {}
+        full_dps, bounded_kept = {}, {}
         for (a, far), want in kept.items():
             dp = full_dps[a, far] = _PathDP(g, a, far=far)
             assert layer_sets(dp) == want, (seed, a, far)
@@ -382,7 +413,10 @@ def test_path_dp_matches_sorted_key_reference():
                 bounded = _PathDP(g, a, last, far)
                 keys = bounded.all_state_keys()
                 assert len(keys) == len(set(keys)) == bounded.states_visited
-                assert layer_sets(bounded) == want[:last], (seed, a, far, last)
+                want_bounded = bounded_kept[a, far, last] = completion_kept_layers(
+                    g, a, far, last
+                )
+                assert layer_sets(bounded) == want_bounded, (seed, a, far, last)
         for a in range(n):
             ref = refs[a]
             assert set(path_dp_states(g, a)) == set().union(*kept[a, None]), (seed, a)
@@ -402,7 +436,7 @@ def test_path_dp_matches_sorted_key_reference():
                     assert weight == found[0], (seed, a, b)
                     assert (res.weight, res.order) == (weight, first + second[-2::-1])
                     assert res.states_visited == sum(
-                        map(len, kept[a, b][:h_path] + kept[b, a][: n + 1 - h_path])
+                        map(len, bounded_kept[a, b, h_path] + bounded_kept[b, a, n + 1 - h_path])
                     ), (seed, a, b)
                     assert tour_weight(g, res.order, cycle=False) == res.weight
                 else:
@@ -417,7 +451,7 @@ def test_path_dp_matches_sorted_key_reference():
             weight, first, second = reference_join(ref, h_cycle, ref, n + 2 - h_cycle, 1 << a)
             assert weight == expected[0], seed
             order = first + second[-2:0:-1]
-            states = sum(map(len, kept[a, None][:h_cycle]))
+            states = sum(map(len, bounded_kept[a, None, h_cycle]))
             assert as_tuple(got) == (weight, order, states), seed
             assert tour_weight(g, got.order, cycle=True) == got.weight
 
