@@ -290,8 +290,8 @@ def run_bench(
     bipartite = SOLVERS[algo].kind is BipartiteGraph
     if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
-    if not all(math.isfinite(d) for d in degrees):
-        raise ValueError(f"degrees must be finite, got {degrees}")
+    if not all(math.isfinite(d) and d >= 0 for d in degrees):
+        raise ValueError(f"degrees must be finite and nonnegative, got {degrees}")
     if model == "regular" and any(d != int(d) for d in degrees):
         raise ValueError("the 'regular' model needs whole degrees")
     tasks = []

@@ -15,12 +15,19 @@ from .graphs import BipartiteGraph, Graph
 _REGULAR_ATTEMPTS = 100_000
 
 
+def _check_nonnegative(**params: int) -> None:
+    for name, value in params.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {name}={_shown(value)}")
+
+
 def _too_many_edges(m: int, total: int, where: str) -> ValueError:
     return ValueError(f"m={_shown(m)} exceeds {_shown(total)} possible edges {where}")
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph with exactly n vertices and m edges."""
+    _check_nonnegative(n=n, m=m)
     total = n * (n - 1) // 2
     if m > total:
         raise _too_many_edges(m, total, f"on {_shown(n)} vertices")
@@ -45,7 +52,8 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular simple graph via the pairing model with rejection;
     CapacityError when no attempt gives a simple graph, which is the rule
     for larger d."""
-    if d < 0 or d >= max(n, 1):
+    _check_nonnegative(n=n, d=d)
+    if d >= max(n, 1):
         raise ValueError(f"degree d={_shown(d)} infeasible for n={_shown(n)}")
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={_shown(n)}, d={_shown(d)}")
@@ -73,6 +81,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
 
 def random_bipartite(k: int, m: int, seed: int) -> BipartiteGraph:
     """Uniform bipartite graph with sides of size k and exactly m edges."""
+    _check_nonnegative(k=k, m=m)
     total = k * k
     if m > total:
         raise _too_many_edges(m, total, f"for k={_shown(k)}")
@@ -89,6 +98,7 @@ def random_bipartite_min2(k: int, m: int, seed: int) -> BipartiteGraph:
     and fills up with distinct random extras; used where degree-1 peeling
     would otherwise collapse the instance.
     """
+    _check_nonnegative(k=k, m=m)
     if m < 2 * k:
         raise ValueError(f"need m >= 2k, got m={_shown(m)}, k={_shown(k)}")
     if m > k * k:
@@ -125,7 +135,10 @@ def gen_random_graph(model: str, seed: int, **params) -> Graph | BipartiteGraph:
     'regular-<d>' (n), 'bipartite' (k, m); ValueError for an unknown model
     or a missing parameter."""
     if model.startswith("regular-"):
-        params["d"] = int(model.split("-", 1)[1])
+        degree = model.removeprefix("regular-")
+        if not degree.isdecimal() or len(degree) > 18:
+            raise ValueError("model regular-<d> needs a whole degree d under 10^18")
+        params["d"] = int(degree)
         model = "regular"
     if model not in _MODEL_PARAMS:
         raise ValueError(f"unknown model {model!r}")

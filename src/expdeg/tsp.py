@@ -1,23 +1,24 @@
 """Cheapest Hamiltonian paths and cycles by subset dynamic programming.
 
 Two engines: a sparse layered DP that stores only states reachable by an
-actual path that a Hamiltonian cycle (or a-b path) could still finish (per
-layer, one dictionary per endpoint keyed on the visited set), and a dense
-Held-Karp reference table, which keeps every reachable state, used as the
-equality baseline in tests.  Both report how many states they materialized
-and rebuild the optimal vertex order by the same rule (below).  Both first
-check that the graph is 2-connected (for an a-b path: the graph plus the
-edge ab), which every graph with a Hamiltonian cycle is, and answer None
-without a DP when it is not.
+actual path that a Hamiltonian cycle could still finish (per layer, one
+dictionary per endpoint keyed on the visited set), and a dense Held-Karp
+reference table, which keeps every reachable state, used as the equality
+baseline in tests.  Both report how many states they materialized and
+rebuild the optimal vertex order by the same rule (below).  Both first check
+that the graph is 2-connected, which every graph with a Hamiltonian cycle
+is, and answer None without a DP when it is not.
 
-The sparse solvers run the layered DP only to the half-way layer and join
-complementary halves.  A Hamiltonian cycle through the anchor a splits at
-its vertex v in position h = ceil((n+2)/2) into two a-v paths of the same
-DP, over S (|S| = h) and over (V - S) | {a, v}; an a-b path splits at its
-vertex in position ceil((n+1)/2) into a path from a over S and one from b
-over (V - S) | {v}.  The optimum is the cheapest such join.  Tie rule: among
-optimal joins the smallest split vertex v, then the smallest mask S; each
-half is the DP's kept path, the second reversed.
+A Hamiltonian a-b path of g is a Hamiltonian cycle of g + z, the graph with
+one added vertex z = n joined to a and b by weight-0 edges, less z; so
+`ham_path` solves that cycle, anchored at z, and reads the order from a.
+
+The sparse DP runs only to the half-way layer and joins complementary
+halves.  A Hamiltonian cycle through the anchor a splits at its vertex v in
+position h = ceil((n+2)/2) into two a-v paths of the same DP, over S
+(|S| = h) and over (V - S) | {a, v}.  The optimum is the cheapest such join.
+Tie rule: among optimal joins the smallest split vertex v, then the smallest
+mask S; each half is the DP's kept path, the second reversed.
 
 Neither engine stores a parent table, only costs.  A kept path is rebuilt
 backwards from its last state: at each step the predecessor is the smallest
@@ -27,10 +28,11 @@ is the one the forward relaxation keeps).
 
 The sparse DP drops a state when some unvisited vertex has fewer than two
 neighbours left for the rest of the tour (the completion test of
-`_PathDP`).  Only states that no tour can pass through are dropped, and a
-kept state keeps the cost it has without the test, so weights, orders and
-the tie rule are those of the DP without it; `states_visited` counts the
-kept states.  A path DP steps onto its far end only in its final layer.
+`_PathDP`) or when it has visited every neighbour of the anchor (its
+anchor rule).  Only states that no tour can pass through are dropped, and a
+kept state keeps the cost it has without them, so weights, orders and the
+tie rule are those of the DP without them; `states_visited` counts the kept
+states.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 from .bitset import bits
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import VERTEX_CAPACITY, Graph
 
 HELD_KARP_MAX_N = 22
 _INF = float("inf")
@@ -52,22 +54,16 @@ class TourResult:
     states_visited: int
 
 
-def _is_biconnected(g: Graph, extra: tuple[int, int] | None = None) -> bool:
-    """True if g, plus the edge `extra` if given, is connected and has no
-    cut vertex.
+def _is_biconnected(g: Graph) -> bool:
+    """True if g is connected and has no cut vertex.
 
-    A graph with a Hamiltonian cycle is 2-connected, and g has a Hamiltonian
-    a-b path only if g + ab has a Hamiltonian cycle (or n = 2), so the
-    solvers refuse a graph that fails this before running any DP.  Iterative
-    lowpoint DFS from vertex 0: a non-root u is a cut vertex iff some child
-    subtree reaches no vertex above u, the root iff it has two children.
+    A graph with a Hamiltonian cycle is 2-connected, so the solvers refuse a
+    graph that fails this before running any DP.  Iterative lowpoint DFS
+    from vertex 0: a non-root u is a cut vertex iff some child subtree
+    reaches no vertex above u, the root iff it has two children.
     """
     n = g.n
-    nbrs = [list(g.neighbors(v)) for v in range(n)]
-    if extra is not None:
-        a, b = extra
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    nbrs = [g.neighbors(v) for v in range(n)]
     disc = [-1] * n
     low = [0] * n
     disc[0] = 0
@@ -101,46 +97,46 @@ def _is_biconnected(g: Graph, extra: tuple[int, int] | None = None) -> bool:
 
 
 class _PathDP:
-    """Layered sparse DP from a fixed source a, run up to layer `last`
-    (default n: every layer), for cycles through a or, given the far end
-    `far` = b, for a-b paths.
+    """Layered sparse DP for Hamiltonian cycles through a fixed anchor a,
+    run up to layer `last` (default n: every layer).
 
     layers[i] holds the (visited-set, endpoint) pairs realizable by a simple
     path of i + 1 vertices starting at a whose every state passes the
-    completion test, as one dict per endpoint v mapping the visited mask to
-    the cheapest cost.  Only costs are stored: there are no parent tables.
+    completion test and the anchor rule, as one dict per endpoint v mapping
+    the visited mask to the cheapest cost.  Only costs are stored: there are
+    no parent tables.
 
     Completion test.  (S, v) is kept only if every vertex r outside S has at
     least two neighbours in the free set (V - S) | {v, a}: the rest of a
     cycle runs from v through V - S back to a, and r's two cycle neighbours
-    lie on it.  The rest of an a-b path runs from v through V - S to b, so a
-    is not free and b needs only one such neighbour; the code counts a
-    virtual vertex n, always free and adjacent to b alone, as b's second.
-    Every state made from a source (mask, u) has the free set
-    (V - mask) | {a} (or | {n}), the source's own free set without u, so only
+    lie on it.  Every state made from a source (mask, u) has the free set
+    (V - mask) | {a}, the source's own free set without u, so only
     neighbours of u can fall short and the test runs once per source: with
     no short neighbour every free neighbour is a step, with one only that
     neighbour is, with two or more none is.  The start state is tested
     against the whole graph, so no kept state depends on the solvers' own
     2-connectivity check.
 
+    Anchor.  A step onto the last unvisited neighbour of a is taken only if
+    it completes V; the arcs into neighbours of a carry the check.  It is
+    exact: a proper prefix of a Hamiltonian cycle through a leaves the
+    cycle's last vertex, a neighbour of a, unvisited.  It is monotone: a
+    kept (S, v) with S != V has a neighbour of a outside S, and so does
+    every subset of S.  On g + z from z (see `ham_path`) it holds b back
+    once the path has left z through a, and the other way round.
+
     Why costs, joins and ties are unchanged.  At any of its steps, a path
     to (S, v) can fail the test only at a vertex outside S or at v: a vertex
     it enters and leaves again keeps both path neighbours free until it is
     entered.  Free sets only shrink, so the test of a kept (S, v) rules out
     the first; and v has a free neighbour besides its kept predecessor,
-    which rules out the second.  So if one path reaches (S, v) through kept
-    states, every path does.  A kept state thus has its cost and its cheapest
-    predecessors from the DP without the test, and `reconstruct` rebuilds
-    the same path.  Every prefix of a Hamiltonian cycle through a (of an a-b
-    path) passes the test, so both halves of every optimal join are kept
-    and the joins, weights, orders and tie rule are unchanged.
-
-    Far end.  A step onto the far end b is taken only into the final layer.
-    b ends every a-b path, so no state holding b earlier, nor any built
-    from it, is on a half of one; all other states avoid b, so their costs
-    are unchanged.  b still counts in a source's completion test: if it is
-    the one short neighbour, the source makes no step.
+    which rules out the second; the anchor rule is monotone.  So if one path
+    reaches (S, v) through kept states, every path does.  A kept state thus
+    has its cost and its cheapest predecessors from the DP without either
+    rule, and `reconstruct` rebuilds the same path.  Every prefix of a
+    Hamiltonian cycle through a passes both, so both halves of every
+    optimal join are kept and the joins, weights, orders and tie rule are
+    unchanged.
 
     Sources are relaxed in ascending endpoint order with strict improvement.
     Every source of a target (mask, v) has the mask mask ^ (1 << v) and
@@ -151,14 +147,10 @@ class _PathDP:
     reconstructed orders are deterministic without sorting a layer.
     """
 
-    def __init__(
-        self, g: Graph, a: int, last: int | None = None, far: int | None = None
-    ):
+    def __init__(self, g: Graph, a: int, last: int | None = None):
         self.g = g
         self.a = a
-        self.far = far
         self.last = g.n if last is None else last
-        self.states_visited = 0
         self.layers: list[list[dict[int, int]]] = []
         self._run()
 
@@ -166,14 +158,12 @@ class _PathDP:
         g, a, n = self.g, self.a, self.g.n
         full = (1 << n) - 1
         nbrs = [sum(1 << v for v, _ in g.adjacency[r]) for r in range(n)]
-        # always free: a for a cycle; for a path the virtual vertex n,
-        # adjacent to the far end alone
-        closer = 1 << a
-        if self.far is not None:
-            closer = 1 << n
-            nbrs[self.far] |= closer
+        ring, closer = nbrs[a], 1 << a
+        # the rim of an arc into a neighbour of a is ring, for the anchor rule
         arcs = [
-            [(1 << v, v, w, nbrs[v]) for v, w in g.adjacency[u]] for u in range(n)
+            [(1 << v, v, w, nbrs[v], ring if ring >> v & 1 else 0)
+             for v, w in g.adjacency[u]]
+            for u in range(n)
         ]
         layer: list[dict[int, int]] = [{} for _ in range(n)]
         # every vertex is free in the start state
@@ -181,19 +171,16 @@ class _PathDP:
             layer[a][1 << a] = 0
         self.layers.append(layer)
         self.states_visited = len(layer[a])
-        for i in range(1, self.last):
-            # a path steps onto its far end only in the final layer
-            hold = 0 if self.far is None or i == self.last - 1 else 1 << self.far
+        for _ in range(1, self.last):
             nxt: list[dict[int, int]] = [{} for _ in range(n)]
             for u in range(n):
                 src = layer[u]
                 if not src:
                     continue
-                steps = [(bit, nxt[v], w, nb) for bit, v, w, nb in arcs[u]]
+                steps = [(bit, nxt[v], w, nb, rim) for bit, v, w, nb, rim in arcs[u]]
                 for mask, cost in src.items():
                     # the free set of every state made from (mask, u)
                     free = full ^ mask | closer
-                    blocked = mask | hold
                     short = None
                     for step in steps:
                         if mask & step[0]:
@@ -204,10 +191,13 @@ class _PathDP:
                                 break
                             short = (step,)
                     else:
-                        for bit, dst, w, _ in short or steps:
-                            if blocked & bit:
+                        for bit, dst, w, _, rim in short or steps:
+                            if mask & bit:
                                 continue
                             nmask = mask | bit
+                            # the last neighbour of a only completes V
+                            if rim and nmask & rim == rim and nmask != full:
+                                continue
                             cand = cost + w
                             old = dst.get(nmask)
                             if old is None or cand < old:
@@ -241,19 +231,19 @@ class _PathDP:
         ]
 
 
-def _join(
-    left: _PathDP, right_layer: list[dict[int, int]], keep: int
-) -> tuple[int, int, int, int] | None:
-    """Cheapest join of a state (S, v) of left's final layer with the state
-    (T, v), T = (V - S) | keep | {v}, of `right_layer`, as (cost, v, S, T),
-    or None if no pair joins.  Ties go to the smallest split vertex v, then
-    the smallest mask S, whatever the dict order."""
-    full = (1 << left.g.n) - 1
+def _join(dp: _PathDP) -> tuple[int, int, int, int] | None:
+    """Cheapest join of a state (S, v) of dp's final layer h - 1 with the
+    state (T, v), T = (V - S) | {a, v} of n+2-h vertices, of its layer
+    n + 1 - h, as (cost, v, S, T), or None if no pair joins.  Ties go to the
+    smallest split vertex v, then the smallest mask S, whatever the dict
+    order."""
+    full = (1 << dp.g.n) - 1
     best: tuple[int, int, int, int] | None = None
-    for v, (src, dst) in enumerate(zip(left.layers[-1], right_layer)):
+    right_layer = dp.layers[dp.g.n + 1 - dp.last]
+    for v, (src, dst) in enumerate(zip(dp.layers[-1], right_layer)):
         if not src or not dst:
             continue
-        rest = keep | (1 << v)
+        rest = 1 << dp.a | 1 << v
         get = dst.get
         for mask, cost in src.items():
             partner = (full ^ mask) | rest
@@ -272,42 +262,48 @@ def _join(
 
 def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
     """Every (visited-set, endpoint) state the full sparse cycle DP (all n
-    layers, cycle completion test) keeps from source a; for instrumentation
-    and state-space tests."""
+    layers, completion test and anchor rule) keeps from anchor a; for
+    instrumentation and state-space tests."""
     if not 0 <= a < g.n:
         raise ValueError("source out of range")
     return _PathDP(g, a).all_state_keys()
 
 
-def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
-    """Cheapest Hamiltonian a-b path, or None if no such path exists.
-
-    Answers None without a DP when g plus the edge ab is not 2-connected.
-    Otherwise runs the path DP from a, with far end b, up to layer
-    h = ceil((n+1)/2) and from b, with far end a, up to layer n+1-h, and
-    joins (S, v) from a with ((V - S) | {v}, v) from b: the optimal path's
-    vertex in position h, read from a, is such a v.
-    Among optimal joins the smallest v, then the smallest S, is taken; each
-    half is the DP's kept path, the b half reversed.  `states_visited` counts
-    the states of both bounded DPs.
-    """
-    if not (0 <= a < g.n and 0 <= b < g.n):
-        raise ValueError("endpoint out of range")
-    if a == b:
-        raise ValueError("endpoints must be distinct")
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
-    if not _is_biconnected(g, (a, b)):
+def _cycle(g: Graph, a: int) -> TourResult | None:
+    """`tsp_cycle` with the anchor a given: the order starts at a."""
+    if not _is_biconnected(g):
         return None
-    h = (g.n + 2) // 2
-    left = _PathDP(g, a, h, far=b)
-    right = _PathDP(g, b, g.n + 1 - h, far=a)
-    best = _join(left, right.layers[-1], 0)
+    dp = _PathDP(g, a, (g.n + 3) // 2)
+    best = _join(dp)
     if best is None:
         return None
     weight, v, mask, partner = best
-    order = left.reconstruct(v, mask) + right.reconstruct(v, partner)[-2::-1]
-    return TourResult(weight, order, left.states_visited + right.states_visited)
+    order = dp.reconstruct(v, mask) + dp.reconstruct(v, partner)[-2:0:-1]
+    return TourResult(weight, order, dp.states_visited)
+
+
+def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
+    """Cheapest Hamiltonian a-b path, or None if no such path exists.
+
+    The cheapest Hamiltonian cycle of g + z (module docstring), anchored at
+    z and found as in `tsp_cycle`, without z and read from a;
+    `states_visited` counts the states of its DP.  g + z must fit the vertex
+    capacity, so a graph of 64 vertices raises CapacityError.
+    """
+    n = g.n
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError("endpoint out of range")
+    if a == b:
+        raise ValueError("endpoints must be distinct")
+    if n >= VERTEX_CAPACITY:
+        raise CapacityError(
+            f"a path query adds a vertex to n={n}, capacity is {VERTEX_CAPACITY}"
+        )
+    res = _cycle(Graph(n + 1, g.edges + ((a, n, 0), (b, n, 0))), n)
+    if res is None:
+        return None
+    order = res.order[1:] if res.order[1] == a else res.order[:0:-1]
+    return TourResult(res.weight, order, res.states_visited)
 
 
 def anchor_vertex(g: Graph) -> int:
@@ -330,17 +326,7 @@ def tsp_cycle(g: Graph) -> TourResult | None:
     """
     if g.n < 3:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")
-    if not _is_biconnected(g):
-        return None
-    dp = _PathDP(g, anchor_vertex(g), (g.n + 3) // 2)
-    # the second half has n+2-h vertices (h at even n, h-1 at odd n), so it
-    # is a state of layers[n+1-h]
-    best = _join(dp, dp.layers[g.n + 1 - dp.last], 1 << dp.a)
-    if best is None:
-        return None
-    weight, v, mask, partner = best
-    order = dp.reconstruct(v, mask) + dp.reconstruct(v, partner)[-2:0:-1]
-    return TourResult(weight, order, dp.states_visited)
+    return _cycle(g, anchor_vertex(g))
 
 
 def held_karp_cycle(g: Graph) -> TourResult | None:

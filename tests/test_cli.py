@@ -211,6 +211,46 @@ def test_gen_missing_parameter_exits_2(capsys, params):
     assert captured.err.startswith("expdeg: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gen", "--model", "gnm", "--n", "3", "--m", "-1"], "m=-1"),
+        (["gen", "--model", "bipartite", "--k", "3", "--m", "-1"], "m=-1"),
+        (["gen", "--model", "regular", "--n", "-4", "--d", "2"], "n=-4"),
+        (["gen", "--model", "regular-x", "--n", "4"], "degree d"),
+        (["gen", "--model", "regular-²", "--n", "4"], "degree d"),
+        (["gen", "--model", "regular-" + "1" * 5000, "--n", "4"], "degree d"),
+        (["bench", "--algo", "count-pm-dp", "--sizes", "8", "--degrees", "-3"],
+         "degrees must be finite and nonnegative"),
+    ],
+)
+def test_bad_generator_parameter_is_named(capsys, argv, named):
+    """A negative or malformed generator parameter exits 2 with one line
+    that names it, not the message of a library call underneath."""
+    assert main([*argv, "--seed" if argv[0] == "gen" else "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("expdeg: error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    for leak in ("Sample larger", "invalid literal"):
+        assert leak not in captured.err
+
+
+def test_tsp_path_on_64_vertices_exits_3(capsys, tmp_path):
+    """A path query solves a cycle on one vertex more, so at the vertex
+    capacity it exits 3 with one line; the cycle query still runs."""
+    path = tmp_path / "c64.txt"
+    path.write_text(serialize_graph(cycle_graph(64)))
+    assert main(["tsp", "--input", str(path), "--path", "0", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "expdeg: capacity: a path query adds a vertex to n=64, capacity is 64\n"
+    )
+    code, payload = run_json(capsys, ["tsp", "--input", str(path)])
+    assert code == 0 and payload["weight"] == 64
+
+
 def test_gen_regular_gives_up_with_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(generate, "_REGULAR_ATTEMPTS", 1)
     code = main(["gen", "--model", "regular", "--n", "30", "--d", "12", "--seed", "1"])

@@ -11,6 +11,7 @@ from expdeg import (
     ham_path,
     held_karp_cycle,
     oracle_tsp,
+    random_gnm,
     tsp_cycle,
 )
 from expdeg import tsp
@@ -37,6 +38,11 @@ def k4_spiked():
     return Graph.from_edges(
         4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 10), (0, 3, 10), (1, 3, 10)]
     )
+
+
+def plus_z(g: Graph, a: int, b: int) -> Graph:
+    """g + z: one added vertex z = n joined to a and b by weight-0 edges."""
+    return Graph(g.n + 1, [*g.edges, (a, g.n, 0), (b, g.n, 0)])
 
 
 # --- ham_path --------------------------------------------------------------
@@ -188,7 +194,7 @@ def test_ham_path_against_permutation_brute_force():
         for a, b in ((0, g.n - 1), (g.n // 2, g.n - 1)):
             if a == b:
                 continue
-            refused += not _is_biconnected(g, (a, b))
+            refused += not _is_biconnected(plus_z(g, a, b))
             best = brute_ham_path(g, a, b)
             res = ham_path(g, a, b)
             got = None if res is None else res.weight
@@ -214,38 +220,40 @@ def enumerate_path_states(g: Graph, a: int) -> set[tuple[int, int]]:
 
 
 def completion_kept_layers(
-    g: Graph, a: int, far: int | None = None, last: int | None = None
+    g: Graph, a: int, last: int | None = None, anchor_rule: bool = True
 ) -> list[set]:
     """Layer by layer up to layer `last` (default n), every (visited set,
     endpoint) pair one step from a kept pair of the layer before that passes
     the completion test, scanned in full: each vertex r outside the set has
     at least two neighbours in the free set, which is the unvisited vertices
-    plus the endpoint, plus a for a cycle (far is None); with far end b, a
-    is not free, r = b needs one, and a step onto b is taken only into the
-    final layer.  The start pair is tested too."""
+    plus the endpoint plus a.  The start pair is tested too.  With
+    `anchor_rule`, every later pair must also be all of V or leave some
+    neighbour of a outside its set."""
 
     last = g.n if last is None else last
     full = (1 << g.n) - 1
     nbrs = [g.neighbors(r) for r in range(g.n)]
-    checks = [
-        (1 << r, sum(1 << x for x in nbrs[r]), 1 if r == far else 2) for r in range(g.n)
-    ]
+    checks = [(1 << r, sum(1 << x for x in nbrs[r])) for r in range(g.n)]
+    ring = checks[a][1]
 
     def passes(mask: int, v: int) -> bool:
-        free = (full ^ mask) | (1 << v) | (1 << a if far is None else 0)
-        for bit, nbr_mask, need in checks:
-            if not mask & bit and (nbr_mask & free).bit_count() < need:
+        free = (full ^ mask) | (1 << v) | (1 << a)
+        for bit, nbr_mask in checks:
+            if not mask & bit and (nbr_mask & free).bit_count() < 2:
                 return False
         return True
 
+    def anchor_ok(mask: int) -> bool:
+        return not anchor_rule or mask == full or mask & ring != ring
+
     layers = [{(1 << a, a)} if passes(1 << a, a) else set()]
-    for i in range(1, last):
+    for _ in range(1, last):
         layers.append({
             (mask | (1 << v), v)
             for mask, u in layers[-1]
             for v in nbrs[u]
             if not (mask >> v) & 1
-            and (v != far or i == last - 1)
+            and anchor_ok(mask | (1 << v))
             and passes(mask | (1 << v), v)
         })
     return layers
@@ -258,23 +266,26 @@ def layer_sets(dp: _PathDP) -> list[set]:
 
 def test_states_equal_path_reachable_pairs():
     """The full DP keeps exactly the pairs a full-scan layered search
-    reaches through pairs that pass the completion test, for the cycle rule
-    and for every far end; they are pairs simple paths from the source
-    realize."""
-    kept = 0
+    reaches through pairs that pass the completion test and the anchor rule,
+    from vertex 0 of g and from z on every g + z with z joined to 0 and b;
+    they are pairs simple paths from the source realize.  The anchor rule
+    drops states the completion test alone keeps."""
+    kept = dropped = 0
     for seed in range(20):
         g = seeded_weighted_graph(seed + 900, n_max=9, n_min=2)
-        states = path_dp_states(g, 0)
-        assert len(states) == len(set(states))
-        assert set(states) == set().union(*completion_kept_layers(g, 0))
-        assert set(states) <= enumerate_path_states(g, 0)
-        assert len(states) <= g.n * 2 ** (g.n - 1)
-        kept += bool(states)
-        for b in range(1, g.n):
-            dp = _PathDP(g, 0, far=b)
-            assert layer_sets(dp) == completion_kept_layers(g, 0, b), (seed, b)
-            assert set(dp.all_state_keys()) <= enumerate_path_states(g, 0)
-    assert kept > 5
+        cases = [(g, 0)] + [(plus_z(g, 0, b), g.n) for b in range(1, g.n)]
+        for h, a in cases:
+            states = path_dp_states(h, a)
+            assert len(states) == len(set(states))
+            want = completion_kept_layers(h, a)
+            assert layer_sets(_PathDP(h, a)) == want, (seed, h)
+            assert set(states) <= enumerate_path_states(h, a)
+            assert len(states) <= h.n * 2 ** (h.n - 1)
+            kept += bool(states)
+            unruled = completion_kept_layers(h, a, anchor_rule=False)
+            assert set().union(*want) <= set().union(*unruled)
+            dropped += sum(map(len, unruled)) - len(states)
+    assert kept > 20 and dropped > 0
 
 
 def test_deterministic_reconstruction():
@@ -369,16 +380,10 @@ def tie_heavy_graph(seed: int, n_max: int, n_min: int = 3) -> Graph:
     return Graph.from_edges(g.n, [(u, v, rng.randint(1, 2)) for u, v, _ in g.edges])
 
 
-def full_cost(dp: _PathDP) -> int | None:
-    """Cheapest Hamiltonian a-b path cost of a DP with far end b that ran
-    every layer, or None if there is none."""
-    return dp.layers[-1][dp.far].get((1 << dp.g.n) - 1)
-
-
-def full_path(dp: _PathDP) -> tuple[int, ...]:
-    """The kept Hamiltonian a..b path of a DP with far end b that ran every
-    layer."""
-    return dp.reconstruct(dp.far, (1 << dp.g.n) - 1)
+def read_from(order: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """A cycle order of g + z starting at z, with z dropped, read from a."""
+    path = order[1:]
+    return path if path[0] == a else path[::-1]
 
 
 def as_tuple(res):
@@ -386,61 +391,57 @@ def as_tuple(res):
 
 
 def test_path_dp_matches_sorted_key_reference():
-    """On every anchor, ties included, for the cycle rule and for every far
-    end: every layer of the DP, full or bounded, holds exactly the pairs of
-    the full-scan completion search run to the same last layer; ham_path and tsp_cycle give the full
-    reference's weight, the order of the stated tie rule applied to the
-    reference's own tables, and the state count of the completion search's
-    bounded layers."""
+    """On every anchor of g and on g + z for every pair a, b, ties included:
+    every layer of the DP, full or bounded, holds exactly the pairs of the
+    full-scan search run to the same last layer; the full DP on g + z from z
+    holds the unpruned reference's cheapest Hamiltonian a-b path of g, cost
+    and kept path; ham_path and tsp_cycle give the full reference's weight,
+    the order of the stated tie rule applied to the reference's own tables
+    on g (on g + z from z), and the state count of the search's bounded
+    layers."""
     for seed in range(40):
         g = tie_heavy_graph(seed + 7000, n_max=11, n_min=4)
         n = g.n
-        h_path, h_cycle = (n + 2) // 2, (n + 3) // 2
+        full = (1 << n) - 1
+        h_cycle, h_z = (n + 3) // 2, (n + 4) // 2
         refs = [SortedKeyPathDP(g, a) for a in range(n)]
-        kept = {
-            (a, far): completion_kept_layers(g, a, far)
-            for a in range(n)
-            for far in (None, *range(n))
-            if far != a
-        }
-        full_dps, bounded_kept = {}, {}
-        for (a, far), want in kept.items():
-            dp = full_dps[a, far] = _PathDP(g, a, far=far)
-            assert layer_sets(dp) == want, (seed, a, far)
-            assert dp.states_visited == sum(map(len, want)), (seed, a, far)
-            lasts = {h_path, n + 1 - h_path} | ({h_cycle} if far is None else set())
-            for last in lasts:
-                bounded = _PathDP(g, a, last, far)
+        for a in range(n):
+            want = completion_kept_layers(g, a)
+            dp = _PathDP(g, a)
+            assert layer_sets(dp) == want, (seed, a)
+            assert dp.states_visited == sum(map(len, want)), (seed, a)
+            assert set(path_dp_states(g, a)) == set().union(*want), (seed, a)
+            for last in {h_cycle, n + 2 - h_cycle, n + 1 - h_cycle}:
+                bounded = _PathDP(g, a, last)
                 keys = bounded.all_state_keys()
                 assert len(keys) == len(set(keys)) == bounded.states_visited
-                want_bounded = bounded_kept[a, far, last] = completion_kept_layers(
-                    g, a, far, last
-                )
-                assert layer_sets(bounded) == want_bounded, (seed, a, far, last)
+                assert layer_sets(bounded) == want[:last], (seed, a, last)
         for a in range(n):
-            ref = refs[a]
-            assert set(path_dp_states(g, a)) == set().union(*kept[a, None]), (seed, a)
-            for b in range(n):
-                if b == a:
-                    continue
-                found = ref.path(b)
-                dp = full_dps[a, b]
-                cost = None if found is None else found[0]
-                assert full_cost(dp) == cost, (seed, a, b)
-                res = ham_path(g, a, b)
-                if found is not None:
-                    assert full_path(dp) == found[1], (seed, a, b)
-                    weight, first, second = reference_join(
-                        ref, h_path, refs[b], n + 1 - h_path, 0
-                    )
-                    assert weight == found[0], (seed, a, b)
-                    assert (res.weight, res.order) == (weight, first + second[-2::-1])
-                    assert res.states_visited == sum(
-                        map(len, bounded_kept[a, b, h_path] + bounded_kept[b, a, n + 1 - h_path])
-                    ), (seed, a, b)
+            for b in range(a + 1, n):
+                gz = plus_z(g, a, b)
+                want = completion_kept_layers(gz, n)
+                dp = _PathDP(gz, n)
+                assert layer_sets(dp) == want, (seed, a, b)
+                bounded = _PathDP(gz, n, h_z)
+                assert layer_sets(bounded) == want[:h_z], (seed, a, b)
+                zref = SortedKeyPathDP(gz, n)
+                joined = reference_join(zref, h_z, zref, n + 3 - h_z, 1 << n)
+                for x, y in ((a, b), (b, a)):
+                    found = refs[x].path(y)
+                    res = ham_path(g, x, y)
+                    if found is None:
+                        assert dp.layers[-1][y].get(full | 1 << n) is None
+                        assert joined is None and res is None, (seed, x, y)
+                        continue
+                    assert dp.layers[-1][y][full | 1 << n] == found[0], (seed, x, y)
+                    assert dp.reconstruct(y, full | 1 << n) == (n, *found[1])
+                    weight, first, second = joined
+                    assert weight == found[0], (seed, x, y)
+                    order = first + second[-2:0:-1]
+                    want_res = (weight, read_from(order, x), bounded.states_visited)
+                    assert as_tuple(res) == want_res, (seed, x, y)
+                    assert (res.order[0], res.order[-1]) == (x, y)
                     assert tour_weight(g, res.order, cycle=False) == res.weight
-                else:
-                    assert res is None, (seed, a, b)
         a = anchor_vertex(g)
         ref = refs[a]
         expected = ref.cycle(a)
@@ -451,7 +452,7 @@ def test_path_dp_matches_sorted_key_reference():
             weight, first, second = reference_join(ref, h_cycle, ref, n + 2 - h_cycle, 1 << a)
             assert weight == expected[0], seed
             order = first + second[-2:0:-1]
-            states = sum(map(len, bounded_kept[a, None, h_cycle]))
+            states = sum(map(len, completion_kept_layers(g, a, h_cycle)))
             assert as_tuple(got) == (weight, order, states), seed
             assert tour_weight(g, got.order, cycle=True) == got.weight
 
@@ -459,31 +460,32 @@ def test_path_dp_matches_sorted_key_reference():
 def test_every_stored_state_reconstructs_as_the_reference():
     """With no parent tables, reconstruct walks back by the smallest
     neighbour whose cost plus the arc weight gives the state's cost: from
-    every kept state of every layer, for the cycle rule and for every far
-    end, it rebuilds the path the unpruned reference's parent table keeps
-    (smallest cheapest parent), the state's cost is the reference's, and
-    that path covers the state's mask, ends at its endpoint and weighs the
-    stored cost.  Far ends are swept on the graphs with n <= 9 only, which
-    keeps the run short."""
+    every kept state of every layer, from every anchor of g and from z on
+    g + z for every pair a, b, it rebuilds the path the unpruned
+    reference's parent table keeps (smallest cheapest parent), the state's
+    cost is the reference's, and that path covers the state's mask, ends at
+    its endpoint and weighs the stored cost.  The g + z sweep runs on the
+    graphs with n <= 9 only, which keeps the run short."""
     for seed in range(40):
         g = tie_heavy_graph(seed + 7000, n_max=11, n_min=4)
-        fars = range(g.n) if g.n <= 9 else ()
-        for a in range(g.n):
-            ref = SortedKeyPathDP(g, a)
-            for far in (None, *fars):
-                if far == a:
-                    continue
-                dp = _PathDP(g, a, far=far)
-                for i, layer in enumerate(dp.layers):
-                    for v, costs in enumerate(layer):
-                        for mask, cost in costs.items():
-                            order = dp.reconstruct(v, mask)
-                            assert order == ref.trace(mask, v), (seed, a, far, mask, v)
-                            assert ref.layers[i][mask << 6 | v] == cost
-                            assert len(order) == i + 1 and order[0] == a
-                            assert sum(1 << x for x in set(order)) == mask
-                            steps = zip(order, order[1:])
-                            assert sum(g.weight(u, x) for u, x in steps) == cost
+        cases = [(g, a) for a in range(g.n)]
+        if g.n <= 9:
+            cases += [
+                (plus_z(g, a, b), g.n) for a in range(g.n) for b in range(a + 1, g.n)
+            ]
+        for h, a in cases:
+            ref = SortedKeyPathDP(h, a)
+            dp = _PathDP(h, a)
+            for i, layer in enumerate(dp.layers):
+                for v, costs in enumerate(layer):
+                    for mask, cost in costs.items():
+                        order = dp.reconstruct(v, mask)
+                        assert order == ref.trace(mask, v), (seed, h, a, mask, v)
+                        assert ref.layers[i][mask << 6 | v] == cost
+                        assert len(order) == i + 1 and order[0] == a
+                        assert sum(1 << x for x in set(order)) == mask
+                        steps = zip(order, order[1:])
+                        assert sum(h.weight(u, x) for u, x in steps) == cost
 
 
 def hamiltonian_paths(g: Graph, a: int):
@@ -498,11 +500,11 @@ def hamiltonian_paths(g: Graph, a: int):
 
 
 def test_every_state_on_a_tour_is_kept():
-    """The completion test never drops a state a tour passes through: every
-    prefix of every Hamiltonian cycle through a, either way round, is kept
-    by the cycle DP from a, and every prefix of every Hamiltonian a-b path
-    by the DP from a with far end b (the b..a direction is the same check
-    from b)."""
+    """The completion test and the anchor rule never drop a state a tour
+    passes through: every prefix of every Hamiltonian cycle through a,
+    either way round, is kept by the cycle DP from a, and every prefix of
+    z followed by every Hamiltonian a-b path by the DP on g + z from z (the
+    b..a direction is the same check from b)."""
     graphs = [tie_heavy_graph(seed + 7000, n_max=8, n_min=3) for seed in range(40)]
     graphs += [complete_graph(6), cycle_graph(7), petersen_graph()]
     cycles = paths = 0
@@ -513,13 +515,15 @@ def test_every_state_on_a_tour_is_kept():
             for order in hamiltonian_paths(g, a):
                 b = order[-1]
                 if b not in path_states:
-                    path_states[b] = set(_PathDP(g, a, far=b).all_state_keys())
+                    path_states[b] = set(path_dp_states(plus_z(g, a, b), g.n))
                 prefixes = set()
                 mask = 0
                 for v in order:
                     mask |= 1 << v
                     prefixes.add((mask, v))
-                assert prefixes <= path_states[b], (g, order)
+                z = 1 << g.n
+                through_z = {(z, g.n)} | {(mask | z, v) for mask, v in prefixes}
+                assert through_z <= path_states[b], (g, order)
                 paths += 1
                 if g.has_edge(b, a):
                     assert prefixes <= cycle_states, (g, order)
@@ -609,7 +613,7 @@ def test_join_finds_nothing_on_2_connected_non_hamiltonian_graphs(monkeypatch):
     for g in (petersen_graph(), k23):
         assert _is_biconnected(g)
         assert tsp_cycle(g) is None
-    assert _is_biconnected(k23, (0, 1)) and brute_ham_path(k23, 0, 1) is None
+    assert _is_biconnected(plus_z(k23, 0, 1)) and brute_ham_path(k23, 0, 1) is None
     assert ham_path(k23, 0, 1) is None
     assert joins == [None, None, None]
 
@@ -648,10 +652,26 @@ def naive_biconnected(g: Graph) -> bool:
     return connected(-1) and all(connected(v) for v in range(g.n))
 
 
-@pytest.mark.parametrize("make", [pendant_graph, bridged_cubic_graph, bowtie_graph])
+def bare_path_graph() -> Graph:
+    # P_6 plus z is 2-connected for the ends 0, 5 only
+    return path_graph(6, [1, 2, 3, 4, 5])
+
+
+@pytest.mark.parametrize(
+    "make", [pendant_graph, bridged_cubic_graph, bowtie_graph, bare_path_graph]
+)
 def test_tsp_cycle_refuses_before_the_dp(make, monkeypatch):
+    """No DP runs for a cycle on g, nor for a path query whose g + z is not
+    2-connected."""
     g = make()
     assert oracle_tsp(g) is None
+    refused = [
+        (a, b)
+        for a in range(g.n)
+        for b in range(g.n)
+        if a != b and not naive_biconnected(plus_z(g, a, b))
+    ]
+    assert refused
 
     def no_dp(*args):
         raise AssertionError("the path DP ran on a graph that is not 2-connected")
@@ -659,6 +679,41 @@ def test_tsp_cycle_refuses_before_the_dp(make, monkeypatch):
     monkeypatch.setattr(tsp, "_PathDP", no_dp)
     assert tsp_cycle(g) is None
     assert held_karp_cycle(g) is None
+    for a, b in refused:
+        assert ham_path(g, a, b) is None, (a, b)
+
+
+def test_ham_path_on_64_vertices_is_refused():
+    """g + z needs one vertex more than g, so a path query on 64 vertices
+    is over the vertex capacity, whatever the graph."""
+    ring = Graph.from_edges(64, [(i, (i + 1) % 64) for i in range(64)])
+    for g in (ring, Graph(64, ())):
+        with pytest.raises(CapacityError, match="capacity is 64"):
+            ham_path(g, 0, 1)
+    assert ham_path(Graph.from_edges(63, [(i, i + 1) for i in range(62)]), 0, 62).weight == 62
+
+
+def test_ham_path_weight_is_held_karp_on_g_plus_z():
+    """Beyond the brute force's reach (n = 12-16), a path query weighs what
+    the dense table finds for the cycle on g + z."""
+    sizes = [12] * 40 + [13] * 25 + [14] * 20 + [15] * 10 + [16] * 5
+    feasible = 0
+    for i, n in enumerate(sizes):
+        rng = random.Random(13000 + i)
+        g = random_gnm(n, rng.randint(2 * n, 3 * n), rng.randrange(2**32))
+        g = Graph(n, [(u, v, rng.randint(0, 12)) for u, v, _ in g.edges])
+        a, b = rng.sample(range(n), 2)
+        res = ham_path(g, a, b)
+        dense = held_karp_cycle(plus_z(g, a, b))
+        assert (None if res is None else res.weight) == (
+            None if dense is None else dense.weight
+        ), (i, a, b)
+        if res is not None:
+            assert (res.order[0], res.order[-1]) == (a, b)
+            assert sorted(res.order) == list(range(n))
+            assert tour_weight(g, res.order, cycle=False) == res.weight
+            feasible += 1
+    assert feasible > 80
 
 
 def test_ham_path_on_a_bare_path_graph():
@@ -681,12 +736,11 @@ def test_is_biconnected_matches_vertex_deletion():
     assert any(not _is_biconnected(g) for g in cases)
     for g in cases:
         assert _is_biconnected(g) == naive_biconnected(g), g
+        # from n = 3 on, g + z is 2-connected exactly when g + ab is
         a, b = 0, g.n - 1
-        if not g.has_edge(a, b):
-            plus = Graph.from_edges(g.n, [*g.edges, (a, b, 1)])
-            assert _is_biconnected(g, (a, b)) == naive_biconnected(plus), g
-        else:
-            assert _is_biconnected(g, (a, b)) == _is_biconnected(g)
+        gz = plus_z(g, a, b)
+        plus = g if g.has_edge(a, b) else Graph(g.n, [*g.edges, (a, b, 1)])
+        assert _is_biconnected(gz) == naive_biconnected(gz) == naive_biconnected(plus), g
 
 
 # --- metamorphic: relabelling ----------------------------------------------
