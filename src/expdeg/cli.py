@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -242,18 +240,11 @@ BENCH_COLUMNS = [
 ]
 
 
-def _bench_instance(task: dict) -> dict:
-    """Run one bench instance described by plain parameters (kept picklable
-    so instances can run in worker processes): the row holds what the
-    command for `algo` prints for the generated graph."""
-    algo, model, n, seed = task["algo"], task["model"], task["n"], task["seed"]
-    if model == "bipartite":
-        g = generate.random_bipartite_min2(n, task["m"], seed)
-    elif model == "regular":
-        g = generate.random_regular(n, task["d"], seed)
-    else:
-        g = generate.random_gnm(n, task["m"], seed)
-    payload = _solve(algo, g, argparse.Namespace(alpha=task["alpha"]))
+def _bench_row(algo: str, model: str, g, seed: int, alpha) -> dict:
+    """One bench row: what the command for `algo` prints for g, generated
+    from `seed` (n is the side size k in the bipartite model)."""
+    n = g.k if model == "bipartite" else g.n
+    payload = _solve(algo, g, argparse.Namespace(alpha=alpha))
     states = payload.get(SOLVERS[algo].states, 0)
     # a bipartite degree is per vertex of one side; log2(states) is per tour
     # vertex, or per matching edge: k in a bipartite graph, n/2 in a general one
@@ -282,51 +273,35 @@ def run_bench(
     seeds: list[int],
     alpha: Fraction | str = "3.55",
 ) -> tuple[list[dict], list[dict]]:
-    """Build the instance grid, run it (optionally in parallel), and return
-    (rows, per-(n, d) summary).  Rows are sorted by (n, d, seed), d as an
-    exact number, so worker scheduling never changes the artifact.
-    count-pm-bip runs the 'bipartite' model, the others 'gnm' or 'regular'
-    (whole degrees)."""
+    """Run the grid sizes x degrees x seeds one instance after another in
+    this process, and return (rows, per-(n, d) summary).  count-pm-bip runs
+    the 'bipartite' model, where a size is the side size k; the others run
+    'gnm' or 'regular' (whole degrees)."""
     bipartite = SOLVERS[algo].kind is BipartiteGraph
     if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
+    if any(n < 0 for n in sizes):
+        raise ValueError(f"sizes must be nonnegative, got {sizes}")
     if not all(math.isfinite(d) and d >= 0 for d in degrees):
         raise ValueError(f"degrees must be finite and nonnegative, got {degrees}")
     if model == "regular" and any(d != int(d) for d in degrees):
         raise ValueError("the 'regular' model needs whole degrees")
-    tasks = []
+    rows = []
     for n in sizes:
         for d in degrees:
             for seed in seeds:
-                # n is the side size k in the bipartite model
-                task = {
-                    "algo": algo, "model": model, "n": n, "seed": seed, "alpha": alpha
-                }
                 # m in exact arithmetic from the decimal d: a float n * d
                 # overflows for a huge d and drifts off an exact half
                 if bipartite:
-                    task["m"] = max(2 * n, round(n * exact_fraction(d)))
+                    m = max(2 * n, round(n * exact_fraction(d)))
+                    g = generate.random_bipartite_min2(n, m, seed)
                 elif model == "regular":
-                    task["d"] = int(d)
+                    g = generate.random_regular(n, int(d), seed)
                 else:
-                    task["m"] = round(n * exact_fraction(d) / 2)
-                tasks.append(task)
-
-    threads = os.environ.get("EXPDEG_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise ValueError(
-            f"EXPDEG_THREADS must be a whole number, got {threads!r}"
-        ) from None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_instance, tasks))
-    else:
-        rows = [_bench_instance(t) for t in tasks]
-    # d in numeric order: as strings "10" would sort before "3" and "5/2"
+                    g = generate.random_gnm(n, round(n * exact_fraction(d) / 2), seed)
+                rows.append(_bench_row(algo, model, g, seed, alpha))
+    # --sizes, --degrees and --seeds may come in any order; d sorts as a
+    # number, since as strings "10" would sort before "3" and "5/2"
     rows.sort(key=lambda r: (r["n"], Fraction(r["avg_degree"]), r["seed"]))
 
     groups: dict[tuple[int, str], list[dict]] = {}
@@ -349,11 +324,11 @@ def _cmd_bench(args) -> None:
         args.algo, model, args.sizes, args.degrees, args.seeds, args.alpha
     )
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(
+            sys.stdout, fieldnames=BENCH_COLUMNS, lineterminator="\n"
+        )
         writer.writeheader()
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
     else:
         _emit({"rows": rows, "summary": summary})
 

@@ -6,7 +6,6 @@ exactly m distinct edges, so the average degree is exactly 2m/n.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .errors import CapacityError, _shown
@@ -33,19 +32,8 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
         raise _too_many_edges(m, total, f"on {_shown(n)} vertices")
     Graph(n, ())  # refuse a size over the vertex capacity before drawing
     rng = random.Random(seed)
-    chosen = [_unrank_pair(n, i) for i in rng.sample(range(total), m)]
-    return Graph.from_edges(n, chosen)
-
-
-def _unrank_pair(n: int, i: int) -> tuple[int, int]:
-    """The i-th pair (u, v), u < v < n, in lexicographic order: the same
-    pair a list of all pairs holds at index i, without building the list."""
-    # pairs from i on, counted from the end: j + 1 = r(r+1)/2 + c + 1 with
-    # r = n-2-u rows below u and c = n-1-v, so r = floor((sqrt(8j+1)-1)/2)
-    j = n * (n - 1) // 2 - 1 - i
-    r = (math.isqrt(8 * j + 1) - 1) // 2
-    u = n - 2 - r
-    return u, n - 1 - (j - r * (r + 1) // 2)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, rng.sample(pairs, m))
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
@@ -113,17 +101,8 @@ def random_bipartite_min2(k: int, m: int, seed: int) -> BipartiteGraph:
         if all(a != b for a, b in zip(p1, p2)) or k < 2:
             break
     edges = {(i, p1[i]) for i in range(k)} | {(i, p2[i]) for i in range(k)}
-    # the extras are indices into the row-major list of the k - 2 cells per
-    # row outside both matchings (none when k <= 2), unranked without the list
-    per_row = max(k - 2, 0)
-    for idx in rng.sample(range(k * per_row), m - len(edges)):
-        row, col = divmod(idx, per_row)
-        lo, hi = sorted((p1[row], p2[row]))
-        if col >= lo:
-            col += 1
-        if col >= hi:
-            col += 1
-        edges.add((row, col))
+    cells = [(i, j) for i in range(k) for j in range(k) if (i, j) not in edges]
+    edges.update(rng.sample(cells, m - len(edges)))
     return BipartiteGraph.from_edges(k, edges)
 
 

@@ -34,6 +34,11 @@ def _check_alpha(alpha: Fraction | float) -> Fraction:
     return alpha
 
 
+def _b0_size(k: int, d: Fraction, alpha: Fraction) -> int:
+    """floor(k/(alpha*d)), the size of the block B0; 0 when d = 0."""
+    return math.floor(Fraction(k, alpha * d)) if d else 0
+
+
 @dataclass(frozen=True)
 class ReducedInstance:
     """Result of peeling: a sub-instance with minimum degree >= 2 (or empty),
@@ -120,9 +125,8 @@ def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> Tri
     ):
         raise ValueError("trim planning requires minimum degree 2; reduce first")
     d = Fraction(g.m, k)
-    b0_size = math.floor(Fraction(k, alpha * d))
     by_degree = sorted(range(k), key=lambda j: (len(g.adj_b[j]), j))
-    b0 = tuple(by_degree[:b0_size])
+    b0 = tuple(by_degree[:_b0_size(k, d, alpha)])
     a0 = set()
     for j in b0:
         a0.update(g.adj_b[j])
@@ -178,29 +182,26 @@ def count_pm_bipartite(
 ) -> BipCountResult:
     """Exact perfect-matching count by one forward pass over _levels; stored
     states are the kept sets of all levels, pruned calls the dropped ones."""
-    alpha = _check_alpha(alpha)
     red = reduce_degree_one(g)
-    if not red.feasible:
-        return BipCountResult(0, 0, 0, 0, 0, Fraction(0), alpha)
     h = red.graph
     k = h.k
-    if k == 0:
-        return BipCountResult(1, 0, 0, 0, 0, Fraction(0), alpha)
+    if k == 0:  # peeling left nothing, or found g infeasible
+        alpha = _check_alpha(alpha)  # plan_trim checks it on the other path
+        return BipCountResult(int(red.feasible), 0, 0, 0, 0, Fraction(0), alpha)
     plan = plan_trim(h, alpha)
     stored = pruned = 0
     for level, dropped in _levels(h, plan.order_a):
         stored += len(level)
         pruned += dropped
     count = level.get((1 << k) - 1, 0)
-    return BipCountResult(count, stored, pruned, len(plan.b0), k, plan.d, alpha)
+    return BipCountResult(count, stored, pruned, len(plan.b0), k, plan.d, plan.alpha)
 
 
 def stored_state_bound(k: int, d: Fraction, alpha: Fraction) -> int:
     """Explicit cap on the kept sets of all levels, the empty set included:
     2^(k - floor(k/(alpha d)) + 1) + k * C(k, ceil(k/alpha)) + 1."""
-    b0_size = math.floor(Fraction(k, alpha * d)) if d else 0
     return (
-        2 ** (k - b0_size + 1)
+        2 ** (k - _b0_size(k, d, alpha) + 1)
         + k * math.comb(k, math.ceil(Fraction(k, alpha)))
         + 1
     )

@@ -123,7 +123,8 @@ def test_plan_rejects_small_alpha():
 
 
 def test_count_rejects_small_alpha_before_peeling():
-    # peeling empties a perfect matching, so plan_trim never sees alpha
+    # peeling empties a perfect matching, so plan_trim never sees alpha:
+    # count checks it on that path itself
     matching2 = BipartiteGraph.from_edges(2, [(0, 0), (1, 1)])
     for alpha in (Fraction(2), 2.0, 1):
         with pytest.raises(ValueError):
