@@ -36,11 +36,35 @@ The generator _strata yields each stratum as (paths, covers), in the
 pattern of pm_bipartite._levels, and drops it when it moves on;
 run_cover_dp sums their entries into states_visited.
 
+Neighbour rule.  Every entry leaves a set U of unmatched original vertices:
+both vertices of each node outside X, and for a path (X, a, b, x) also
+2a+1 and 2b+(x^1).  An entry is stored only if every vertex of U has a
+neighbour in U.  The labels that complete an entry into a full cover are
+pairwise disjoint edges that cover exactly U, a perfect matching of G[U],
+so an entry that breaks the rule has no completion and dropping it leaves
+every count exact.  The root, X empty, obeys the rule unless some vertex
+has no neighbour at all; then nothing is stored and the count is 0.
+
+Each push (self-loop, seed, extend or close) consumes the two endpoints of
+one label, and the target's U is the source's U less those two.  A vertex
+of the target's U that is adjacent to neither of them keeps the neighbour
+it had in the source's U, so when the source obeys the rule only the
+consumed pair's unmatched neighbours need a check.  Every label carries
+the mask of its pair and of the pair's neighbours, and U is built once
+per source entry by spreading the bits of the nodes outside X.  The check
+runs on a key's first insert only, since a stored key passed it already.
+So every stored key obeys the rule, and the stored set depends on the
+graph and its labels alone, not on the order of the pushes.
+
 Only nonzero entries are stored or pushed.  Every push follows an edge that
 exists: per-(node, label bit) neighbour lists, built once per call, give
 the edges that seed or extend a path, and one dictionary lookup per path
 entry finds the edges that close it.  So a cover entry costs the degree of
-its lowest free node, and a path entry the degree of its endpoint.
+its lowest free node, and a path entry the degree of its endpoint, plus, on
+each first insert, one mask test per unmatched neighbour of the consumed
+pair.  The rule cuts the stored entries of cubic graphs by an order of
+magnitude (65,330 to 7,907 for random_regular(36, 3, 1)), while each stored
+entry takes about three and a half times as long.
 """
 
 from __future__ import annotations
@@ -81,29 +105,75 @@ class PmDpResult:
     states_visited: int
 
 
+def _pair_bits(x_mask: int) -> int:
+    """The original vertices 2i and 2i+1 of every node i in x_mask (a Graph
+    has at most 64 vertices, so x_mask < 2^32)."""
+    x = (x_mask | x_mask << 16) & 0x0000FFFF0000FFFF
+    x = (x | x << 8) & 0x00FF00FF00FF00FF
+    x = (x | x << 4) & 0x0F0F0F0F0F0F0F0F
+    x = (x | x << 2) & 0x3333333333333333
+    x = (x | x << 1) & 0x5555555555555555
+    return x * 3
+
+
 def _strata(mg: LabeledMultigraph):
-    """Yield (paths, covers) for each stratum |X| = 0..k: its nonzero path
-    entries keyed (X, a, b, x) and its nonzero cover entries keyed X, once
-    its paths have closed into its covers."""
+    """Yield (paths, covers) for each stratum |X| = 0..k: its stored path
+    entries keyed (X, a, b, x) and its stored cover entries keyed X, once
+    its paths have closed into its covers.  Yields nothing when some vertex
+    has no neighbour."""
     k = mg.k
+    # adj[v]: the neighbours of original vertex v, as a mask over 2k bits
+    adj = [0] * (2 * k)
     loops = [0] * k
     emult: dict[tuple[int, int, int, int], int] = {}
     for p, q, x, y in mg.edges:
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
         if p == q:
             loops[p] += 1
         else:
             key = (p, q, x & 1, y & 1)
             emult[key] = emult.get(key, 0) + 1
+    if not all(adj):
+        return
+    adj_of_bit = {1 << v: nb for v, nb in enumerate(adj)}
 
-    # nbr[p][bp]: (q, bq, mult) for the mult edges p-q (q != p) whose label
-    # is {2p+bp, 2q+bq}
-    nbr: list[tuple[list[tuple[int, int, int]], ...]] = [([], []) for _ in range(k)]
+    def push(tgt: dict, key, add: int, rest: int, touched: int) -> None:
+        """tgt[key] += add.  A new key is stored only if every vertex of its
+        unmatched set rest that the consumed pair touched still has a
+        neighbour in rest."""
+        old = tgt.get(key)
+        if old is not None:
+            tgt[key] = old + add
+            return
+        m = touched & rest
+        while m:
+            low = m & -m
+            if not adj_of_bit[low] & rest:
+                return
+            m ^= low
+        tgt[key] = add
+
+    def pair(u: int, v: int) -> tuple[int, int]:
+        """The mask of a consumed label {u, v} and of its neighbours."""
+        return (1 << u) | (1 << v), adj[u] | adj[v]
+
+    # loop_pair[a]: a self-loop at a consumes 2a and 2a+1
+    loop_pair = [pair(2 * a, 2 * a + 1) for a in range(k)]
+    # nbr[p][bp]: (q, bq, mult, used, touched) for the mult edges p-q
+    # (q != p) whose label is {2p+bp, 2q+bq}
+    nbr: list[tuple[list[tuple[int, int, int, int, int]], ...]] = [
+        ([], []) for _ in range(k)
+    ]
     for (p, q, bp, bq), mult in emult.items():
-        nbr[p][bp].append((q, bq, mult))
-        nbr[q][bq].append((p, bp, mult))
-    # closing[a][(c, bc)]: edges a-c whose label is {2a+1, 2c+bc}
-    closing = [{(c, bc): mult for c, bc, mult in nbr[a][1]} for a in range(k)]
+        used, touched = pair(2 * p + bp, 2 * q + bq)
+        nbr[p][bp].append((q, bq, mult, used, touched))
+        nbr[q][bq].append((p, bp, mult, used, touched))
+    # closing[a][(c, bc)]: (mult, used, touched) for the edges a-c whose
+    # label is {2a+1, 2c+bc}
+    closing = [{(c, bc): entry for c, bc, *entry in nbr[a][1]} for a in range(k)]
 
+    full = (1 << k) - 1
     cover_strata: dict[int, dict[int, int]] = {0: {0: 1}}
     path_strata: dict[int, dict[tuple[int, int, int, int], int]] = {}
 
@@ -114,15 +184,19 @@ def _strata(mg: LabeledMultigraph):
         if paths:
             extend_tgt = path_strata.setdefault(i + 1, {})
             for (x_mask, a, c, z), val in paths.items():
+                unmatched = (
+                    _pair_bits(full & ~x_mask) | 1 << (2 * a + 1) | 1 << (2 * c + (z ^ 1))
+                )
                 # close the cycle: edge a-c whose label is {2a+1, 2c+(z^1)}
-                mult = closing[a].get((c, z ^ 1))
-                if mult:
-                    covers[x_mask] = covers.get(x_mask, 0) + val * mult
+                entry = closing[a].get((c, z ^ 1))
+                if entry:
+                    mult, used, touched = entry
+                    push(covers, x_mask, val * mult, unmatched ^ used, touched)
                 # extend the path endpoint from c to a free e (above a)
-                for e, xe, mult in nbr[c][z ^ 1]:
+                for e, xe, mult, used, touched in nbr[c][z ^ 1]:
                     if not (x_mask >> e) & 1:
                         pk = (x_mask | (1 << e), a, e, xe)
-                        extend_tgt[pk] = extend_tgt.get(pk, 0) + val * mult
+                        push(extend_tgt, pk, val * mult, unmatched ^ used, touched)
 
         yield paths, covers
         if i == k or not covers:
@@ -130,23 +204,25 @@ def _strata(mg: LabeledMultigraph):
         loop_tgt = cover_strata.setdefault(i + 1, {})
         seed_tgt = path_strata.setdefault(i + 2, {})
         for x_mask, val in covers.items():
+            unmatched = _pair_bits(full & ~x_mask)
             # the next cycle starts at a, the lowest node outside X
             low = ~x_mask & (x_mask + 1)
             a = low.bit_length() - 1
             xa = x_mask | low
             if loops[a]:
-                loop_tgt[xa] = loop_tgt.get(xa, 0) + val * loops[a]
+                used, touched = loop_pair[a]
+                push(loop_tgt, xa, val * loops[a], unmatched ^ used, touched)
             # seed a path a-b (the label at a must contain 2a)
-            for b, xb, mult in nbr[a][0]:
+            for b, xb, mult, used, touched in nbr[a][0]:
                 if not (x_mask >> b) & 1:
                     pk = (xa | (1 << b), a, b, xb)
-                    seed_tgt[pk] = seed_tgt.get(pk, 0) + val * mult
+                    push(seed_tgt, pk, val * mult, unmatched ^ used, touched)
 
 
 def run_cover_dp(mg: LabeledMultigraph) -> PmDpResult:
     """count: label-disjoint cycle covers of the whole node set;
-    states_visited: the nonzero entries of every stratum."""
-    states = 0
+    states_visited: the entries stored over every stratum."""
+    count = states = 0
     for paths, covers in _strata(mg):
         states += len(paths) + len(covers)
         count = covers.get((1 << mg.k) - 1, 0)

@@ -1,5 +1,6 @@
 """Contracted cycle-cover DP: construction, recurrences, sparse-state audit."""
 
+import json
 import random
 from itertools import combinations
 from math import factorial
@@ -13,10 +14,14 @@ from expdeg import (
     deg2_witness_multigraph,
     oracle_count_pm,
     random_gnm,
+    random_regular,
+    serialize_graph,
 )
+from expdeg import cli
 from expdeg.bitset import bits, mask_of
 from expdeg.pm_dp import (
     LabeledMultigraph,
+    PmDpResult,
     _strata,
     build_contracted_graph,
     run_cover_dp,
@@ -244,6 +249,63 @@ def brute_canonical_cover_keys(mg: LabeledMultigraph) -> set[int]:
     return keys
 
 
+def brute_canonical_path_keys(mg: LabeledMultigraph, cover_keys: set[int]):
+    """Every (X, a, b, x) the unpruned DP reaches: a canonical cover key Y
+    below its lowest free node a, plus a simple path from a over free nodes
+    to b, whose first label holds 2a and whose last holds 2b+x."""
+    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p, q, x, y in mg.edges:
+        if p != q:
+            links.setdefault((p, x & 1), []).append((q, y & 1))
+            links.setdefault((q, y & 1), []).append((p, x & 1))
+    keys = set()
+
+    def walk(x_mask, a, c, bit_in):
+        for e, xe in links.get((c, bit_in ^ 1), []):
+            if not (x_mask >> e) & 1:
+                keys.add((x_mask | (1 << e), a, e, xe))
+                walk(x_mask | (1 << e), a, e, xe)
+
+    for y_mask in cover_keys:
+        if y_mask != (1 << mg.k) - 1:
+            a = (~y_mask & (y_mask + 1)).bit_length() - 1
+            walk(y_mask | (1 << a), a, a, 1)  # the first label holds 2a
+    return keys
+
+
+def unmatched_vertices(k: int, key) -> set[int]:
+    """The original vertices a cover key X or a path key (X, a, b, x) leaves
+    unmatched: both vertices of every node outside X, plus 2a+1 and
+    2b+(x^1) for a path."""
+    x_mask, ends = (key, ()) if isinstance(key, int) else (key[0], key[1:])
+    free = {v for v in range(2 * k) if not (x_mask >> (v // 2)) & 1}
+    if ends:
+        a, b, x = ends
+        free |= {2 * a + 1, 2 * b + (x ^ 1)}
+    return free
+
+
+def neighbour_sets(g: Graph) -> dict[int, set[int]]:
+    nb = {v: set() for v in range(g.n)}
+    for u, v, _ in g.edges:
+        nb[u].add(v)
+        nb[v].add(u)
+    return nb
+
+
+def obeys_neighbour_rule(nb, unmatched: set[int]) -> bool:
+    return all(nb[v] & unmatched for v in unmatched)
+
+
+def perfectly_matchable(nb, unmatched: set[int]) -> bool:
+    if not unmatched:
+        return True
+    v = min(unmatched)
+    return any(
+        perfectly_matchable(nb, unmatched - {v, w}) for w in nb[v] & unmatched
+    )
+
+
 def strata_keys(mg):
     """Every cover key and every path key that _strata yields, in order."""
     cover_keys, path_keys = [], []
@@ -253,15 +315,9 @@ def strata_keys(mg):
     return cover_keys, path_keys
 
 
-def test_canonical_cover_states_exact():
-    """The canonical DP counts what the ordered reference counts, divided
-    out, and what the oracle counts; its path keys are reference path keys
-    with the cycle count dropped; and, on small graphs, its cover keys are
-    exactly the brute-force canonical sets."""
-    saw_loop = saw_parallel = False
-    brute_checked = 0
-    # denser small graphs, some with pair-internal edges, so that the
-    # brute-force key sets are large
+def small_dense_graphs():
+    """Complete graphs and denser random graphs on up to 10 vertices, some
+    with pair-internal edges, so that the brute-force key sets are large."""
     rng = random.Random(31)
     small = [complete_graph(n) for n in (4, 6, 8, 10)]
     for seed in range(10):
@@ -269,7 +325,19 @@ def test_canonical_cover_states_exact():
         g = random_gnm(n, rng.randint(2 * n, 3 * n), seed + 900)
         pairs = [(2 * p, 2 * p + 1) for p in range(n // 2) if rng.random() < 0.5]
         small.append(Graph.from_edges(n, {(u, v) for u, v, _ in g.edges} | set(pairs)))
-    for g in cover_dp_cases() + small:
+    return small
+
+
+def test_canonical_cover_states_exact():
+    """The canonical DP counts what the ordered reference counts, divided
+    out, and what the oracle counts; its path keys are reference path keys
+    with the cycle count dropped; and, on small graphs, its cover and path
+    keys are exactly the brute-force canonical keys that pass the neighbour
+    rule, and every brute-force key whose unmatched vertices have a perfect
+    matching is kept."""
+    saw_loop = saw_parallel = saw_dropped = False
+    brute_checked = 0
+    for g in cover_dp_cases() + small_dense_graphs():
         mg = build_contracted_graph(g)
         got = run_cover_dp(mg)
         cover_keys, path_keys = strata_keys(mg)
@@ -289,9 +357,56 @@ def test_canonical_cover_states_exact():
             links = [(p, q) for p, q, _, _ in mg.edges if p != q]
             saw_loop |= len(links) < len(mg.edges)
             saw_parallel |= len(set(links)) < len(links)
-            assert set(cover_keys) == brute_canonical_cover_keys(mg), g
+            nb = neighbour_sets(g)
+            brute_covers = brute_canonical_cover_keys(mg)
+            for got_keys, brute_keys in (
+                (cover_keys, brute_covers),
+                (path_keys, brute_canonical_path_keys(mg, brute_covers)),
+            ):
+                unmatched = {key: unmatched_vertices(mg.k, key) for key in brute_keys}
+                kept = {key for key in brute_keys if obeys_neighbour_rule(nb, unmatched[key])}
+                assert set(got_keys) == kept, g
+                assert all(
+                    key in kept for key in brute_keys if perfectly_matchable(nb, unmatched[key])
+                ), g
+                saw_dropped |= kept != brute_keys
             brute_checked += 1
-    assert saw_loop and saw_parallel and brute_checked >= 50
+    assert saw_loop and saw_parallel and saw_dropped and brute_checked >= 50
+
+
+def test_stored_keys_obey_neighbour_rule():
+    """Every key _strata stores leaves each unmatched vertex a neighbour
+    among the unmatched ones; the pinned cubic graph keeps its count, also
+    under relabelling, and its pruned state count."""
+    for g in cover_dp_cases() + small_dense_graphs():
+        mg = build_contracted_graph(g)
+        nb = neighbour_sets(g)
+        cover_keys, path_keys = strata_keys(mg)
+        for key in cover_keys + path_keys:
+            assert obeys_neighbour_rule(nb, unmatched_vertices(mg.k, key)), (g, key)
+    g = random_regular(36, 3, 1)
+    assert count_pm_dp(g) == PmDpResult(445, 7907)
+    perm = random.Random(36).sample(range(g.n), g.n)
+    relabelled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v, _ in g.edges])
+    assert count_pm_dp(relabelled).count == 445
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(4, [(0, 1)]),
+        Graph.from_edges(6, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    ],
+)
+def test_isolated_vertex_stores_nothing(g, tmp_path, capsys):
+    """A vertex with no neighbour fails the rule at the root, so the DP
+    stores no entry, in the library and through the CLI."""
+    assert count_pm_dp(g) == PmDpResult(0, 0)
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(g))
+    assert cli.main(["count-pm", "--algo", "dp", "--input", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == "0" and payload["states_visited"] == 0
 
 
 # --- sparse-state soundness ----------------------------------------------------
