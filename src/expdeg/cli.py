@@ -271,7 +271,7 @@ def run_bench(
     sizes: list[int],
     degrees: list[float],
     seeds: list[int],
-    alpha: Fraction | str = "3.55",
+    alpha: Fraction | str = pm_bipartite.DEFAULT_ALPHA,
 ) -> tuple[list[dict], list[dict]]:
     """Run the grid sizes x degrees x seeds one instance after another in
     this process, and return (rows, per-(n, d) summary).  count-pm-bip runs
@@ -356,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bip = sub.add_parser("count-pm-bip", help="count bipartite perfect matchings")
     p_bip.add_argument("--input", required=True)
-    p_bip.add_argument("--alpha", type=_rational, default="3.55")
+    p_bip.add_argument("--alpha", type=_rational, default=pm_bipartite.DEFAULT_ALPHA)
     p_bip.add_argument("--swap-sides", action="store_true")
     p_bip.add_argument("--baseline", action="store_true")
     p_bip.set_defaults(func=_cmd_count_pm_bip)
@@ -382,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=int, nargs="+", required=True)
     p_bench.add_argument("--degrees", type=float, nargs="+", required=True)
     p_bench.add_argument("--seeds", type=int, nargs="+", required=True)
-    p_bench.add_argument("--alpha", type=_rational, default="3.55")
+    p_bench.add_argument("--alpha", type=_rational, default=pm_bipartite.DEFAULT_ALPHA)
     p_bench.add_argument("--format", choices=["json", "csv"], default="json")
     p_bench.set_defaults(func=_cmd_bench)
 

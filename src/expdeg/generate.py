@@ -46,8 +46,6 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={_shown(n)}, d={_shown(d)}")
     Graph(n, ())  # refuse a size over the vertex capacity before drawing
-    if d == 0:
-        return Graph.from_edges(n, [])
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(_REGULAR_ATTEMPTS):

@@ -78,7 +78,11 @@ from .graphs import Graph
 class LabeledMultigraph:
     """Multigraph on k nodes; edges are (p, q, x, y) with p <= q, where the
     label is the original-vertex pair {x, y}, x in {2p, 2p+1} and
-    y in {2q, 2q+1}.  Self-loops (p == q) always carry {2p, 2p+1}."""
+    y in {2q, 2q+1}.  Self-loops (p == q) always carry {2p, 2p+1}.
+
+    Graph.edges holds every edge as (x, y) with x < y, so p = x // 2 and
+    q = y // 2 already satisfy p <= q, and a self-loop's x < y is 2p < 2p+1;
+    build_contracted_graph needs no swap."""
 
     k: int
     edges: tuple[tuple[int, int, int, int], ...]
@@ -88,14 +92,7 @@ def build_contracted_graph(g: Graph) -> LabeledMultigraph:
     """One labeled edge per input edge under the pair contraction v -> v//2."""
     if g.n % 2 != 0:
         raise ValueError("vertex count must be even")
-    edges = []
-    for x, y, _ in g.edges:
-        p, q = x // 2, y // 2
-        if p > q:
-            p, q, x, y = q, p, y, x
-        elif p == q:
-            x, y = min(x, y), max(x, y)
-        edges.append((p, q, x, y))
+    edges = [(x // 2, y // 2, x, y) for x, y, _ in g.edges]
     return LabeledMultigraph(g.n // 2, tuple(sorted(edges)))
 
 

@@ -22,47 +22,6 @@ from .graphs import Graph, degree_profile
 DEG2_MAX_N = 16
 
 
-def _ln_bounds(y: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    """Rational bounds on ln((1+y)/(1-y)) = 2*atanh(y) for 0 <= y < 1: the
-    partial sum of 2*y**(2k+1)/(2k+1) over k < terms, and that sum plus the
-    geometric bound 2*y**(2*terms+1) / ((2*terms+1) * (1-y*y)) on its tail."""
-    y2 = y * y
-    total, power = Fraction(0), y
-    for k in range(terms):
-        total += power / (2 * k + 1)
-        power *= y2
-    return 2 * total, 2 * (total + power / ((2 * terms + 1) * (1 - y2)))
-
-
-def exp_at_most(value: int, alpha: Fraction) -> bool:
-    """Certified check of value <= e**alpha, i.e. ln(value) <= alpha, in
-    exact rational arithmetic.
-
-    With value = 2**m * r and 1 <= r < 2, ln(value) = m*ln(2) + ln(r), and
-    both logarithms are bracketed by _ln_bounds at y = 1/3 and
-    y = (r-1)/(r+1) < 1/3, where each term gains a factor of at least 9.
-    The term count doubles until alpha lies outside the bracket; ln(value)
-    is irrational for an integer value >= 2, so this terminates, and the
-    work depends on how close alpha is to ln(value), not on the size of
-    alpha's numerator or denominator.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if value <= 1:
-        return True
-    m = value.bit_length() - 1
-    r = Fraction(value, 1 << m)
-    terms = 8
-    while True:
-        lo2, hi2 = _ln_bounds(Fraction(1, 3), terms)
-        lo_r, hi_r = _ln_bounds((r - 1) / (r + 1), terms)
-        if alpha < m * lo2 + lo_r:
-            return False
-        if alpha >= m * hi2 + hi_r:
-            return True
-        terms *= 2
-
-
 @dataclass(frozen=True)
 class GapResult:
     """Smallest degree threshold D with few vertices above it.
@@ -76,11 +35,17 @@ class GapResult:
 
 
 def find_gap_threshold(g: Graph, alpha: Fraction | int | float) -> GapResult:
-    """Smallest integer D >= 1 with D <= e**alpha and |{deg > D}| <= n*d/(alpha*D).
+    """Smallest integer D >= 1 with |{deg > D}| <= n*d/(alpha*D); this D is
+    at most e**alpha.
 
-    Such a D always exists: if every threshold up to e**alpha failed the
-    count inequality, summing them would exceed the total degree n*d.  A
-    float alpha is read by its decimal repr (see exact_fraction).
+    With T = floor(e**alpha) >= 1: if every D in 1..T failed the count
+    test, the counts would sum to more than (n*d/alpha)*H_T > n*d, since
+    the harmonic number H_T exceeds ln(T+1) > alpha.  But the sum over D
+    of |{deg > D}| is the sum over v of min(deg(v) - 1, T)^+ <= n*d.  So
+    the scan stops at some D <= e**alpha, and it stops by D = max degree
+    in any case, where no vertex lies above D (D = 1 passes at once when
+    there are no edges).  A float alpha is read by its decimal repr (see
+    exact_fraction).
     """
     alpha = exact_fraction(alpha)
     if alpha <= 0:
@@ -88,13 +53,10 @@ def find_gap_threshold(g: Graph, alpha: Fraction | int | float) -> GapResult:
     profile = degree_profile(g)
     nd = 2 * g.m  # n * average degree, exactly
     d_threshold = 1
-    while exp_at_most(d_threshold, alpha):
-        bound = Fraction(nd, alpha * d_threshold)
-        count = profile.count_above(d_threshold)
-        if count <= bound:
-            return GapResult(d_threshold, bound, count)
+    while profile.count_above(d_threshold) > Fraction(nd, alpha * d_threshold):
         d_threshold += 1
-    raise AssertionError("unreachable: a valid threshold is guaranteed to exist")
+    bound = Fraction(nd, alpha * d_threshold)
+    return GapResult(d_threshold, bound, profile.count_above(d_threshold))
 
 
 def find_disjoint_set(g: Graph, d: Fraction | int | float, max_deg: int) -> int:

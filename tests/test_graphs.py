@@ -16,6 +16,7 @@ from expdeg import (
     pair_partner,
     parse_graph,
     random_bipartite,
+    random_bipartite_min2,
     random_gnm,
     random_regular,
     serialize_graph,
@@ -61,6 +62,10 @@ def test_parse_comments_and_blank_lines():
         ("graph 2 0\n0 1", "edge lines"),
         ("bigraph 2 1\n0 3", "out of range"),
         ("bigraph 2 2\n0 0\n0 0", "duplicate"),
+        ("graph two 1\n0 1", "sizes must be integers"),
+        ("graph -1 0\n", "nonnegative"),
+        ("graph 2 1\n0 1 1 1", "'u v' or 'u v w'"),
+        ("graph 2 1\n0 x", "fields must be integers"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -68,6 +73,13 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         parse_graph(text)
     assert fragment in str(info.value)
     assert "line" in str(info.value)
+
+
+def test_parse_empty_input_has_no_line_number():
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(InputFormatError, match="empty input") as info:
+            parse_graph(text)
+        assert info.value.line is None
 
 
 @pytest.mark.parametrize(
@@ -173,6 +185,15 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(3, [(0, 5)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 1, -1)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph(-1, ())
+
+
+def test_weight_of_a_non_edge_raises():
+    g = path_graph(3)
+    assert g.weight(1, 0) == 1
+    with pytest.raises(KeyError):
+        g.weight(0, 2)
 
 
 def test_adjacency_symmetry():
@@ -266,6 +287,8 @@ def test_generator_infeasible_params():
         random_regular(5, 3, 0)  # n*d odd
     with pytest.raises(ValueError):
         random_bipartite(2, 5, 0)
+    with pytest.raises(ValueError, match="m >= 2k"):
+        random_bipartite_min2(4, 7, 0)
 
 
 def test_gen_dispatch_regular_suffix():

@@ -67,7 +67,9 @@ def test_budget_refusals():
         oracle_count_pm(complete_graph(12), OracleBudget(max_n=20, max_work=50))
     with pytest.raises(BudgetExceededError):
         oracle_tsp(complete_graph(12))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="capped at n=12"):
         oracle_alternating_covers(complete_graph(14))
+    with pytest.raises(BudgetExceededError, match="work budget"):
+        oracle_alternating_covers(complete_graph(12))  # C(66, 6) edge subsets
     with pytest.raises(BudgetExceededError):
         oracle_permanent(complete_bipartite(10))

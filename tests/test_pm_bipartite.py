@@ -115,6 +115,8 @@ def test_plan_block_sizes():
     g4 = random_bipartite_min2(4, 8, 1)  # k=4, d=2
     assert len(plan_trim(g4).b0) == 0
     assert len(plan_trim(complete_bipartite(3)).b0) == 0  # floor(3/10.65)
+    empty = plan_trim(BipartiteGraph(0, ()))
+    assert (empty.b0, empty.a0, empty.order_a, empty.low_card_limit) == ((), (), (), 0)
 
 
 def test_plan_rejects_small_alpha():

@@ -19,7 +19,6 @@ from expdeg import (
     random_regular,
 )
 from expdeg.bitset import bits, mask_of
-from expdeg.structure import exp_at_most
 from expdeg.tsp import path_dp_states
 from conftest import (
     complete_graph,
@@ -49,18 +48,6 @@ def check_witness(g, s, t, x_mask, f_edges):
             assert deg[v] <= 1
         else:
             assert deg[v] == 0
-
-
-# --- certified exponential comparison -------------------------------------
-
-
-@pytest.mark.parametrize(
-    "alpha", [Fraction(1), Fraction(1, 2), Fraction(2), Fraction("3.55"), Fraction(7, 3)]
-)
-def test_exp_at_most_matches_sympy(alpha):
-    floor = sympy_exp_floor(alpha)
-    for value in range(1, floor + 3):
-        assert exp_at_most(value, alpha) == (value <= floor)
 
 
 # --- disjoint closed neighborhoods ----------------------------------------
@@ -158,9 +145,9 @@ def test_gap_threshold_is_smallest_valid():
 
 
 def test_gap_threshold_float_alpha_reads_decimal():
-    """A float alpha gives the answer of its decimal string; read as the
-    nearest binary fraction, 3.55 made the exact e**alpha check drag a
-    50-bit denominator along and not return."""
+    """A float alpha gives the answer of its decimal string, not of the
+    binary fraction nearest to it, whose 50-bit denominator would also
+    ride along in the bound."""
     g = random_regular(20, 3, 1)
     res = find_gap_threshold(g, 3.55)
     assert res == find_gap_threshold(g, Fraction("3.55"))

@@ -70,6 +70,8 @@ def test_ham_path_argument_errors():
         ham_path(g, 0, 0)
     with pytest.raises(ValueError):
         ham_path(g, 0, 5)
+    with pytest.raises(ValueError, match="source out of range"):
+        path_dp_states(g, 3)
 
 
 def test_ham_path_two_vertices():
@@ -99,8 +101,9 @@ def test_tsp_cycle_star_absent():
 
 
 def test_tsp_cycle_needs_three_vertices():
-    with pytest.raises(ValueError):
-        tsp_cycle(complete_graph(2))
+    for solve in (tsp_cycle, held_karp_cycle, oracle_tsp):
+        with pytest.raises(ValueError, match="three vertices"):
+            solve(complete_graph(2))
 
 
 # --- held_karp baseline ----------------------------------------------------
