@@ -115,6 +115,10 @@ def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> Tri
     index) where d = m/k exactly; its neighborhood a0 then has at most
     k/alpha vertices, so the first low_card_limit A-vertices of order_a
     have no neighbor in b0: no kept set of at most that size meets it.
+
+    Why |a0| <= k/alpha: the B-degrees average d, so the s smallest of them
+    average at most d and sum to at most s*d <= (k/(alpha*d))*d = k/alpha,
+    and a0 has at most as many vertices as b0 has edges.
     """
     alpha = _check_alpha(alpha)
     k = g.k
@@ -130,8 +134,6 @@ def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> Tri
     a0 = set()
     for j in b0:
         a0.update(g.adj_b[j])
-    if len(a0) * alpha > k:
-        raise AssertionError("b0 neighborhood exceeds k/alpha")
     order_a = tuple(i for i in range(k) if i not in a0) + tuple(sorted(a0))
     low_card_limit = math.floor((1 - 1 / alpha) * k)
     return TrimPlan(alpha, d, b0, tuple(sorted(a0)), order_a, low_card_limit)

@@ -331,8 +331,9 @@ def test_seeded_graphs_are_pinned():
 def test_seeded_regular_graphs_are_pinned():
     """A SHA-256 over seeded random_regular graphs, n <= 40 and d = 0..4
     with n*d even, seeds 0-2; the state counts quoted in the tests and the
-    README (random_regular(36, 3, 1) stores 7,907 cover entries) rest on
-    these draws, so the digest moves if any of them ever does."""
+    README (random_regular(36, 3, 1) stores 7,907 cover entries on its own
+    labels and 1,609 on its greedy matching pairs) rest on these draws, so
+    the digest moves if any of them ever does."""
     digest = hashlib.sha256()
     for n in range(41):
         for d in range(min(max(n, 1), 5)):

@@ -22,6 +22,7 @@ from expdeg.bitset import bits, mask_of
 from expdeg.pm_dp import (
     LabeledMultigraph,
     PmDpResult,
+    _matching_labels,
     _strata,
     build_contracted_graph,
     run_cover_dp,
@@ -377,7 +378,8 @@ def test_canonical_cover_states_exact():
 def test_stored_keys_obey_neighbour_rule():
     """Every key _strata stores leaves each unmatched vertex a neighbour
     among the unmatched ones; the pinned cubic graph keeps its count, also
-    under relabelling, and its pruned state count."""
+    under relabelling, and its pruned state count, both on its own labels
+    and on the greedy matching's."""
     for g in cover_dp_cases() + small_dense_graphs():
         mg = build_contracted_graph(g)
         nb = neighbour_sets(g)
@@ -385,10 +387,55 @@ def test_stored_keys_obey_neighbour_rule():
         for key in cover_keys + path_keys:
             assert obeys_neighbour_rule(nb, unmatched_vertices(mg.k, key)), (g, key)
     g = random_regular(36, 3, 1)
-    assert count_pm_dp(g) == PmDpResult(445, 7907)
+    assert run_cover_dp(build_contracted_graph(g)) == PmDpResult(445, 7907)
+    assert count_pm_dp(g) == PmDpResult(445, 1609)
     perm = random.Random(36).sample(range(g.n), g.n)
     relabelled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v, _ in g.edges])
     assert count_pm_dp(relabelled).count == 445
+
+
+def test_matching_labels_pair_a_maximal_matching():
+    """On the cover DP's cases, dense small graphs and seeded cubic and gnm
+    graphs up to n = 24: the label map is a permutation; its leading pairs
+    are edges, the vertices after them are in index order and pairwise
+    non-adjacent; the map is the same however the graph was built; and the
+    count is the oracle's (pm_inex's past the oracle's cap)."""
+    cases = cover_dp_cases() + small_dense_graphs()
+    for seed in range(4):
+        cases += [random_regular(n, 3, seed) for n in range(4, 25, 2)]
+        cases += [random_gnm(n, 3 * n // 2, seed) for n in range(4, 25, 2)]
+    for g in cases:
+        label = _matching_labels(g)
+        assert sorted(label) == list(range(g.n)), g
+        inverse = sorted(range(g.n), key=label.__getitem__)
+        matched = 0
+        while 2 * matched + 1 < g.n and g.has_edge(*inverse[2 * matched : 2 * matched + 2]):
+            matched += 1
+        rest = inverse[2 * matched :]
+        assert rest == sorted(rest), g
+        assert not any(g.has_edge(u, v) for u, v in combinations(rest, 2)), g
+        shuffled = list(g.edges)
+        random.Random(g.n).shuffle(shuffled)
+        assert _matching_labels(Graph(g.n, [(v, u, w) for u, v, w in shuffled])) == label
+        want = oracle_count_pm(g) if g.n <= 20 else count_pm_inex(g)
+        assert count_pm_dp(g).count == want, g
+
+
+@pytest.mark.parametrize(
+    "n, edges, label",
+    [
+        # path 0-2-1-3: 0 has the fewest neighbours, then 1 and 3 tie
+        (4, [(0, 2), (2, 1), (1, 3)], [0, 2, 1, 3]),
+        # star at 0: leaf 1 takes the centre, leaves 2 and 3 are left over
+        (4, [(0, 1), (0, 2), (0, 3)], [1, 0, 2, 3]),
+        # 5 is left over before 4 but is labelled after it
+        (6, [(0, 1), (1, 5), (2, 3), (3, 4)], [0, 1, 2, 3, 4, 5]),
+        # 0 takes 2, its neighbour with fewer live neighbours than 1
+        (6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)], [0, 2, 1, 3, 4, 5]),
+    ],
+)
+def test_matching_labels_follow_the_greedy_rule(n, edges, label):
+    assert _matching_labels(Graph.from_edges(n, edges)) == label
 
 
 @pytest.mark.parametrize(
