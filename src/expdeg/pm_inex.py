@@ -26,27 +26,34 @@ problems", J. ACM 1981).  At the node for label l, T[u][w] for u, w <=
 positive length whose inner vertices all belong to allowed labels above
 l; at the root it holds the arcs.  Banning l passes T on unchanged, since
 the rows and columns of 2l and 2l+1 are never read again.  Allowing l
-folds vertex 2l+1 into the table,
+folds vertex t = 2l+1 and then a = 2l into the table in one pass,
 
     T[u][w] += T[u][v] * star(T[v][v]) * T[v][w],   star(s) = 1 / (1 - s),
 
-which admits v as an inner vertex; W_2l is then T[2l][2l], the closed
-walks at 2l that stay above it, and folding 2l the same way readies the
-table for label l-1.  At label l only vertices 0..2l+1 remain, so the
-2^(n/2-1) nodes at label 0 each cost O(1) series operations.
+for v = t and then v = a, which admits v as an inner vertex: two rank-one
+updates into one new table over 0..2l-1.  W_2l is T[a][a] once t is
+folded in, the closed walks at 2l that stay above it.  At label l only
+vertices 0..2l+1 remain, so the 2^(n/2-1) nodes at label 0 each cost
+O(1) series operations.  Such a node reads W_0 off its 2x2 table and
+adds prod * W_0 to the sum of its sign: banning label 0 would add prod
+with one sign and allowing it prod * (1 + W_0) with the other, and the
+two prods cancel.
 
 Each series is one Python int holding its coefficients in F-bit fields
 (a Kronecker substitution x = 2^F), so a truncated product is one integer
-multiply and a mask; `field_width` gives F and proves that no field
-overflows.  Too narrow a width gives a wrong count that the zero check
-below length n/2 need not catch.  The live state is one table of O(n^2)
-packed series of (n/2+1)*F bits, and one product, per level of the
-recursion, so space stays polynomial.
+multiply and a mask.  `field_width` takes F from exact walk counts of the
+arc graph, which bound every walk series and product the recursion
+forms, and proves that no field overflows.  Too narrow a width gives a
+wrong count that the zero check below length n/2 need not catch.  The
+live state is one table of O(n^2) packed series of (n/2+1)*F bits, and
+one product, per level of the recursion, so space stays polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .graphs import Graph, pair_partner
 
@@ -81,24 +88,65 @@ def inex_subsets(n: int) -> int:
 
 
 def field_width(g: Graph) -> int:
-    """Bits per packed coefficient: F = bitlen(D^h * 8^h) + 1, with h = n/2
-    and D = max(1, maximum degree of g), so every field is below 2^F.
+    """Bits per packed coefficient, from exact walk counts of the arc graph
+    A, with h = n/2: F is the larger of the bit lengths of the largest
+    entry of A^j for 1 <= j <= h and of 2^h * max_j B_j, where B is the
+    product of (1 + C_a(x)) over the h anchors a (the even vertices),
+    truncated after x^h, and C_a(x) sums (A^j)[a][a] x^j for j >= 1.
 
-    Proof.  Every coefficient at or below x^h is an exact count.  The arcs
-    leaving v number deg(partner(v)) <= D, so a walk series counts at most
-    D^i <= D^h walks of length i; so does every product of walk series
-    formed on the way (star powers, T[u][v] * star * T[v][w]), since each
-    counts distinct walks.  A product coefficient counts anchor-ordered
-    walk tuples of total length i <= h: at most 2^h anchor sets times 2^i
-    compositions of i times D^i walks each, at most (4D)^h.  Each of the
-    two leaf sums adds at most 2^h products, at most (8D)^h < 2^F.
+    Proof.  Every coefficient at or below x^h is an exact count, and
+    (A^j)[u][w] counts all u->w walks of length j.  A table entry T[u][w]
+    counts some of those walks, and so does every partial sum and product
+    a fold forms: T[u][v] * star(T[v][v]) * T[v][w] counts u->w walks
+    through v, each split in one way only at its visits to v, and the
+    classes a fold adds to T[u][w] are disjoint.  Likewise star(T[v][v])
+    and its partial products count closed walks at v, and W_a counts some
+    of the closed walks at a, so W_a <= C_a coefficientwise.  A product is
+    prod = (1 + W_a1)(1 + W_a2)... over the allowed anchors so far; all
+    terms are nonnegative, so prod <= B, and so is prod * W_0 <= prod *
+    (1 + W_0).  Each of the two leaf sums adds at most 2^h such terms.
     Coefficients above x^h may exceed the field, but a carry moves only
     upward and the mask drops it.  The zero check below length h does not
     guard this width: narrower fields can give a wrong count that passes.
+
+    With D = max(1, maximum degree), (A^j)[u][w] <= D^j and, by counting
+    anchor sets and compositions, B_j <= 4^h D^h, so F <= bitlen((8D)^h).
+    The counts take O(h * arcs) additions of one packed int per vertex v,
+    whose field u holds (A^j)[u][v]; fields of bitlen(D^h) bits cannot
+    overflow, and B is packed in fields of bitlen((4D)^h) bits.
     """
     half = g.n // 2
-    delta = max((g.degree(v) for v in range(g.n)), default=0)
-    return (max(delta, 1) ** half * 8**half).bit_length() + 1
+    delta = max(1, max(map(g.degree, range(g.n)), default=0))
+    room = (delta**half).bit_length()  # holds every (A^j)[u][w], j <= h
+    wide = ((4 * delta) ** half).bit_length()  # holds every B_j
+    field = (1 << room) - 1
+    arcs = []
+    for x, y, _ in g.edges:
+        arcs += ((pair_partner(x), y), (pair_partner(y), x))
+    into = [1 << room * v for v in range(g.n)]  # A^0 = I
+    seen = 0  # every (A^j)[u][w] ORed into field u, so the largest sets its bits
+    anchors = []  # anchors[j-1]: into[a] for A^j at the anchors a
+    for _ in range(half):
+        nxt = [0] * g.n
+        for v, w in arcs:
+            nxt[w] += into[v]
+        into = nxt
+        seen = reduce(or_, into, seen)
+        anchors.append(into[::2])
+    trunc = (1 << wide * (half + 1)) - 1
+    bound = 1  # B
+    for i, columns in enumerate(zip(*anchors)):
+        closed = 0  # C_2i
+        for column in reversed(columns):
+            closed = (closed | column >> 2 * i * room & field) << wide
+        bound = bound * (1 + closed) & trunc
+    walk_bits = max(
+        ((seen >> room * u & field).bit_length() for u in range(g.n)), default=0
+    )
+    product_bits = max(
+        (bound >> wide * j & (1 << wide) - 1).bit_length() for j in range(half + 1)
+    )
+    return max(walk_bits, product_bits + half)
 
 
 def _star(s: int, trunc: int) -> int:
@@ -112,35 +160,67 @@ def _star(s: int, trunc: int) -> int:
         total = total * (1 + s) & trunc
 
 
-def _eliminate(table: list[list[int]], v: int, trunc: int) -> list[list[int]]:
-    """The v x v table over vertices 0..v-1 whose walks may also pass
-    through v: T[u][w] + T[u][v] * star(T[v][v]) * T[v][w].  Rows and
-    columns past v are not read, and table is not modified."""
-    tail = [(w, r) for w, r in enumerate(table[v][:v]) if r]
-    loop = table[v][v]
-    if loop and tail:
-        loops = _star(loop, trunc)
-        tail = [(w, r * loops & trunc) for w, r in tail]
-    out = []
-    for u in range(v):
-        new = table[u][:v]
-        head = table[u][v]
-        if head:
-            for w, r in tail:
-                new[w] += head * r & trunc
-        out.append(new)
-    return out
-
-
 def count_anchored_walks(
     table: list[list[int]], anchor: int, trunc: int
 ) -> tuple[int, list[list[int]]]:
-    """Fold vertex anchor+1 into the walk table of the node that allows
-    label anchor//2.  Returns W, the packed series of closed walks at
-    anchor that visit it only at their ends and stay on anchor+1 and the
-    allowed vertices above it, and the folded table over 0..anchor."""
-    table = _eliminate(table, anchor + 1, trunc)
-    return table[anchor][anchor], table
+    """Fold vertices anchor+1 and then anchor into the walk table of the
+    node that allows label anchor//2, in one pass.  Returns W, the packed
+    series of closed walks at anchor that visit it only at their ends and
+    stay on anchor+1 and the allowed vertices above it, and the table over
+    0..anchor-1 whose walks may also pass through both:
+
+        T'[u][w] = T[u][w] + T[u][t] * star(T[t][t]) * T[t][w],   t = anchor+1
+        T''[u][w] = T'[u][w] + T'[u][a] * star(W) * T'[a][w],    a = anchor
+
+    with W = T'[a][a], computed as two rank-one updates into one new table.
+    Rows and columns past anchor+1 are not read, and table is not modified.
+    At anchor 0, W = T00 + T01 * star(T11) * T10 and the folded table is
+    empty.
+    """
+    if not anchor:
+        row0, row1 = table[0], table[1]
+        walks, t01, t10, t11 = row0[0], row0[1], row1[0], row1[1]
+        if t01 and t10:
+            via = t01 * t10 & trunc
+            if t11:
+                via = via * _star(t11, trunc) & trunc
+            walks += via
+        return walks, []
+    top = anchor + 1
+    # walks out of top that may loop at top first: star(T[t][t]) * T[t][w]
+    row = table[top]
+    hop = row[anchor]
+    tail = [(w, r) for w, r in enumerate(row[:anchor]) if r]
+    if row[top] and (hop or tail):
+        loops = _star(row[top], trunc)
+        hop = hop * loops & trunc
+        tail = [(w, r * loops & trunc) for w, r in tail]
+    # row anchor of T', whose diagonal entry is W
+    mid = table[anchor][:anchor]
+    head = table[anchor][top]
+    walks = table[anchor][anchor]
+    if head:
+        walks += head * hop & trunc
+        for w, r in tail:
+            mid[w] += head * r & trunc
+    via = [(w, r) for w, r in enumerate(mid) if r]
+    if walks and via:
+        loops = _star(walks, trunc)
+        via = [(w, r * loops & trunc) for w, r in via]
+    out = []
+    for u in range(anchor):
+        old = table[u]
+        new = old[:anchor]
+        up, down = old[top], old[anchor]
+        if up:
+            down += up * hop & trunc
+            for w, r in tail:
+                new[w] += up * r & trunc
+        if down:
+            for w, r in via:
+                new[w] += down * r & trunc
+        out.append(new)
+    return walks, out
 
 
 def count_walk_tuples(prod: int, walks: int, trunc: int) -> int:
@@ -165,6 +245,8 @@ def inex_accumulators(g: Graph) -> list[int]:
     """
     ag = build_arc_graph(g)
     half = g.n // 2
+    if not half:
+        return [1]  # the empty family, and no label to exclude
     width = field_width(g)
     trunc = (1 << width * (half + 1)) - 1
     step = 1 << width  # one arc: the series x
@@ -172,18 +254,20 @@ def inex_accumulators(g: Graph) -> list[int]:
     for u, heads in enumerate(ag.out):
         for w in heads:
             arcs[u][w] += step
-    sums = [0, 0]  # packed leaf products with sign +1 and -1
+    sums = [0, 0]  # packed sums of sign +1 and -1, less the prods that cancel
 
     def visit(label: int, table: list[list[int]], prod: int, negative: int) -> None:
         # labels above `label` are decided: `table` holds the walks through
         # the allowed ones, `prod` counts the walk tuples on their anchors
-        if label < 0:
-            sums[negative] += prod
-            return
-        visit(label - 1, table, prod, negative ^ 1)
-        walks, table = count_anchored_walks(table, 2 * label, trunc)
-        prod = count_walk_tuples(prod, walks, trunc)
-        visit(label - 1, _eliminate(table, 2 * label, trunc), prod, negative)
+        if label:
+            visit(label - 1, table, prod, negative ^ 1)
+            walks, table = count_anchored_walks(table, 2 * label, trunc)
+            visit(label - 1, table, count_walk_tuples(prod, walks, trunc), negative)
+        else:
+            # banning label 0 adds prod to one sum and allowing it adds
+            # prod * (1 + W_0) to the other, so only prod * W_0 is left
+            walks, _ = count_anchored_walks(table, 0, trunc)
+            sums[negative] += prod * walks & trunc
 
     visit(half - 1, arcs, 1, 0)
     field = (1 << width) - 1

@@ -277,6 +277,32 @@ def naive_anchored_walks(ag: ArcGraph, anchor: int, allowed: int) -> list[int]:
     return counts
 
 
+def eliminate_vertex(table: list[list[int]], v: int, trunc: int) -> list[list[int]]:
+    """Reference single-vertex fold of a packed walk table: the v x v table
+    over vertices 0..v-1 whose walks may also pass through v,
+    T[u][w] + T[u][v] * star(T[v][v]) * T[v][w], with star(s) = 1 + s +
+    s^2 + ... summed term by term until a power vanishes under trunc.
+    Rows and columns past v are not read, and table is not modified."""
+    loops, power = 1, 1
+    while power := power * table[v][v] & trunc:
+        loops += power
+    tail = [table[v][w] * loops & trunc for w in range(v)]
+    return [
+        [table[u][w] + (table[u][v] * tail[w] & trunc) for w in range(v)]
+        for u in range(v)
+    ]
+
+
+def degree_field_width(g: Graph) -> int:
+    """The maximum-degree field width, F = bitlen(D^h * 8^h) + 1 with h =
+    n/2 and D = max(1, maximum degree): walk series count at most D^h
+    walks, products at most (4D)^h walk tuples, and each leaf sum adds at
+    most 2^h products."""
+    half = g.n // 2
+    delta = max((g.degree(v) for v in range(g.n)), default=0)
+    return (max(delta, 1) ** half * 8**half).bit_length() + 1
+
+
 def naive_inex_accumulators(g: Graph) -> list[int]:
     """Reference ordered inclusion-exclusion: acc[r] (1-indexed) sums, over
     every label subset I with sign (-1)^|I|, the ordered r-tuples of walks

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from expdeg import (
     Graph,
     random_gnm,
+    random_regular,
     count_pm_dp,
     count_pm_inex,
     oracle_alternating_covers,
@@ -29,6 +30,8 @@ from conftest import (
     complete_graph,
     cycle_distribution_cases,
     cycle_graph,
+    degree_field_width,
+    eliminate_vertex,
     k33_graph,
     matching_graph,
     naive_anchored_walks,
@@ -213,11 +216,62 @@ def test_table_walks_match_naive_dp(monkeypatch):
             ), (g, anchor, allowed)
 
 
+@pytest.mark.parametrize("anchor", [0, 2, 4, 6, 8, 10, 12, 14])
+def test_fused_fold_matches_two_reference_folds(anchor):
+    """Folding anchor+1 and anchor in one pass gives W = T'[anchor][anchor]
+    and the table of two single-vertex reference folds, on random packed
+    tables with self-loops, all-zero rows and columns, and rows and columns
+    past anchor+1 that must not be read; the input is left as it was."""
+    rng = random.Random(anchor)
+    half = 5
+    trunc = (1 << WIDTH * (half + 1)) - 1  # counts stay far below 2^WIDTH
+
+    def series(density: float) -> int:
+        terms = [rng.randint(1, 3) if rng.random() < density else 0 for _ in range(half)]
+        return pack([0] + terms)
+
+    for case in range(40):
+        size = anchor + 2 + rng.choice([0, 0, 1, 3])
+        density = rng.choice([0.15, 0.5, 1.0])
+        table = [[series(density) for _ in range(size)] for _ in range(size)]
+        for v in (anchor, anchor + 1):
+            # a self-loop at v, or none
+            table[v][v] = series(1.0) if case % 2 else 0
+        for line in rng.sample(range(anchor + 2), rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                table[line] = [0] * size
+            else:
+                for row in table:
+                    row[line] = 0
+        before = [row[:] for row in table]
+        walks, folded = count_anchored_walks(table, anchor, trunc)
+        once = eliminate_vertex(table, anchor + 1, trunc)
+        assert walks == once[anchor][anchor], (anchor, case)
+        assert folded == eliminate_vertex(once, anchor, trunc), (anchor, case)
+        assert table == before
+
+
 def hub_graph(n: int) -> Graph:
     """Vertex 0 joined to every other vertex, which also form a cycle."""
     spokes = [(0, v) for v in range(1, n)]
     rim = [(v, v % (n - 1) + 1) for v in range(1, n)]
     return Graph.from_edges(n, set(spokes) | {(min(e), max(e)) for e in rim})
+
+
+def capped_graph(n: int, m: int, cap: int, seed: int) -> Graph:
+    """Up to m random edges, each taken only while both ends have degree
+    below cap: irregular, with maximum degree cap."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    degree = [0] * n
+    edges = []
+    for u, v in pairs:
+        if len(edges) < m and degree[u] < cap and degree[v] < cap:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph.from_edges(n, edges)
 
 
 def test_field_width_holds_every_coefficient(monkeypatch):
@@ -228,6 +282,8 @@ def test_field_width_holds_every_coefficient(monkeypatch):
     which adds at most 2^(n/2) products."""
     graphs = [complete_graph(n) for n in (12, 14, 16)]
     graphs += [random_gnm(16, 100, 1), random_gnm(16, 110, 2), hub_graph(14)]
+    graphs += [capped_graph(n, 2 * n, 5, seed) for n, seed in ((14, 1), (16, 2))]
+    graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs[5:])]
     for g in graphs:
         half, width = g.n // 2, field_width(g)
         wide = 3 * width
@@ -258,6 +314,15 @@ def test_field_width_holds_every_coefficient(monkeypatch):
         assert acc == inex_accumulators(g), g
         assert largest["walks"] < 1 << width, (g, largest, width)
         assert largest["products"] << half < 1 << width, (g, largest, width)
+
+
+def test_field_width_never_exceeds_the_degree_bound():
+    """The walk-count width is never wider than the maximum-degree one."""
+    graphs = [even_seeded_graph(seed + 9000, 16) for seed in range(60)]
+    graphs += [complete_graph(n) for n in (12, 14, 16)]
+    graphs += [hub_graph(n) for n in (10, 14, 16)]
+    for g in graphs:
+        assert field_width(g) <= degree_field_width(g), g
 
 
 def test_narrow_width_gives_a_wrong_count_unflagged(monkeypatch):
@@ -459,6 +524,29 @@ def test_canonical_inex_exact():
             == unordered_total(enumerate(naive_inex_accumulators(g)))
             == oracle_count_pm(g)
         ), g
+
+
+def odd_components_graph(n: int, seed: int) -> Graph:
+    """A gnm graph on 5 vertices beside one on the other n - 5, both odd:
+    no perfect matching."""
+    left = random_gnm(5, 7, seed)
+    right = random_gnm(n - 5, round(1.75 * (n - 5)), seed)
+    edges = [(u, v) for u, v, _ in left.edges]
+    edges += [(u + 5, v + 5) for u, v, _ in right.edges]
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_inex_matches_cover_dp_at_benchmark_sizes(n):
+    """The field width depends on the graph, so check the count against the
+    cover DP at the sizes the benchmark solves, not only at n <= 16."""
+    for seed in (1, 2):
+        for g in (
+            random_regular(n, 3, seed),
+            random_gnm(n, round(1.75 * n), seed),
+            odd_components_graph(n, seed),
+        ):
+            assert count_pm_inex(g) == count_pm_dp(g).count, (n, seed, g.edges)
 
 
 def plus_one_at_x0(prod, walks, trunc):
