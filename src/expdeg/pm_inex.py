@@ -87,9 +87,9 @@ def inex_subsets(n: int) -> int:
     return 1 << (n // 2) if n % 2 == 0 else 0
 
 
-def field_width(g: Graph) -> int:
+def field_width(ag: ArcGraph) -> int:
     """Bits per packed coefficient, from exact walk counts of the arc graph
-    A, with h = n/2: F is the larger of the bit lengths of the largest
+    A = ag, with h = n/2: F is the larger of the bit lengths of the largest
     entry of A^j for 1 <= j <= h and of 2^h * max_j B_j, where B is the
     product of (1 + C_a(x)) over the h anchors a (the even vertices),
     truncated after x^h, and C_a(x) sums (A^j)[a][a] x^j for j >= 1.
@@ -109,25 +109,24 @@ def field_width(g: Graph) -> int:
     upward and the mask drops it.  The zero check below length h does not
     guard this width: narrower fields can give a wrong count that passes.
 
-    With D = max(1, maximum degree), (A^j)[u][w] <= D^j and, by counting
-    anchor sets and compositions, B_j <= 4^h D^h, so F <= bitlen((8D)^h).
+    With D = max(1, maximum degree), which is A's maximum out-degree,
+    (A^j)[u][w] <= D^j and, by counting anchor sets and compositions,
+    B_j <= 4^h D^h, so F <= bitlen((8D)^h).
     The counts take O(h * arcs) additions of one packed int per vertex v,
     whose field u holds (A^j)[u][v]; fields of bitlen(D^h) bits cannot
     overflow, and B is packed in fields of bitlen((4D)^h) bits.
     """
-    half = g.n // 2
-    delta = max(1, max(map(g.degree, range(g.n)), default=0))
+    half = ag.n // 2
+    delta = max(1, max(map(len, ag.out), default=0))  # v has deg(partner(v)) arcs
     room = (delta**half).bit_length()  # holds every (A^j)[u][w], j <= h
     wide = ((4 * delta) ** half).bit_length()  # holds every B_j
     field = (1 << room) - 1
-    arcs = []
-    for x, y, _ in g.edges:
-        arcs += ((pair_partner(x), y), (pair_partner(y), x))
-    into = [1 << room * v for v in range(g.n)]  # A^0 = I
+    arcs = [(v, w) for v, heads in enumerate(ag.out) for w in heads]
+    into = [1 << room * v for v in range(ag.n)]  # A^0 = I
     seen = 0  # every (A^j)[u][w] ORed into field u, so the largest sets its bits
     anchors = []  # anchors[j-1]: into[a] for A^j at the anchors a
     for _ in range(half):
-        nxt = [0] * g.n
+        nxt = [0] * ag.n
         for v, w in arcs:
             nxt[w] += into[v]
         into = nxt
@@ -141,7 +140,7 @@ def field_width(g: Graph) -> int:
             closed = (closed | column >> 2 * i * room & field) << wide
         bound = bound * (1 + closed) & trunc
     walk_bits = max(
-        ((seen >> room * u & field).bit_length() for u in range(g.n)), default=0
+        ((seen >> room * u & field).bit_length() for u in range(ag.n)), default=0
     )
     product_bits = max(
         (bound >> wide * j & (1 << wide) - 1).bit_length() for j in range(half + 1)
@@ -234,6 +233,14 @@ def count_walk_tuples(prod: int, walks: int, trunc: int) -> int:
     return prod * (1 + walks) & trunc
 
 
+def count_leaf_term(prod: int, walks: int, trunc: int) -> int:
+    """prod * walks, packed and masked to trunc: what a node at label 0
+    adds to the sum of its sign.  Banning label 0 would add prod to one sum
+    and allowing it prod * (1 + walks) to the other, and the two prods
+    cancel."""
+    return prod * walks & trunc
+
+
 def inex_accumulators(g: Graph) -> list[int]:
     """Signed per-length sums acc[j] for 0 <= j <= n/2.
 
@@ -247,7 +254,7 @@ def inex_accumulators(g: Graph) -> list[int]:
     half = g.n // 2
     if not half:
         return [1]  # the empty family, and no label to exclude
-    width = field_width(g)
+    width = field_width(ag)
     trunc = (1 << width * (half + 1)) - 1
     step = 1 << width  # one arc: the series x
     arcs = [[0] * g.n for _ in range(g.n)]
@@ -264,10 +271,8 @@ def inex_accumulators(g: Graph) -> list[int]:
             walks, table = count_anchored_walks(table, 2 * label, trunc)
             visit(label - 1, table, count_walk_tuples(prod, walks, trunc), negative)
         else:
-            # banning label 0 adds prod to one sum and allowing it adds
-            # prod * (1 + W_0) to the other, so only prod * W_0 is left
             walks, _ = count_anchored_walks(table, 0, trunc)
-            sums[negative] += prod * walks & trunc
+            sums[negative] += count_leaf_term(prod, walks, trunc)
 
     visit(half - 1, arcs, 1, 0)
     field = (1 << width) - 1

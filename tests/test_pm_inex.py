@@ -22,6 +22,7 @@ from expdeg.pm_inex import (
     ArcGraph,
     build_arc_graph,
     count_anchored_walks,
+    count_leaf_term,
     count_walk_tuples,
     field_width,
     inex_accumulators,
@@ -206,7 +207,7 @@ def test_table_walks_match_naive_dp(monkeypatch):
         calls.clear()
         inex_accumulators(g)
         ag = build_arc_graph(g)
-        half, width = g.n // 2, field_width(g)
+        half, width = g.n // 2, field_width(ag)
         nodes = allowing_nodes(half)
         assert [anchor for anchor, _ in calls] == [anchor for anchor, _ in nodes]
         for (anchor, walks), (_, allowed) in zip(calls, nodes):
@@ -279,15 +280,15 @@ def test_field_width_holds_every_coefficient(monkeypatch):
     and check that every coefficient the counter holds stays below 2^F for
     the F that field_width gives: the walk tables in and out of each fold,
     the closed-walk series, the products, and the two leaf sums, each of
-    which adds at most 2^(n/2) products."""
+    which adds at most 2^(n/2) products or leaf terms prod * W_0."""
     graphs = [complete_graph(n) for n in (12, 14, 16)]
     graphs += [random_gnm(16, 100, 1), random_gnm(16, 110, 2), hub_graph(14)]
     graphs += [capped_graph(n, 2 * n, 5, seed) for n, seed in ((14, 1), (16, 2))]
     graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs[5:])]
     for g in graphs:
-        half, width = g.n // 2, field_width(g)
+        half, width = g.n // 2, field_width(build_arc_graph(g))
         wide = 3 * width
-        largest = {"walks": 0, "products": 0}
+        largest = {"walks": 0, "products": 0, "leaves": 0}
 
         def record(kind, series):
             field = max(unpack(series, half + 1, wide))
@@ -306,14 +307,21 @@ def test_field_width_holds_every_coefficient(monkeypatch):
             record("products", out)
             return out
 
+        def leaves_recorded(prod, walks, trunc):
+            out = count_leaf_term(prod, walks, trunc)
+            record("leaves", out)
+            return out
+
         with monkeypatch.context() as m:
             m.setattr(pm_inex, "field_width", lambda _: wide)
             m.setattr(pm_inex, "count_anchored_walks", walks_recorded)
             m.setattr(pm_inex, "count_walk_tuples", tuples_recorded)
+            m.setattr(pm_inex, "count_leaf_term", leaves_recorded)
             acc = inex_accumulators(g)
         assert acc == inex_accumulators(g), g
         assert largest["walks"] < 1 << width, (g, largest, width)
         assert largest["products"] << half < 1 << width, (g, largest, width)
+        assert largest["leaves"] << half < 1 << width, (g, largest, width)
 
 
 def test_field_width_never_exceeds_the_degree_bound():
@@ -322,7 +330,7 @@ def test_field_width_never_exceeds_the_degree_bound():
     graphs += [complete_graph(n) for n in (12, 14, 16)]
     graphs += [hub_graph(n) for n in (10, 14, 16)]
     for g in graphs:
-        assert field_width(g) <= degree_field_width(g), g
+        assert field_width(build_arc_graph(g)) <= degree_field_width(g), g
 
 
 def test_narrow_width_gives_a_wrong_count_unflagged(monkeypatch):
@@ -330,7 +338,7 @@ def test_narrow_width_gives_a_wrong_count_unflagged(monkeypatch):
     every signed sum below n/2 still vanishes: only the comparison with an
     oracle shows it, which is why field_width must be proved, not tuned."""
     g = complete_graph(12)
-    assert field_width(g) > 13
+    assert field_width(build_arc_graph(g)) > 13
     monkeypatch.setattr(pm_inex, "field_width", lambda _: 13)
     assert count_pm_inex(g) != oracle_count_pm(g) == 10395
 
