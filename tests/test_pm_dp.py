@@ -307,12 +307,31 @@ def perfectly_matchable(nb, unmatched: set[int]) -> bool:
     )
 
 
+def node_key(k: int, key):
+    """The node-level form of a key _strata stores: a cover key M, the mask
+    of the original vertices its labels consumed, is the covered node set X
+    (the nodes whose two vertices are both in M); a path key (M, y) is
+    (X, a, b, x), where a is the start node, whose 2a alone is in M, the
+    open end y is 2b+x, and X holds every node with a vertex in M."""
+    m, y = (key, None) if isinstance(key, int) else key
+    x_mask = mask_of(p for p in range(k) if (m >> 2 * p) & 3)
+    if y is None:
+        return x_mask
+    a = ((~m & (m + 1)).bit_length() - 1) >> 1
+    return x_mask, a, y >> 1, y & 1
+
+
 def strata_keys(mg):
-    """Every cover key and every path key that _strata yields, in order."""
+    """Every cover key and every path key that _strata yields, in order, in
+    node-level form; each stored mask consumed exactly the vertices the node
+    key leaves matched."""
     cover_keys, path_keys = [], []
     for paths, covers in _strata(mg):
-        path_keys.extend(paths)
-        cover_keys.extend(covers)
+        for key in list(covers) + list(paths):
+            x_key = node_key(mg.k, key)
+            m = key if isinstance(key, int) else key[0]
+            assert m == ((1 << 2 * mg.k) - 1) ^ mask_of(unmatched_vertices(mg.k, x_key))
+            (cover_keys if isinstance(key, int) else path_keys).append(x_key)
     return cover_keys, path_keys
 
 
@@ -544,7 +563,28 @@ def test_states_visited_counts_nonzero_keys():
     run = run_cover_dp(mg)
     assert run.states_visited == len(cover_keys) + len(path_keys)
     assert count_pm_dp(g) == run
-    for i, (paths, covers) in enumerate(_strata(mg)):
-        assert all(x_mask.bit_count() == i for x_mask in covers)
-        assert all(key[0].bit_count() == i for key in paths)
-    assert i == mg.k and covers == {(1 << mg.k) - 1: run.count}
+    for j, (paths, covers) in enumerate(_strata(mg)):
+        assert all(m.bit_count() == 2 * j for m in covers)
+        assert all(m.bit_count() == 2 * j for m, _ in paths)
+    assert j == mg.k and covers == {(1 << 2 * mg.k) - 1: run.count}
+
+
+@pytest.mark.parametrize(
+    "n, edges, count",
+    [(n, [(v, (v + 1) % n) for v in range(n)], 2) for n in (66, 70, 80)]
+    + [
+        (
+            70,
+            [(2 * i, 2 * i + 1) for i in range(35)]
+            + [(2 * i + s, 2 * i + 2 + s) for i in range(34) for s in (0, 1)],
+            14_930_352,
+        )
+    ],
+    ids=["C66", "C70", "C80", "ladder70"],
+)
+def test_cover_dp_past_32_nodes(n, edges, count):
+    """Contractions of more than 32 nodes, built without a Graph so that n
+    may pass its vertex cap, count exactly: a cycle has 2 perfect matchings
+    and the ladder P_35 x K2, paired along its rungs, has Fib(36)."""
+    labels = sorted((x // 2, y // 2, x, y) for x, y in map(sorted, edges))
+    assert run_cover_dp(LabeledMultigraph(n // 2, tuple(labels))).count == count
