@@ -44,10 +44,8 @@ from .pm_dp import (
 )
 from .pm_inex import count_pm_inex
 from .structure import (
-    Deg2Witness,
     GapResult,
     deg2_witness,
-    deg2_witness_multigraph,
     enumerate_deg2_sets,
     find_disjoint_set,
     find_gap_threshold,
@@ -67,7 +65,6 @@ __all__ = [
     "BipartiteGraph",
     "BudgetExceededError",
     "CapacityError",
-    "Deg2Witness",
     "DegreeProfile",
     "ExpdegError",
     "GapResult",
@@ -81,7 +78,6 @@ __all__ = [
     "count_pm_dp",
     "count_pm_inex",
     "deg2_witness",
-    "deg2_witness_multigraph",
     "degree_profile",
     "enumerate_deg2_sets",
     "find_disjoint_set",

@@ -183,8 +183,8 @@ def _cmd_stats(args) -> None:
     profile = degree_profile(g)
     gap = structure.find_gap_threshold(g, args.alpha)
     d = max(profile.avg, Fraction(1))
-    max_deg = max(profile.max_degree, 1)
-    disjoint = structure.find_disjoint_set(g, d, max_deg)
+    max_deg = max(profile.max_degree, 1)  # the Delta of the size bound
+    disjoint = structure.find_disjoint_set(g, d)
     payload = {
         "n": g.n,
         "m": g.m,
@@ -219,9 +219,8 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_gen(args) -> None:
-    k = args.k if args.k is not None else args.n  # bipartite takes --k or --n
     g = generate.gen_random_graph(
-        args.model, args.seed, n=args.n, m=args.m, d=args.d, k=k
+        args.model, args.seed, n=args.n, m=args.m, d=args.d, k=args.k
     )
     sys.stdout.write(serialize_graph(g))
 
@@ -269,36 +268,39 @@ def run_bench(
     algo: str,
     model: str,
     sizes: list[int],
-    degrees: list[float],
+    degrees: list[Fraction | int | float],
     seeds: list[int],
     alpha: Fraction | str = pm_bipartite.DEFAULT_ALPHA,
 ) -> tuple[list[dict], list[dict]]:
     """Run the grid sizes x degrees x seeds one instance after another in
     this process, and return (rows, per-(n, d) summary).  count-pm-bip runs
     the 'bipartite' model, where a size is the side size k; the others run
-    'gnm' or 'regular' (whole degrees)."""
+    'gnm' or 'regular' (whole degrees).  A float degree is read by its
+    decimal repr (see exact_fraction)."""
     bipartite = SOLVERS[algo].kind is BipartiteGraph
     if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
     if any(n < 0 for n in sizes):
         raise ValueError(f"sizes must be nonnegative, got {sizes}")
-    if not all(math.isfinite(d) and d >= 0 for d in degrees):
-        raise ValueError(f"degrees must be finite and nonnegative, got {degrees}")
+    # m in exact arithmetic from the decimal d: a float n * d overflows for
+    # a huge d and drifts off an exact half; inf and nan raise here
+    degrees = [exact_fraction(d) for d in degrees]
+    if any(d < 0 for d in degrees):
+        shown = ", ".join(map(str, degrees))  # 5/2, not Fraction(5, 2)
+        raise ValueError(f"degrees must be nonnegative, got [{shown}]")
     if model == "regular" and any(d != int(d) for d in degrees):
         raise ValueError("the 'regular' model needs whole degrees")
     rows = []
     for n in sizes:
         for d in degrees:
             for seed in seeds:
-                # m in exact arithmetic from the decimal d: a float n * d
-                # overflows for a huge d and drifts off an exact half
                 if bipartite:
-                    m = max(2 * n, round(n * exact_fraction(d)))
+                    m = max(2 * n, round(n * d))
                     g = generate.random_bipartite_min2(n, m, seed)
                 elif model == "regular":
                     g = generate.random_regular(n, int(d), seed)
                 else:
-                    g = generate.random_gnm(n, round(n * exact_fraction(d) / 2), seed)
+                    g = generate.random_gnm(n, round(n * d / 2), seed)
                 rows.append(_bench_row(algo, model, g, seed, alpha))
     # --sizes, --degrees and --seeds may come in any order; d sorts as a
     # number, since as strings "10" would sort before "3" and "5/2"
@@ -380,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--model", choices=["gnm", "regular", "bipartite"],
                          help="default: bipartite for count-pm-bip, else gnm")
     p_bench.add_argument("--sizes", type=int, nargs="+", required=True)
-    p_bench.add_argument("--degrees", type=float, nargs="+", required=True)
+    p_bench.add_argument("--degrees", type=_rational, nargs="+", required=True)
     p_bench.add_argument("--seeds", type=int, nargs="+", required=True)
     p_bench.add_argument("--alpha", type=_rational, default=pm_bipartite.DEFAULT_ALPHA)
     p_bench.add_argument("--format", choices=["json", "csv"], default="json")

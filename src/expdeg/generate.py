@@ -109,14 +109,8 @@ _MODEL_PARAMS = {"gnm": ("n", "m"), "regular": ("n", "d"), "bipartite": ("k", "m
 
 def gen_random_graph(model: str, seed: int, **params) -> Graph | BipartiteGraph:
     """Dispatch by model name: 'gnm' (n, m), 'regular' (n, d) or
-    'regular-<d>' (n), 'bipartite' (k, m); ValueError for an unknown model
-    or a missing parameter."""
-    if model.startswith("regular-"):
-        degree = model.removeprefix("regular-")
-        if not degree.isdecimal() or len(degree) > 18:
-            raise ValueError("model regular-<d> needs a whole degree d under 10^18")
-        params["d"] = int(degree)
-        model = "regular"
+    'bipartite' (k, m); ValueError for an unknown model or a missing
+    parameter."""
     if model not in _MODEL_PARAMS:
         raise ValueError(f"unknown model {model!r}")
     missing = [name for name in _MODEL_PARAMS[model] if params.get(name) is None]

@@ -95,7 +95,12 @@ class LabeledMultigraph:
 
     Graph.edges holds every edge as (x, y) with x < y, so p = x // 2 and
     q = y // 2 already satisfy p <= q, and a self-loop's x < y is 2p < 2p+1;
-    build_contracted_graph needs no swap."""
+    build_contracted_graph needs no swap.
+
+    No label occurs twice: each {x, y} is one edge of a simple graph, which
+    Graph refuses to repeat, so a node has at most one self-loop and two
+    nodes at most four edges, one per label.  _strata relies on this and
+    counts every label once."""
 
     k: int
     edges: tuple[tuple[int, int, int, int], ...]
@@ -123,15 +128,9 @@ def _strata(mg: LabeledMultigraph):
     k = mg.k
     # adj[v]: the neighbours of original vertex v, as a mask over 2k bits
     adj = [0] * (2 * k)
-    loops = [0] * k
-    lmult: dict[tuple[int, int], int] = {}
-    for p, q, x, y in mg.edges:
+    for _, _, x, y in mg.edges:
         adj[x] |= 1 << y
         adj[y] |= 1 << x
-        if p == q:
-            loops[p] += 1
-        else:
-            lmult[x, y] = lmult.get((x, y), 0) + 1
     if not all(adj):
         return
     adj_of_bit = {1 << v: nb for v, nb in enumerate(adj)}
@@ -152,18 +151,23 @@ def _strata(mg: LabeledMultigraph):
             m ^= low
         tgt[key] = add
 
-    # loop[a]: (mult, used, touched) for the mult self-loops at a, where
-    # used masks 2a and 2a+1 and touched their neighbours
-    loop = [(loops[a], 3 << 2 * a, adj[2 * a] | adj[2 * a + 1]) for a in range(k)]
-    # nbr[u]: (v, node, mult, used, touched) for the mult labels {u, v}
-    # across two nodes, where node masks both vertices of v's node, used
-    # masks u and v, and touched their neighbours
-    nbr: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(2 * k)]
-    for (x, y), mult in lmult.items():
+    # Every label occurs at most once (see LabeledMultigraph), so each push
+    # adds its source's value once.  loop[a]: (used, touched) for the
+    # self-loop at a, or None without one, where used masks 2a and 2a+1 and
+    # touched their neighbours
+    loop: list[tuple[int, int] | None] = [None] * k
+    # nbr[u]: (v, node, used, touched) for the label {u, v} across two
+    # nodes, where node masks both vertices of v's node, used masks u and v,
+    # and touched their neighbours
+    nbr: list[list[tuple[int, int, int, int]]] = [[] for _ in range(2 * k)]
+    for p, q, x, y in mg.edges:
         used, touched = (1 << x) | (1 << y), adj[x] | adj[y]
-        nbr[x].append((y, 3 << (y & ~1), mult, used, touched))
-        nbr[y].append((x, 3 << (x & ~1), mult, used, touched))
-    # closing[a][v]: (mult, used, touched) for the labels {2a+1, v}
+        if p == q:
+            loop[p] = used, touched
+        else:
+            nbr[x].append((y, 3 << (y & ~1), used, touched))
+            nbr[y].append((x, 3 << (x & ~1), used, touched))
+    # closing[a][v]: (used, touched) for the label {2a+1, v}
     closing = [{v: entry for v, _, *entry in nbr[2 * a + 1]} for a in range(k)]
 
     full = (1 << 2 * k) - 1
@@ -182,23 +186,24 @@ def _strata(mg: LabeledMultigraph):
             # close the cycle: a label {2a+1, y^1}
             entry = closing[a].get(y ^ 1)
             if entry:
-                mult, used, touched = entry
-                push(next_covers, m | used, val * mult, rest ^ used, touched)
+                used, touched = entry
+                push(next_covers, m | used, val, rest ^ used, touched)
             # extend the open end y^1 to a free node (above a)
-            for v, node, mult, used, touched in nbr[y ^ 1]:
+            for v, node, used, touched in nbr[y ^ 1]:
                 if not m & node:
-                    push(next_paths, (m | used, v), val * mult, rest ^ used, touched)
+                    push(next_paths, (m | used, v), val, rest ^ used, touched)
         for m, val in covers.items():
             rest = full ^ m
             # the next cycle starts at a, whose 2a is the lowest free vertex
             u = (~m & (m + 1)).bit_length() - 1
-            mult, used, touched = loop[u >> 1]
-            if mult:
-                push(next_covers, m | used, val * mult, rest ^ used, touched)
+            entry = loop[u >> 1]
+            if entry:
+                used, touched = entry
+                push(next_covers, m | used, val, rest ^ used, touched)
             # seed a path a-b (the label at a must contain 2a)
-            for v, node, mult, used, touched in nbr[u]:
+            for v, node, used, touched in nbr[u]:
                 if not m & node:
-                    push(next_paths, (m | used, v), val * mult, rest ^ used, touched)
+                    push(next_paths, (m | used, v), val, rest ^ used, touched)
         paths, covers = next_paths, next_covers
 
 

@@ -175,7 +175,7 @@ def test_criterion_6_tsp_state_soundness():
             if v == a:
                 continue
             x = mask & ~(1 << a) & ~(1 << v)
-            assert deg2_witness(g, a, v, x) is not None, (seed, bin(mask), v)
+            assert deg2_witness(g.n, g.edges, a, v, x) is not None, (seed, bin(mask), v)
             states_checked += 1
     print(
         f"\nACCEPTANCE 6 PASS: {states_checked} materialized states verified, "
@@ -191,7 +191,7 @@ def test_criterion_7_structural_postconditions():
         prof = degree_profile(g)
         d = max(prof.avg, Fraction(1))
         cap = max(prof.max_degree, 1)
-        mask = find_disjoint_set(g, d, cap)
+        mask = find_disjoint_set(g, d)
         members = list(bits(mask))
         assert len(members) >= math.ceil(Fraction(g.n, 2 + 4 * d * cap))
         closed = []

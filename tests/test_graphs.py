@@ -292,5 +292,8 @@ def test_generator_infeasible_params():
 
 
 def test_gen_dispatch_regular_suffix():
-    g = gen_random_graph("regular-3", 1, n=6)
-    assert degree_profile(g).avg == 3
+    """The regular model takes its degree from d alone: a degree in the
+    model name is an unknown model."""
+    with pytest.raises(ValueError, match="unknown model"):
+        gen_random_graph("regular-3", 1, n=6)
+    assert degree_profile(gen_random_graph("regular", 1, n=6, d=3)).avg == 3

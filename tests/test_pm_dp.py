@@ -11,7 +11,7 @@ from expdeg import (
     Graph,
     count_pm_dp,
     count_pm_inex,
-    deg2_witness_multigraph,
+    deg2_witness,
     oracle_count_pm,
     random_gnm,
     random_regular,
@@ -495,7 +495,7 @@ def brute_multigraph_deg2_sets(n, edges, s, t):
 
 
 def test_multigraph_witness_matches_all_edge_subsets():
-    """deg2_witness_multigraph, which the next test relies on for contracted
+    """deg2_witness, which the next test relies on for contracted
     multigraphs, finds exactly the sets an enumeration of every edge subset
     finds, on random multigraphs with self-loops and parallel edges, and
     every witness it returns is a sub-multiset of the edges with the right
@@ -511,7 +511,7 @@ def test_multigraph_witness_matches_all_edge_subsets():
         rest = [v for v in range(n) if v not in (s, t)]
         for sub in range(1 << len(rest)):
             x_mask = mask_of(rest[i] for i in bits(sub))
-            f = deg2_witness_multigraph(n, edges, s, t, x_mask)
+            f = deg2_witness(n, edges, s, t, x_mask)
             assert (f is not None) == (x_mask in want), (n, edges, s, t, x_mask)
             if f is None:
                 missed += 1
@@ -542,18 +542,17 @@ def test_nonzero_states_are_degree2_subsets():
         if mg.k < 2:
             continue
         cover_keys, path_keys = strata_keys(mg)
-        edge_list = [(p, q) for p, q, _, _ in mg.edges]
         for x_mask, a, b, _ in path_keys:
             interior = x_mask & ~(1 << a) & ~(1 << b)
             assert (
-                deg2_witness_multigraph(mg.k, edge_list, a, b, interior) is not None
+                deg2_witness(mg.k, mg.edges, a, b, interior) is not None
             ), (seed, bin(x_mask), a, b)
         for x_mask in cover_keys:
             free = [v for v in range(mg.k) if not (x_mask >> v) & 1]
             if len(free) < 2:
                 continue  # no two distinct terminals available outside X
             s, t = free[0], free[1]
-            assert deg2_witness_multigraph(mg.k, edge_list, s, t, x_mask) is not None
+            assert deg2_witness(mg.k, mg.edges, s, t, x_mask) is not None
 
 
 def test_states_visited_counts_nonzero_keys():

@@ -10,7 +10,6 @@ from expdeg import (
     CapacityError,
     Graph,
     deg2_witness,
-    deg2_witness_multigraph,
     degree_profile,
     enumerate_deg2_sets,
     find_disjoint_set,
@@ -34,6 +33,10 @@ def sympy_exp_floor(alpha: Fraction) -> int:
     return int(sympy.floor(sympy.E ** sympy.Rational(alpha.numerator, alpha.denominator)))
 
 
+def witness(g, s, t, x_mask):
+    return deg2_witness(g.n, g.edges, s, t, x_mask)
+
+
 def check_witness(g, s, t, x_mask, f_edges):
     """Independent re-check of the three degree constraints."""
     deg = [0] * g.n
@@ -54,19 +57,19 @@ def check_witness(g, s, t, x_mask, f_edges):
 
 
 def test_disjoint_set_c4():
-    mask = find_disjoint_set(cycle_graph(4), 2, 2)
+    mask = find_disjoint_set(cycle_graph(4), 2)
     assert mask == 0b0001  # greedy picks vertex 0, marks everything
     assert mask.bit_count() >= math.ceil(Fraction(4, 18))
 
 
 def test_disjoint_set_edgeless():
-    mask = find_disjoint_set(empty_graph(5), 1, 1)
+    mask = find_disjoint_set(empty_graph(5), 1)
     assert mask == 0b11111
 
 
 def test_disjoint_set_star():
     # center 0 has degree 4 > 2d; lowest eligible vertex is leaf 1
-    mask = find_disjoint_set(star_graph(4), Fraction(8, 5), 4)
+    mask = find_disjoint_set(star_graph(4), Fraction(8, 5))
     assert mask == 0b00010
     assert mask.bit_count() >= 1
 
@@ -76,17 +79,15 @@ def test_disjoint_set_float_d_reads_decimal():
     fraction, 3.3 fell just below the average degree 33/10 and was refused."""
     g = random_gnm(20, 33, 1)
     assert degree_profile(g).avg == Fraction(33, 10)
-    assert find_disjoint_set(g, 3.3, 6) == find_disjoint_set(g, Fraction("3.3"), 6)
+    assert find_disjoint_set(g, 3.3) == find_disjoint_set(g, Fraction("3.3"))
 
 
 def test_disjoint_set_rejects_bad_preconditions():
     g = complete_graph(4)
     with pytest.raises(ValueError):
-        find_disjoint_set(g, 1, 3)  # avg degree 3 > d
+        find_disjoint_set(g, 1)  # avg degree 3 > d
     with pytest.raises(ValueError):
-        find_disjoint_set(g, 3, 2)  # max degree 3 > D
-    with pytest.raises(ValueError):
-        find_disjoint_set(empty_graph(3), Fraction(1, 2), 1)  # d < 1
+        find_disjoint_set(empty_graph(3), Fraction(1, 2))  # d < 1
 
 
 def test_disjoint_set_postconditions_seeded():
@@ -95,7 +96,7 @@ def test_disjoint_set_postconditions_seeded():
         prof = degree_profile(g)
         d = max(prof.avg, Fraction(1))
         cap = max(prof.max_degree, 1)
-        mask = find_disjoint_set(g, d, cap)
+        mask = find_disjoint_set(g, d)
         members = list(bits(mask))
         assert len(members) >= math.ceil(Fraction(g.n, 2 + 4 * d * cap))
         closed = []
@@ -164,28 +165,26 @@ def test_gap_threshold_rejects_nonpositive_alpha():
 
 def test_deg2_k3_examples():
     k3 = complete_graph(3)
-    w = deg2_witness(k3, 0, 2, 0)
-    assert w is not None and w.f_edges == ()
-    w = deg2_witness(k3, 0, 2, mask_of([1]))
-    assert w is not None
-    check_witness(k3, 0, 2, w.x_mask, w.f_edges)
-    assert set(w.f_edges) == {(0, 1), (1, 2)}
+    assert witness(k3, 0, 2, 0) == ()
+    f = witness(k3, 0, 2, mask_of([1]))
+    assert f == ((0, 1), (1, 2))
+    check_witness(k3, 0, 2, mask_of([1]), f)
 
 
 def test_deg2_path_examples():
     p3 = path_graph(3)
-    assert deg2_witness(p3, 0, 2, mask_of([1])) is not None
-    assert deg2_witness(p3, 0, 1, mask_of([2])) is None
+    assert witness(p3, 0, 2, mask_of([1])) is not None
+    assert witness(p3, 0, 1, mask_of([2])) is None
 
 
 def test_deg2_rejects_equal_terminals():
     with pytest.raises(ValueError):
-        deg2_witness(complete_graph(3), 1, 1, 0)
+        witness(complete_graph(3), 1, 1, 0)
 
 
 def test_deg2_rejects_terminal_in_x():
     with pytest.raises(ValueError):
-        deg2_witness(complete_graph(3), 0, 2, mask_of([0]))
+        witness(complete_graph(3), 0, 2, mask_of([0]))
 
 
 def test_deg2_capacity():
@@ -206,9 +205,9 @@ def test_enumerate_deg2_witnesses_validate():
             continue
         s, t = 0, g.n - 1
         for x_mask in enumerate_deg2_sets(g, s, t):
-            w = deg2_witness(g, s, t, x_mask)
-            assert w is not None
-            check_witness(g, s, t, x_mask, w.f_edges)
+            f = witness(g, s, t, x_mask)
+            assert f is not None
+            check_witness(g, s, t, x_mask, f)
 
 
 def brute_deg2_sets(g: Graph, s: int, t: int) -> list[int]:
@@ -261,10 +260,10 @@ def test_enumerate_deg2_complete_vs_all_subsets():
 
 def test_deg2_multigraph_self_loop_counts_two():
     # a self-loop alone satisfies the degree-2 requirement at its vertex
-    f = deg2_witness_multigraph(3, [(1, 1)], 0, 2, mask_of([1]))
+    f = deg2_witness(3, [(1, 1)], 0, 2, mask_of([1]))
     assert f == ((1, 1),)
     # parallel edges form a valid 2-cycle
-    f = deg2_witness_multigraph(4, [(1, 2), (1, 2)], 0, 3, mask_of([1, 2]))
+    f = deg2_witness(4, [(1, 2), (1, 2)], 0, 3, mask_of([1, 2]))
     assert f == ((1, 2), (1, 2))
 
 
@@ -278,23 +277,27 @@ def test_deg2_multigraph_self_loop_counts_two():
     ],
 )
 def test_deg2_multigraph_validates_like_deg2_witness(n, s, t, x_mask):
+    """Bad arguments raise the same error whether the edges arrive as a
+    Graph's weighted g.edges or as a multigraph's bare pairs."""
     edges = [(0, 1), (1, 2), (2, 3)]
-    with pytest.raises(ValueError):
-        deg2_witness(Graph.from_edges(n, edges), s, t, x_mask)
-    with pytest.raises(ValueError):
-        deg2_witness_multigraph(n, edges, s, t, x_mask)
+    errors = []
+    for given in (Graph.from_edges(n, edges).edges, edges + [(1, 1), (0, 1)]):
+        with pytest.raises(ValueError) as info:
+            deg2_witness(n, given, s, t, x_mask)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("bad", [(1, 9), (-1, 2), (4, 4)])
 def test_deg2_multigraph_rejects_edges_outside_the_graph(bad):
     edges = [(0, 1), bad, (1, 2)]
     with pytest.raises(ValueError, match=rf"edge \({bad[0]}, {bad[1]}\)"):
-        deg2_witness_multigraph(4, edges, 0, 2, mask_of([1]))
+        deg2_witness(4, edges, 0, 2, mask_of([1]))
 
 
 def test_deg2_multigraph_capacity():
     with pytest.raises(CapacityError):
-        deg2_witness_multigraph(17, [], 0, 1, 0)
+        deg2_witness(17, [], 0, 1, 0)
 
 
 # --- cross-module: TSP DP states are degree-2 subsets ----------------------
@@ -310,4 +313,4 @@ def test_tsp_states_lie_in_deg2_sets():
             if v == a:
                 continue  # the seed state has no distinct terminal pair
             x = mask & ~(1 << a) & ~(1 << v)
-            assert deg2_witness(g, a, v, x) is not None
+            assert witness(g, a, v, x) is not None
