@@ -2,8 +2,9 @@
 
 Two input types exist: a simple undirected graph with nonnegative integer
 edge weights, and a bipartite graph with equal sides.  Both are immutable
-after construction and capped at 64 vertices per side so that every subset
-DP in this package can key its tables on a single machine-word bit mask.
+after construction and capped at 64 vertices per side.  The cap is a
+refusal limit (CapacityError), not a word size: the subset DPs key their
+tables on Python int bit masks, which have none.
 
 Text format (UTF-8, '#' starts a comment line, blank lines ignored):
 

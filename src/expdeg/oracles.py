@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import BudgetExceededError
-from .graphs import BipartiteGraph, Graph, pair_partner
+from .graphs import BipartiteGraph, Graph
 
 
 @dataclass(frozen=True)
@@ -90,52 +90,29 @@ def oracle_alternating_covers(
     form a cycle cover whose cycles alternate pairing/graph edges.
 
     Enumerates all subsets of n/2 graph edges (a degree-2 cover over the
-    n/2 pairing edges needs exactly that many) and verifies each candidate
-    by explicit traversal.
+    n/2 pairing edges needs exactly that many) and counts those whose edges
+    are pairwise disjoint.  No traversal is needed: n/2 disjoint edges form
+    a perfect matching M, and the pairing P and M are fixed-point-free
+    involutions, so P and M together split into even cycles that alternate
+    P and M edges (a 2-cycle where M uses a pairing edge); a walk from any
+    vertex returns to it on an M step.  For n = 0 the one empty subset
+    counts.
     """
     if g.n > budget.max_n:
         raise BudgetExceededError(f"cover oracle capped at n={budget.max_n}")
     if g.n % 2 != 0:
         return 0
-    if g.n == 0:
-        return 1
     half = g.n // 2
     if math.comb(g.m, half) > budget.max_work:
         raise BudgetExceededError("cover oracle exceeded its work budget")
     count = 0
     for subset in combinations(g.edges, half):
-        partner = [-1] * g.n
-        ok = True
+        matched = [False] * g.n
         for u, v, _ in subset:
-            if partner[u] != -1 or partner[v] != -1:
-                ok = False
+            if matched[u] or matched[v]:
                 break
-            partner[u] = v
-            partner[v] = u
-        if not ok:
-            continue
-        # walk each cycle alternating pairing edge / chosen graph edge
-        visited = [False] * g.n
-        for start in range(g.n):
-            if visited[start]:
-                continue
-            v = start
-            while True:
-                visited[v] = True
-                v = pair_partner(v)
-                if v != start and visited[v]:
-                    ok = False
-                    break
-                visited[v] = True
-                v = partner[v]
-                if v == start:
-                    break
-                if visited[v]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and all(visited):
+            matched[u] = matched[v] = True
+        else:
             count += 1
     return count
 

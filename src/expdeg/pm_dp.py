@@ -60,14 +60,20 @@ and the stored set depends on the graph and its labels alone, not on the
 order of the pushes.
 
 Only nonzero entries are stored or pushed.  Every push follows an edge that
-exists: per-vertex label lists, built once per call, give the labels that
-seed or extend a path, and one dictionary lookup per path entry finds the
-label that closes it.  So a cover entry costs the degree of 2a, and a path
-entry the degree of y^1, plus, on each first insert, one mask test per
-unmatched neighbour of the consumed pair.  On random_regular(36, 3, 1), on
-its own labels, the rule cuts the stored entries from 65,330 to 7,907 and
-the DP time about five-fold, while each stored entry takes about 1.6 times
-as long (best of 7 to 21 runs, Python 3.11.7).
+exists: one label list per original vertex, built once per call and
+holding self-loops too, is the only table.  A cover entry scans the list
+of 2a, where the label {2a, 2a+1} is the self-loop that closes a cycle at
+once and any other label whose node is free seeds a path.  A path entry
+scans the list of y^1, where the label {y^1, 2a+1} closes the cycle and
+any other label whose node is free extends the path.  No other case
+arises: a's node is not free at a path entry, since 2a is in M, and y's
+node is never free, since y is in M.  So a cover entry costs the degree of
+2a, and a path entry the degree of y^1, plus, on each first insert, one
+mask test per unmatched neighbour of the consumed pair.  On
+random_regular(36, 3, 1), on its own labels, the rule cuts the stored
+entries from 65,330 to 7,907 and the DP time about five-fold, while each
+stored entry takes about 1.6 times as long (best of 7 to 21 runs, Python
+3.11.7).
 
 Pairing.  The contraction is exact for any pairing of the vertices, but the
 stored entries depend on it.  count_pm_dp first relabels g so that pair i
@@ -93,12 +99,11 @@ class LabeledMultigraph:
     label is the original-vertex pair {x, y}, x in {2p, 2p+1} and
     y in {2q, 2q+1}.  Self-loops (p == q) always carry {2p, 2p+1}.
 
-    Graph.edges holds every edge as (x, y) with x < y, so p = x // 2 and
-    q = y // 2 already satisfy p <= q, and a self-loop's x < y is 2p < 2p+1;
-    build_contracted_graph needs no swap.
+    build_contracted_graph orients each edge as x < y, so p = x // 2 and
+    q = y // 2 satisfy p <= q, and a self-loop's x < y is 2p < 2p+1.
 
     No label occurs twice: each {x, y} is one edge of a simple graph, which
-    Graph refuses to repeat, so a node has at most one self-loop and two
+    never repeats an edge, so a node has at most one self-loop and two
     nodes at most four edges, one per label.  _strata relies on this and
     counts every label once."""
 
@@ -106,12 +111,14 @@ class LabeledMultigraph:
     edges: tuple[tuple[int, int, int, int], ...]
 
 
-def build_contracted_graph(g: Graph) -> LabeledMultigraph:
-    """One labeled edge per input edge under the pair contraction v -> v//2."""
-    if g.n % 2 != 0:
+def build_contracted_graph(n: int, edges) -> LabeledMultigraph:
+    """One labeled edge per edge of a simple graph on n vertices under the
+    pair contraction v -> v//2.  An edge is any tuple whose first two
+    entries are its endpoints, in either order, so g.edges passes as it is."""
+    if n % 2 != 0:
         raise ValueError("vertex count must be even")
-    edges = [(x // 2, y // 2, x, y) for x, y, _ in g.edges]
-    return LabeledMultigraph(g.n // 2, tuple(sorted(edges)))
+    labels = [(x // 2, y // 2, x, y) for x, y in (sorted(e[:2]) for e in edges)]
+    return LabeledMultigraph(n // 2, tuple(sorted(labels)))
 
 
 @dataclass(frozen=True)
@@ -152,23 +159,14 @@ def _strata(mg: LabeledMultigraph):
         tgt[key] = add
 
     # Every label occurs at most once (see LabeledMultigraph), so each push
-    # adds its source's value once.  loop[a]: (used, touched) for the
-    # self-loop at a, or None without one, where used masks 2a and 2a+1 and
-    # touched their neighbours
-    loop: list[tuple[int, int] | None] = [None] * k
-    # nbr[u]: (v, node, used, touched) for the label {u, v} across two
-    # nodes, where node masks both vertices of v's node, used masks u and v,
-    # and touched their neighbours
-    nbr: list[list[tuple[int, int, int, int]]] = [[] for _ in range(2 * k)]
-    for p, q, x, y in mg.edges:
+    # adds its source's value once.  at[u]: (v, node, used, touched) for
+    # every label {u, v}, self-loops included, where node masks both
+    # vertices of v's node, used masks u and v, and touched their neighbours
+    at: list[list[tuple[int, int, int, int]]] = [[] for _ in range(2 * k)]
+    for _, _, x, y in mg.edges:
         used, touched = (1 << x) | (1 << y), adj[x] | adj[y]
-        if p == q:
-            loop[p] = used, touched
-        else:
-            nbr[x].append((y, 3 << (y & ~1), used, touched))
-            nbr[y].append((x, 3 << (x & ~1), used, touched))
-    # closing[a][v]: (used, touched) for the label {2a+1, v}
-    closing = [{v: entry for v, _, *entry in nbr[2 * a + 1]} for a in range(k)]
+        at[x].append((y, 3 << (y & ~1), used, touched))
+        at[y].append((x, 3 << (x & ~1), used, touched))
 
     full = (1 << 2 * k) - 1
     covers: dict[int, int] = {0: 1}
@@ -182,27 +180,20 @@ def _strata(mg: LabeledMultigraph):
         for (m, y), val in paths.items():
             rest = full ^ m
             # the lowest unconsumed vertex is 2a+1, the start's second one
-            a = ((~m & (m + 1)).bit_length() - 1) >> 1
-            # close the cycle: a label {2a+1, y^1}
-            entry = closing[a].get(y ^ 1)
-            if entry:
-                used, touched = entry
-                push(next_covers, m | used, val, rest ^ used, touched)
-            # extend the open end y^1 to a free node (above a)
-            for v, node, used, touched in nbr[y ^ 1]:
-                if not m & node:
+            s = (~m & (m + 1)).bit_length() - 1
+            for v, node, used, touched in at[y ^ 1]:
+                if v == s:  # close the cycle with the label {y^1, 2a+1}
+                    push(next_covers, m | used, val, rest ^ used, touched)
+                elif not m & node:  # extend to a free node (above a)
                     push(next_paths, (m | used, v), val, rest ^ used, touched)
         for m, val in covers.items():
             rest = full ^ m
             # the next cycle starts at a, whose 2a is the lowest free vertex
             u = (~m & (m + 1)).bit_length() - 1
-            entry = loop[u >> 1]
-            if entry:
-                used, touched = entry
-                push(next_covers, m | used, val, rest ^ used, touched)
-            # seed a path a-b (the label at a must contain 2a)
-            for v, node, used, touched in nbr[u]:
-                if not m & node:
+            for v, node, used, touched in at[u]:
+                if v == u + 1:  # the self-loop at a is a cycle by itself
+                    push(next_covers, m | used, val, rest ^ used, touched)
+                elif not m & node:  # seed a path a-b at a free node
                     push(next_paths, (m | used, v), val, rest ^ used, touched)
         paths, covers = next_paths, next_covers
 
@@ -261,5 +252,5 @@ def count_pm_dp(g: Graph) -> PmDpResult:
     if g.n % 2 != 0:
         return PmDpResult(0, 0)
     label = _matching_labels(g)
-    paired = Graph(g.n, [(label[u], label[v], w) for u, v, w in g.edges])
-    return run_cover_dp(build_contracted_graph(paired))
+    pairs = [(label[u], label[v]) for u, v, _ in g.edges]
+    return run_cover_dp(build_contracted_graph(g.n, pairs))

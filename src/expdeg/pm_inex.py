@@ -72,14 +72,11 @@ class ArcGraph:
 
 
 def build_arc_graph(g: Graph) -> ArcGraph:
-    """Two arcs per input edge: (partner(x) -> y, label x//2) and symmetric."""
+    """Two arcs per input edge: (partner(x) -> y, label x//2) and symmetric,
+    so the heads out of v are the neighbours of partner(v), in order."""
     if g.n % 2 != 0:
         raise ValueError("vertex count must be even")
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    for x, y, _ in g.edges:
-        out[pair_partner(x)].append(y)
-        out[pair_partner(y)].append(x)
-    return ArcGraph(g.n, tuple(tuple(heads) for heads in out))
+    return ArcGraph(g.n, tuple(g.neighbors(pair_partner(v)) for v in range(g.n)))
 
 
 def inex_subsets(n: int) -> int:

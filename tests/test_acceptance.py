@@ -220,7 +220,7 @@ def test_criterion_8_divisibility_invariants():
         for r in range(1, len(acc)):
             assert acc[r] >= 0 and acc[r] % factorial(r) == 0
             checked += 1
-        run = naive_cover_dp(build_contracted_graph(g))
+        run = naive_cover_dp(build_contracted_graph(g.n, g.edges))
         for q, val in run.full_covers.items():
             assert val % factorial(q) == 0
             checked += 1

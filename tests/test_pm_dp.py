@@ -42,19 +42,19 @@ from conftest import (
 
 
 def test_contract_single_edge_to_loop():
-    mg = build_contracted_graph(Graph.from_edges(2, [(0, 1)]))
+    mg = build_contracted_graph(2, [(0, 1)])
     assert mg.k == 1
     assert mg.edges == ((0, 0, 0, 1),)
 
 
 def test_contract_parallel_edges():
-    mg = build_contracted_graph(Graph.from_edges(4, [(0, 2), (1, 3)]))
+    mg = build_contracted_graph(4, [(0, 2), (1, 3)])
     assert mg.k == 2
     assert mg.edges == ((0, 1, 0, 2), (0, 1, 1, 3))
 
 
 def test_contract_k4():
-    mg = build_contracted_graph(complete_graph(4))
+    mg = build_contracted_graph(4, complete_graph(4).edges)
     loops = [e for e in mg.edges if e[0] == e[1]]
     links = [e for e in mg.edges if e[0] != e[1]]
     assert len(loops) == 2 and len(links) == 4
@@ -69,14 +69,30 @@ def test_contract_k4():
 
 def test_contract_rejects_odd():
     with pytest.raises(ValueError):
-        build_contracted_graph(complete_graph(3))
+        build_contracted_graph(3, complete_graph(3).edges)
+
+
+def test_contract_reads_any_edge_tuple():
+    """An edge is read from its first two entries in either orientation:
+    reversed pairs, (u, v) pairs and a Graph's (u, v, w) triples give the
+    same contraction, and an odd vertex count is still refused."""
+    for g in [complete_graph(4), cycle_graph(6), petersen_graph(), seeded_graph(7, 12)]:
+        if g.n % 2:
+            continue
+        want = build_contracted_graph(g.n, g.edges)
+        assert len(want.edges) == g.m
+        assert build_contracted_graph(g.n, [(u, v) for u, v, _ in g.edges]) == want
+        assert build_contracted_graph(g.n, [(v, u) for u, v, _ in g.edges]) == want
+        assert build_contracted_graph(g.n, [(v, u, w) for u, v, w in reversed(g.edges)]) == want
+    with pytest.raises(ValueError):
+        build_contracted_graph(5, [(1, 0), (2, 4)])
 
 
 def test_contract_average_degree_doubles():
     g = seeded_graph(3, 10)
     if g.n % 2:
         g = Graph.from_edges(g.n + 1, g.edges)
-    mg = build_contracted_graph(g)
+    mg = build_contracted_graph(g.n, g.edges)
     if g.n:
         assert len(mg.edges) == g.m  # one contracted edge per input edge
 
@@ -85,9 +101,9 @@ def test_contract_average_degree_doubles():
 
 
 def test_covers_named():
-    assert run_cover_dp(build_contracted_graph(Graph.from_edges(2, [(0, 1)]))).count == 1
-    assert run_cover_dp(build_contracted_graph(cycle_graph(4))).count == 2
-    assert run_cover_dp(build_contracted_graph(complete_graph(4))).count == 3
+    assert run_cover_dp(build_contracted_graph(2, [(0, 1)])).count == 1
+    assert run_cover_dp(build_contracted_graph(4, cycle_graph(4).edges)).count == 2
+    assert run_cover_dp(build_contracted_graph(4, complete_graph(4).edges)).count == 3
 
 
 def test_count_pm_dp_named():
@@ -152,7 +168,7 @@ def test_ordered_cover_tables_match_enumeration():
         if g.n % 2 == 0 and g.n > 0:
             cases.append(g)
     for g in cases:
-        mg = build_contracted_graph(g)
+        mg = build_contracted_graph(g.n, g.edges)
         run = naive_cover_dp(mg)
         assert run.full_covers == brute_ordered_full_covers(mg), g
 
@@ -162,7 +178,7 @@ def test_full_cover_values_divisible():
         g = seeded_graph(seed, 12)
         if g.n % 2:
             continue
-        run = naive_cover_dp(build_contracted_graph(g))
+        run = naive_cover_dp(build_contracted_graph(g.n, g.edges))
         for q, val in run.full_covers.items():
             assert val % factorial(q) == 0
 
@@ -358,7 +374,7 @@ def test_canonical_cover_states_exact():
     saw_loop = saw_parallel = saw_dropped = False
     brute_checked = 0
     for g in cover_dp_cases() + small_dense_graphs():
-        mg = build_contracted_graph(g)
+        mg = build_contracted_graph(g.n, g.edges)
         got = run_cover_dp(mg)
         cover_keys, path_keys = strata_keys(mg)
         want = naive_cover_dp(mg)
@@ -400,13 +416,13 @@ def test_stored_keys_obey_neighbour_rule():
     under relabelling, and its pruned state count, both on its own labels
     and on the greedy matching's."""
     for g in cover_dp_cases() + small_dense_graphs():
-        mg = build_contracted_graph(g)
+        mg = build_contracted_graph(g.n, g.edges)
         nb = neighbour_sets(g)
         cover_keys, path_keys = strata_keys(mg)
         for key in cover_keys + path_keys:
             assert obeys_neighbour_rule(nb, unmatched_vertices(mg.k, key)), (g, key)
     g = random_regular(36, 3, 1)
-    assert run_cover_dp(build_contracted_graph(g)) == PmDpResult(445, 7907)
+    assert run_cover_dp(build_contracted_graph(g.n, g.edges)) == PmDpResult(445, 7907)
     assert count_pm_dp(g) == PmDpResult(445, 1609)
     perm = random.Random(36).sample(range(g.n), g.n)
     relabelled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v, _ in g.edges])
@@ -538,7 +554,7 @@ def test_nonzero_states_are_degree2_subsets():
         g = seeded_graph(seed + 200, 12)
         if g.n % 2 or g.n == 0:
             continue
-        mg = build_contracted_graph(g)
+        mg = build_contracted_graph(g.n, g.edges)
         if mg.k < 2:
             continue
         cover_keys, path_keys = strata_keys(mg)
@@ -557,7 +573,7 @@ def test_nonzero_states_are_degree2_subsets():
 
 def test_states_visited_counts_nonzero_keys():
     g = cycle_graph(6)
-    mg = build_contracted_graph(g)
+    mg = build_contracted_graph(g.n, g.edges)
     cover_keys, path_keys = strata_keys(mg)
     run = run_cover_dp(mg)
     assert run.states_visited == len(cover_keys) + len(path_keys)
@@ -585,5 +601,4 @@ def test_cover_dp_past_32_nodes(n, edges, count):
     """Contractions of more than 32 nodes, built without a Graph so that n
     may pass its vertex cap, count exactly: a cycle has 2 perfect matchings
     and the ladder P_35 x K2, paired along its rungs, has Fib(36)."""
-    labels = sorted((x // 2, y // 2, x, y) for x, y in map(sorted, edges))
-    assert run_cover_dp(LabeledMultigraph(n // 2, tuple(labels))).count == count
+    assert run_cover_dp(build_contracted_graph(n, edges)).count == count
