@@ -109,13 +109,19 @@ _MODEL_PARAMS = {"gnm": ("n", "m"), "regular": ("n", "d"), "bipartite": ("k", "m
 
 def gen_random_graph(model: str, seed: int, **params) -> Graph | BipartiteGraph:
     """Dispatch by model name: 'gnm' (n, m), 'regular' (n, d) or
-    'bipartite' (k, m); ValueError for an unknown model or a missing
-    parameter."""
+    'bipartite' (k, m); ValueError for an unknown model, a missing
+    parameter, or a parameter given that the model does not take (a
+    parameter passed as None counts as not given)."""
     if model not in _MODEL_PARAMS:
         raise ValueError(f"unknown model {model!r}")
-    missing = [name for name in _MODEL_PARAMS[model] if params.get(name) is None]
+    takes = _MODEL_PARAMS[model]
+    given = [name for name, value in params.items() if value is not None]
+    missing = [name for name in takes if name not in given]
     if missing:
         raise ValueError(f"model {model!r} needs {', '.join(missing)}")
+    extra = [name for name in given if name not in takes]
+    if extra:
+        raise ValueError(f"model {model!r} does not take {', '.join(extra)}")
     if model == "gnm":
         return random_gnm(params["n"], params["m"], seed)
     if model == "regular":

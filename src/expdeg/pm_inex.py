@@ -51,32 +51,21 @@ one product, per level of the recursion, so space stays polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
 from .graphs import Graph, pair_partner
 
 
-@dataclass(frozen=True)
-class ArcGraph:
-    """Directed labeled multigraph on the input's n vertices.
-
-    out[v] lists the heads of the arcs leaving v, all of which carry label
-    v//2; a self-loop occurs whenever an input edge joins the two members
-    of one pair.
-    """
-
-    n: int
-    out: tuple[tuple[int, ...], ...]
-
-
-def build_arc_graph(g: Graph) -> ArcGraph:
-    """Two arcs per input edge: (partner(x) -> y, label x//2) and symmetric,
-    so the heads out of v are the neighbours of partner(v), in order."""
+def build_arc_graph(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The directed labeled arc graph on g's n vertices, as out[v], the
+    heads of the arcs leaving v, all of which carry label v//2.  Two arcs
+    per input edge: (partner(x) -> y, label x//2) and symmetric, so the
+    heads out of v are the neighbours of partner(v), in order; a self-loop
+    occurs whenever an input edge joins the two members of one pair."""
     if g.n % 2 != 0:
         raise ValueError("vertex count must be even")
-    return ArcGraph(g.n, tuple(g.neighbors(pair_partner(v)) for v in range(g.n)))
+    return tuple(g.neighbors(pair_partner(v)) for v in range(g.n))
 
 
 def inex_subsets(n: int) -> int:
@@ -84,12 +73,13 @@ def inex_subsets(n: int) -> int:
     return 1 << (n // 2) if n % 2 == 0 else 0
 
 
-def field_width(ag: ArcGraph) -> int:
+def field_width(out: tuple[tuple[int, ...], ...]) -> int:
     """Bits per packed coefficient, from exact walk counts of the arc graph
-    A = ag, with h = n/2: F is the larger of the bit lengths of the largest
-    entry of A^j for 1 <= j <= h and of 2^h * max_j B_j, where B is the
-    product of (1 + C_a(x)) over the h anchors a (the even vertices),
-    truncated after x^h, and C_a(x) sums (A^j)[a][a] x^j for j >= 1.
+    A = out (from `build_arc_graph`), with n = len(out) and h = n/2: F is
+    the larger of the bit lengths of the largest entry of A^j for
+    1 <= j <= h and of 2^h * max_j B_j, where B is the product of
+    (1 + C_a(x)) over the h anchors a (the even vertices), truncated after
+    x^h, and C_a(x) sums (A^j)[a][a] x^j for j >= 1.
 
     Proof.  Every coefficient at or below x^h is an exact count, and
     (A^j)[u][w] counts all u->w walks of length j.  A table entry T[u][w]
@@ -113,17 +103,18 @@ def field_width(ag: ArcGraph) -> int:
     whose field u holds (A^j)[u][v]; fields of bitlen(D^h) bits cannot
     overflow, and B is packed in fields of bitlen((4D)^h) bits.
     """
-    half = ag.n // 2
-    delta = max(1, max(map(len, ag.out), default=0))  # v has deg(partner(v)) arcs
+    n = len(out)
+    half = n // 2
+    delta = max(1, max(map(len, out), default=0))  # v has deg(partner(v)) arcs
     room = (delta**half).bit_length()  # holds every (A^j)[u][w], j <= h
     wide = ((4 * delta) ** half).bit_length()  # holds every B_j
     field = (1 << room) - 1
-    arcs = [(v, w) for v, heads in enumerate(ag.out) for w in heads]
-    into = [1 << room * v for v in range(ag.n)]  # A^0 = I
+    arcs = [(v, w) for v, heads in enumerate(out) for w in heads]
+    into = [1 << room * v for v in range(n)]  # A^0 = I
     seen = 0  # every (A^j)[u][w] ORed into field u, so the largest sets its bits
     anchors = []  # anchors[j-1]: into[a] for A^j at the anchors a
     for _ in range(half):
-        nxt = [0] * ag.n
+        nxt = [0] * n
         for v, w in arcs:
             nxt[w] += into[v]
         into = nxt
@@ -137,7 +128,7 @@ def field_width(ag: ArcGraph) -> int:
             closed = (closed | column >> 2 * i * room & field) << wide
         bound = bound * (1 + closed) & trunc
     walk_bits = max(
-        ((seen >> room * u & field).bit_length() for u in range(ag.n)), default=0
+        ((seen >> room * u & field).bit_length() for u in range(n)), default=0
     )
     product_bits = max(
         (bound >> wide * j & (1 << wide) - 1).bit_length() for j in range(half + 1)
@@ -247,15 +238,15 @@ def inex_accumulators(g: Graph) -> list[int]:
     acc[n/2] is the number of perfect matchings and every lower entry is 0:
     a tuple of length j < n/2 has only j arcs for n/2 labels.
     """
-    ag = build_arc_graph(g)
+    out = build_arc_graph(g)
     half = g.n // 2
     if not half:
         return [1]  # the empty family, and no label to exclude
-    width = field_width(ag)
+    width = field_width(out)
     trunc = (1 << width * (half + 1)) - 1
     step = 1 << width  # one arc: the series x
     arcs = [[0] * g.n for _ in range(g.n)]
-    for u, heads in enumerate(ag.out):
+    for u, heads in enumerate(out):
         for w in heads:
             arcs[u][w] += step
     sums = [0, 0]  # packed sums of sign +1 and -1, less the prods that cancel

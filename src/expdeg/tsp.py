@@ -13,10 +13,12 @@ A Hamiltonian a-b path of g is a Hamiltonian cycle of g + z, the graph with
 one added vertex z = n joined to a and b by weight-0 edges, less z; so
 `ham_path` solves that cycle, anchored at z, and reads the order from a.
 
-The sparse DP runs only to the half-way layer and joins complementary
-halves.  A Hamiltonian cycle through the anchor a splits at its vertex v in
-position h = ceil((n+2)/2) into two a-v paths of the same DP, over S
-(|S| = h) and over (V - S) | {a, v}.  The optimum is the cheapest such join.
+The sparse DP is the generator `_path_layers`, which yields one layer per
+path length, like `pm_dp._strata` and `pm_bipartite._levels`.  `_cycle`
+pulls only its first h = ceil((n+2)/2) layers and joins complementary
+halves: a Hamiltonian cycle through the anchor a splits at its vertex v in
+position h into two a-v paths of the same DP, over S (|S| = h) and over
+(V - S) | {a, v}.  The optimum is the cheapest such join.
 Tie rule: among optimal joins the smallest split vertex v, then the smallest
 mask S; each half is the DP's kept path, the second reversed.
 
@@ -28,7 +30,7 @@ is the one the forward relaxation keeps).
 
 The sparse DP drops a state when some unvisited vertex has fewer than two
 neighbours left for the rest of the tour (the completion test of
-`_PathDP`) or when it has visited every neighbour of the anchor (its
+`_path_layers`) or when it has visited every neighbour of the anchor (its
 anchor rule).  Only states that no tour can pass through are dropped, and a
 kept state keeps the cost it has without them, so weights, orders and the
 tie rule are those of the DP without them; `states_visited` counts the kept
@@ -38,6 +40,7 @@ states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .bitset import bits
 from .errors import CapacityError
@@ -96,11 +99,11 @@ def _is_biconnected(g: Graph) -> bool:
     return seen == n
 
 
-class _PathDP:
-    """Layered sparse DP for Hamiltonian cycles through a fixed anchor a,
-    run up to layer `last` (default n: every layer).
+def _path_layers(g: Graph, a: int):
+    """Layered sparse DP for Hamiltonian cycles through a fixed anchor a:
+    yields layers 0..n-1 one at a time, each built only when it is pulled.
 
-    layers[i] holds the (visited-set, endpoint) pairs realizable by a simple
+    Layer i holds the (visited-set, endpoint) pairs realizable by a simple
     path of i + 1 vertices starting at a whose every state passes the
     completion test and the anchor rule, as one dict per endpoint v mapping
     the visited mask to the cheapest cost.  Only costs are stored: there are
@@ -133,7 +136,7 @@ class _PathDP:
     which rules out the second; the anchor rule is monotone.  So if one path
     reaches (S, v) through kept states, every path does.  A kept state thus
     has its cost and its cheapest predecessors from the DP without either
-    rule, and `reconstruct` rebuilds the same path.  Every prefix of a
+    rule, and `_reconstruct` rebuilds the same path.  Every prefix of a
     Hamiltonian cycle through a passes both, so both halves of every
     optimal join are kept and the joins, weights, orders and tie rule are
     unchanged.
@@ -141,109 +144,91 @@ class _PathDP:
     Sources are relaxed in ascending endpoint order with strict improvement.
     Every source of a target (mask, v) has the mask mask ^ (1 << v) and
     differs only in its endpoint u, and u reaches v by one arc, so the path
-    kept is the one through the smallest u among the cheapest.  `reconstruct`
-    finds that u backwards: the smallest neighbour u of v whose cost over
-    mask ^ (1 << v) plus w(u, v) equals the cost of (mask, v).  Costs and
-    reconstructed orders are deterministic without sorting a layer.
+    kept is the one through the smallest u among the cheapest.
+    `_reconstruct` finds that u backwards: the smallest neighbour u of v
+    whose cost over mask ^ (1 << v) plus w(u, v) equals the cost of
+    (mask, v).  Costs and reconstructed orders are deterministic without
+    sorting a layer.
     """
-
-    def __init__(self, g: Graph, a: int, last: int | None = None):
-        self.g = g
-        self.a = a
-        self.last = g.n if last is None else last
-        self.layers: list[list[dict[int, int]]] = []
-        self._run()
-
-    def _run(self) -> None:
-        g, a, n = self.g, self.a, self.g.n
-        full = (1 << n) - 1
-        nbrs = [sum(1 << v for v, _ in g.adjacency[r]) for r in range(n)]
-        ring, closer = nbrs[a], 1 << a
-        # the rim of an arc into a neighbour of a is ring, for the anchor rule
-        arcs = [
-            [(1 << v, v, w, nbrs[v], ring if ring >> v & 1 else 0)
-             for v, w in g.adjacency[u]]
-            for u in range(n)
-        ]
-        layer: list[dict[int, int]] = [{} for _ in range(n)]
-        # every vertex is free in the start state
-        if all(nbrs[r].bit_count() >= 2 for r in range(n) if r != a):
-            layer[a][1 << a] = 0
-        self.layers.append(layer)
-        self.states_visited = len(layer[a])
-        for _ in range(1, self.last):
-            nxt: list[dict[int, int]] = [{} for _ in range(n)]
-            for u in range(n):
-                src = layer[u]
-                if not src:
-                    continue
-                steps = [(bit, nxt[v], w, nb, rim) for bit, v, w, nb, rim in arcs[u]]
-                for mask, cost in src.items():
-                    # the free set of every state made from (mask, u)
-                    free = full ^ mask | closer
-                    short = None
-                    for step in steps:
-                        if mask & step[0]:
+    n = g.n
+    full = (1 << n) - 1
+    nbrs = [sum(1 << v for v, _ in g.adjacency[r]) for r in range(n)]
+    ring, closer = nbrs[a], 1 << a
+    # the rim of an arc into a neighbour of a is ring, for the anchor rule
+    arcs = [
+        [(1 << v, v, w, nbrs[v], ring if ring >> v & 1 else 0)
+         for v, w in g.adjacency[u]]
+        for u in range(n)
+    ]
+    layer: list[dict[int, int]] = [{} for _ in range(n)]
+    # every vertex is free in the start state
+    if all(nbrs[r].bit_count() >= 2 for r in range(n) if r != a):
+        layer[a][1 << a] = 0
+    yield layer
+    for _ in range(1, n):
+        nxt: list[dict[int, int]] = [{} for _ in range(n)]
+        for u in range(n):
+            src = layer[u]
+            if not src:
+                continue
+            steps = [(bit, nxt[v], w, nb, rim) for bit, v, w, nb, rim in arcs[u]]
+            for mask, cost in src.items():
+                # the free set of every state made from (mask, u)
+                free = full ^ mask | closer
+                short = None
+                for step in steps:
+                    if mask & step[0]:
+                        continue
+                    left = step[3] & free
+                    if not left & (left - 1):
+                        if short is not None:
+                            break
+                        short = (step,)
+                else:
+                    for bit, dst, w, _, rim in short or steps:
+                        if mask & bit:
                             continue
-                        left = step[3] & free
-                        if not left & (left - 1):
-                            if short is not None:
-                                break
-                            short = (step,)
-                    else:
-                        for bit, dst, w, _, rim in short or steps:
-                            if mask & bit:
-                                continue
-                            nmask = mask | bit
-                            # the last neighbour of a only completes V
-                            if rim and nmask & rim == rim and nmask != full:
-                                continue
-                            cand = cost + w
-                            old = dst.get(nmask)
-                            if old is None or cand < old:
-                                dst[nmask] = cand
-            layer = nxt
-            self.layers.append(nxt)
-            self.states_visited += sum(map(len, nxt))
-
-    def reconstruct(self, b: int, mask: int) -> tuple[int, ...]:
-        """The kept a..b path over the vertex set `mask`."""
-        adjacency, layers = self.g.adjacency, self.layers
-        order = [b]
-        v = b
-        for i in range(mask.bit_count() - 1, 0, -1):
-            cost = layers[i][v][mask]
-            mask ^= 1 << v
-            below = layers[i - 1]
-            v = next(
-                u for u, w in adjacency[v] if below[u].get(mask, _INF) + w == cost
-            )
-            order.append(v)
-        order.reverse()
-        return tuple(order)
-
-    def all_state_keys(self) -> list[tuple[int, int]]:
-        return [
-            (mask, v)
-            for lay in self.layers
-            for v, masks in enumerate(lay)
-            for mask in masks
-        ]
+                        nmask = mask | bit
+                        # the last neighbour of a only completes V
+                        if rim and nmask & rim == rim and nmask != full:
+                            continue
+                        cand = cost + w
+                        old = dst.get(nmask)
+                        if old is None or cand < old:
+                            dst[nmask] = cand
+        layer = nxt
+        yield nxt
 
 
-def _join(dp: _PathDP) -> tuple[int, int, int, int] | None:
-    """Cheapest join of a state (S, v) of dp's final layer h - 1 with the
-    state (T, v), T = (V - S) | {a, v} of n+2-h vertices, of its layer
-    n + 1 - h, as (cost, v, S, T), or None if no pair joins.  Ties go to the
-    smallest split vertex v, then the smallest mask S, whatever the dict
-    order."""
-    full = (1 << dp.g.n) - 1
+def _reconstruct(g: Graph, layers: list, b: int, mask: int) -> tuple[int, ...]:
+    """The kept a..b path over the vertex set `mask`, walked back through
+    the first mask.bit_count() of the `_path_layers` layers."""
+    order = [b]
+    v = b
+    for i in range(mask.bit_count() - 1, 0, -1):
+        cost = layers[i][v][mask]
+        mask ^= 1 << v
+        below = layers[i - 1]
+        v = next(
+            u for u, w in g.adjacency[v] if below[u].get(mask, _INF) + w == cost
+        )
+        order.append(v)
+    order.reverse()
+    return tuple(order)
+
+
+def _join(n: int, a: int, left: list, right: list) -> tuple[int, int, int, int] | None:
+    """Cheapest join of a state (S, v) of layer h - 1, `left`, with the
+    state (T, v), T = (V - S) | {a, v} of n+2-h vertices, of layer
+    n + 1 - h, `right`, as (cost, v, S, T), or None if no pair joins.  Ties
+    go to the smallest split vertex v, then the smallest mask S, whatever
+    the dict order."""
+    full = (1 << n) - 1
     best: tuple[int, int, int, int] | None = None
-    right_layer = dp.layers[dp.g.n + 1 - dp.last]
-    for v, (src, dst) in enumerate(zip(dp.layers[-1], right_layer)):
+    for v, (src, dst) in enumerate(zip(left, right)):
         if not src or not dst:
             continue
-        rest = 1 << dp.a | 1 << v
+        rest = 1 << a | 1 << v
         get = dst.get
         for mask, cost in src.items():
             partner = (full ^ mask) | rest
@@ -266,20 +251,28 @@ def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
     instrumentation and state-space tests."""
     if not 0 <= a < g.n:
         raise ValueError("source out of range")
-    return _PathDP(g, a).all_state_keys()
+    return [
+        (mask, v)
+        for layer in _path_layers(g, a)
+        for v, masks in enumerate(layer)
+        for mask in masks
+    ]
 
 
 def _cycle(g: Graph, a: int) -> TourResult | None:
     """`tsp_cycle` with the anchor a given: the order starts at a."""
     if not _is_biconnected(g):
         return None
-    dp = _PathDP(g, a, (g.n + 3) // 2)
-    best = _join(dp)
+    n = g.n
+    h = (n + 3) // 2
+    layers = list(islice(_path_layers(g, a), h))
+    best = _join(n, a, layers[-1], layers[n + 1 - h])
     if best is None:
         return None
     weight, v, mask, partner = best
-    order = dp.reconstruct(v, mask) + dp.reconstruct(v, partner)[-2:0:-1]
-    return TourResult(weight, order, dp.states_visited)
+    first, second = (_reconstruct(g, layers, v, s) for s in (mask, partner))
+    states = sum(len(masks) for layer in layers for masks in layer)
+    return TourResult(weight, first + second[-2:0:-1], states)
 
 
 def ham_path(g: Graph, a: int, b: int) -> TourResult | None:

@@ -9,7 +9,7 @@ import pytest
 
 from expdeg import BipartiteGraph, Graph, random_gnm, random_regular
 from expdeg.pm_dp import LabeledMultigraph
-from expdeg.pm_inex import ArcGraph, build_arc_graph
+from expdeg.pm_inex import build_arc_graph
 
 
 def complete_graph(n: int) -> Graph:
@@ -246,13 +246,12 @@ def naive_walk_tuples(per_len: list[int]) -> list[int]:
     return [row[total] for row in t]
 
 
-def naive_anchored_walks(ag: ArcGraph, anchor: int, allowed: int) -> list[int]:
+def naive_anchored_walks(out: tuple, anchor: int, allowed: int) -> list[int]:
     """counts[j] for 0 <= j <= n/2: closed walks of length j from anchor
     that visit the anchor only at their ends and otherwise stay on vertices
     above it whose bit is set in the allowed mask (the anchor's own bit is
     not read)."""
-    max_len = ag.n // 2
-    out = ag.out
+    max_len = len(out) // 2
     counts = [0] * (max_len + 1)
     # walk[b]: anchor->b walks of the current length that have not closed
     walk: dict[int, int] = {}

@@ -236,6 +236,11 @@ def test_gen_missing_parameter_exits_2(capsys, params):
          "degrees must be nonnegative"),
         # the bipartite model takes its side size from --k alone
         (["gen", "--model", "bipartite", "--n", "6", "--m", "12"], "needs k"),
+        # a flag the model does not read is refused, not dropped
+        (["gen", "--model", "gnm", "--n", "10", "--m", "15", "--d", "3"],
+         "does not take d"),
+        (["gen", "--model", "bipartite", "--k", "3", "--m", "6", "--n", "6"],
+         "does not take n"),
     ],
 )
 def test_bad_generator_parameter_is_named(capsys, argv, named):

@@ -19,7 +19,6 @@ from expdeg import (
 )
 from expdeg import pm_inex
 from expdeg.pm_inex import (
-    ArcGraph,
     build_arc_graph,
     count_anchored_walks,
     count_leaf_term,
@@ -45,9 +44,9 @@ from conftest import (
 # --- arc graph construction -------------------------------------------------
 
 
-def arcs_of(ag: ArcGraph) -> list[tuple[int, int, int]]:
-    """Every arc as (src, dst, label)."""
-    return [(v, w, v // 2) for v in range(ag.n) for w in ag.out[v]]
+def arcs_of(ag: tuple) -> list[tuple[int, int, int]]:
+    """Every arc of build_arc_graph's heads tuple as (src, dst, label)."""
+    return [(v, w, v // 2) for v, heads in enumerate(ag) for w in heads]
 
 
 def test_arc_graph_single_edge():
@@ -77,7 +76,7 @@ def test_arc_graph_rejects_odd():
 # --- anchored walk counts -----------------------------------------------------
 
 
-def brute_walk_count(ag: ArcGraph, banned, a: int, length: int) -> int:
+def brute_walk_count(ag: tuple, banned, a: int, length: int) -> int:
     """Independent enumeration of closed walks anchored at a: arc sequences
     that start and end at a, never revisit a in between, and stay above a."""
     arcs = [(u, v, l) for (u, v, l) in arcs_of(ag) if l not in banned]

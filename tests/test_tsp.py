@@ -1,7 +1,7 @@
 """Hamiltonian path/cycle solvers: examples, baselines, state accounting."""
 
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -12,10 +12,17 @@ from expdeg import (
     held_karp_cycle,
     oracle_tsp,
     random_gnm,
+    random_regular,
     tsp_cycle,
 )
 from expdeg import tsp
-from expdeg.tsp import _is_biconnected, _PathDP, anchor_vertex, path_dp_states
+from expdeg.tsp import (
+    _is_biconnected,
+    _path_layers,
+    _reconstruct,
+    anchor_vertex,
+    path_dp_states,
+)
 from conftest import (
     bowtie_graph,
     complete_graph,
@@ -262,9 +269,15 @@ def completion_kept_layers(
     return layers
 
 
-def layer_sets(dp: _PathDP) -> list[set]:
-    return [{(mask, v) for v, masks in enumerate(lay) for mask in masks}
-            for lay in dp.layers]
+def state_keys(layers) -> list[tuple[int, int]]:
+    """Every (visited set, endpoint) key stored in the given layers."""
+    return [
+        (mask, v) for lay in layers for v, masks in enumerate(lay) for mask in masks
+    ]
+
+
+def layer_sets(layers) -> list[set]:
+    return [set(state_keys([lay])) for lay in layers]
 
 
 def test_states_equal_path_reachable_pairs():
@@ -281,7 +294,7 @@ def test_states_equal_path_reachable_pairs():
             states = path_dp_states(h, a)
             assert len(states) == len(set(states))
             want = completion_kept_layers(h, a)
-            assert layer_sets(_PathDP(h, a)) == want, (seed, h)
+            assert layer_sets(_path_layers(h, a)) == want, (seed, h)
             assert set(states) <= enumerate_path_states(h, a)
             assert len(states) <= h.n * 2 ** (h.n - 1)
             kept += bool(states)
@@ -410,22 +423,22 @@ def test_path_dp_matches_sorted_key_reference():
         refs = [SortedKeyPathDP(g, a) for a in range(n)]
         for a in range(n):
             want = completion_kept_layers(g, a)
-            dp = _PathDP(g, a)
-            assert layer_sets(dp) == want, (seed, a)
-            assert dp.states_visited == sum(map(len, want)), (seed, a)
+            layers = list(_path_layers(g, a))
+            assert layer_sets(layers) == want, (seed, a)
+            assert len(state_keys(layers)) == sum(map(len, want)), (seed, a)
             assert set(path_dp_states(g, a)) == set().union(*want), (seed, a)
             for last in {h_cycle, n + 2 - h_cycle, n + 1 - h_cycle}:
-                bounded = _PathDP(g, a, last)
-                keys = bounded.all_state_keys()
-                assert len(keys) == len(set(keys)) == bounded.states_visited
+                bounded = list(islice(_path_layers(g, a), last))
+                keys = state_keys(bounded)
+                assert len(keys) == len(set(keys)) == sum(map(len, want[:last]))
                 assert layer_sets(bounded) == want[:last], (seed, a, last)
         for a in range(n):
             for b in range(a + 1, n):
                 gz = plus_z(g, a, b)
                 want = completion_kept_layers(gz, n)
-                dp = _PathDP(gz, n)
-                assert layer_sets(dp) == want, (seed, a, b)
-                bounded = _PathDP(gz, n, h_z)
+                layers = list(_path_layers(gz, n))
+                assert layer_sets(layers) == want, (seed, a, b)
+                bounded = list(islice(_path_layers(gz, n), h_z))
                 assert layer_sets(bounded) == want[:h_z], (seed, a, b)
                 zref = SortedKeyPathDP(gz, n)
                 joined = reference_join(zref, h_z, zref, n + 3 - h_z, 1 << n)
@@ -433,15 +446,15 @@ def test_path_dp_matches_sorted_key_reference():
                     found = refs[x].path(y)
                     res = ham_path(g, x, y)
                     if found is None:
-                        assert dp.layers[-1][y].get(full | 1 << n) is None
+                        assert layers[-1][y].get(full | 1 << n) is None
                         assert joined is None and res is None, (seed, x, y)
                         continue
-                    assert dp.layers[-1][y][full | 1 << n] == found[0], (seed, x, y)
-                    assert dp.reconstruct(y, full | 1 << n) == (n, *found[1])
+                    assert layers[-1][y][full | 1 << n] == found[0], (seed, x, y)
+                    assert _reconstruct(gz, layers, y, full | 1 << n) == (n, *found[1])
                     weight, first, second = joined
                     assert weight == found[0], (seed, x, y)
                     order = first + second[-2:0:-1]
-                    want_res = (weight, read_from(order, x), bounded.states_visited)
+                    want_res = (weight, read_from(order, x), len(state_keys(bounded)))
                     assert as_tuple(res) == want_res, (seed, x, y)
                     assert (res.order[0], res.order[-1]) == (x, y)
                     assert tour_weight(g, res.order, cycle=False) == res.weight
@@ -478,11 +491,11 @@ def test_every_stored_state_reconstructs_as_the_reference():
             ]
         for h, a in cases:
             ref = SortedKeyPathDP(h, a)
-            dp = _PathDP(h, a)
-            for i, layer in enumerate(dp.layers):
+            layers = list(_path_layers(h, a))
+            for i, layer in enumerate(layers):
                 for v, costs in enumerate(layer):
                     for mask, cost in costs.items():
-                        order = dp.reconstruct(v, mask)
+                        order = _reconstruct(h, layers, v, mask)
                         assert order == ref.trace(mask, v), (seed, h, a, mask, v)
                         assert ref.layers[i][mask << 6 | v] == cost
                         assert len(order) == i + 1 and order[0] == a
@@ -560,6 +573,35 @@ def test_tsp_cycle_join_at_odd_and_even_n(n):
             assert tour_weight(g, res.order, cycle=True) == res.weight
             tours += 1
     assert tours > 2
+
+
+def test_solvers_build_only_the_layers_the_join_reads(monkeypatch):
+    """tsp_cycle pulls the first (n+3)//2 = ceil((n+2)/2) layers of the path
+    DP and no more, at odd and even n, with or without a tour; ham_path pulls
+    (n+4)//2, the cycle's count on g + z."""
+    pulled = []
+    real_layers = tsp._path_layers
+
+    def spy(g, a):
+        pulled.append(0)
+        for layer in real_layers(g, a):
+            pulled[-1] += 1
+            yield layer
+
+    monkeypatch.setattr(tsp, "_path_layers", spy)
+    cubic = random_regular(24, 3, 1)
+    graphs = [cubic, reweighted(complete_graph(7), 7), cycle_graph(9), petersen_graph()]
+    for g in graphs:
+        pulled.clear()
+        tsp_cycle(g)
+        assert pulled == [(g.n + 3) // 2], g
+        for a, b in ((0, 5), (g.n - 1, 1)):
+            pulled.clear()
+            ham_path(g, a, b)
+            assert pulled == [(g.n + 4) // 2], (g, a, b)
+    pulled.clear()
+    assert tsp_cycle(cubic).weight == 24 and ham_path(cubic, 0, 5).weight == 23
+    assert pulled == [13, 14]
 
 
 def test_ham_path_every_pair_against_brute_force():
@@ -679,7 +721,7 @@ def test_tsp_cycle_refuses_before_the_dp(make, monkeypatch):
     def no_dp(*args):
         raise AssertionError("the path DP ran on a graph that is not 2-connected")
 
-    monkeypatch.setattr(tsp, "_PathDP", no_dp)
+    monkeypatch.setattr(tsp, "_path_layers", no_dp)
     assert tsp_cycle(g) is None
     assert held_karp_cycle(g) is None
     for a, b in refused:
