@@ -8,6 +8,10 @@ survive JSON consumers; rationals are emitted as "p/q" strings.
 entry there, which `tsp`, `count-pm`, `count-pm-bip` and `bench` all call,
 so a bench row holds what the command prints for the same graph.
 
+Importing this module loads only the graph types and the argument parser;
+each command imports the solver module it runs, and `csv`, `fractions` and
+the generators, when it runs, so a one-shot process pays for nothing else.
+
 The argument parser is built once per process, on the first `main` call,
 and reused by every later call; each call parses into a fresh namespace.
 """
@@ -15,18 +19,14 @@ and reused by every later call; each call parses into a fresh namespace.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import sys
 import time
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from importlib import import_module
 
-from . import generate, oracles, pm_bipartite, pm_dp, pm_inex, structure, tsp
-from .bitset import bits
-from .counting import exact_fraction
 from .errors import CapacityError, ExpdegError
 from .graphs import BipartiteGraph, Graph, degree_profile, parse_graph, serialize_graph
 
@@ -45,8 +45,7 @@ def _read_graph(path: str, kind: type) -> Graph | BipartiteGraph:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _elapsed_ms(start: float) -> float:
@@ -55,6 +54,8 @@ def _elapsed_ms(start: float) -> float:
 
 def _rational(text: str) -> Fraction:
     """argparse type: an exact rational such as 3.55, 7/2 or 1e3."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -79,7 +80,11 @@ def _dp_count(result) -> dict:
     return {"count": str(result.count), "states_visited": result.states_visited}
 
 
-def _bip_count(result) -> dict:
+def _bip_count(pm_bipartite, g, o) -> dict:
+    # --alpha and run_bench default to None, read here as DEFAULT_ALPHA so
+    # that neither the parser nor run_bench imports pm_bipartite
+    alpha = pm_bipartite.DEFAULT_ALPHA if o.alpha is None else o.alpha
+    result = pm_bipartite.count_pm_bipartite(g, alpha)
     return {
         "count": str(result.count),
         "stored_states": result.stored_states,
@@ -88,48 +93,49 @@ def _bip_count(result) -> dict:
     }
 
 
-class Solver(NamedTuple):
-    kind: type  # the graph class the solver reads
-    run: Callable  # (graph, options) -> payload without elapsed_ms
-    states: str | None = None  # payload key of the stored-state count
+# kind: the graph class the solver reads; module: the expdeg module it
+# runs; run: (module, graph, options) -> payload without elapsed_ms;
+# states: the payload key of the stored-state count
+Solver = namedtuple("Solver", "kind module run states", defaults=(None,))
 
 
 # Every solver the CLI runs, by name; the commands and bench dispatch here
-# and nowhere else.  Each entry looks its solver up in the module at call
-# time, so a module attribute rebound after import is the one called.
+# and nowhere else.  `_solve` imports an entry's module when the entry runs,
+# and the entry looks its solver up in that module at call time, so a
+# module attribute rebound after import is the one called.
 SOLVERS = {
-    "tsp": Solver(Graph, lambda g, o: _tour(tsp.tsp_cycle(g)), "states_visited"),
+    "tsp": Solver(
+        Graph, "tsp", lambda tsp, g, o: _tour(tsp.tsp_cycle(g)), "states_visited"
+    ),
     "tsp --path": Solver(
-        Graph, lambda g, o: _tour(tsp.ham_path(g, *o.path)), "states_visited"
+        Graph, "tsp", lambda tsp, g, o: _tour(tsp.ham_path(g, *o.path)), "states_visited"
     ),
     "tsp --baseline held-karp": Solver(
-        Graph, lambda g, o: _tour(tsp.held_karp_cycle(g)), "states_visited"
+        Graph, "tsp", lambda tsp, g, o: _tour(tsp.held_karp_cycle(g)), "states_visited"
     ),
     "tsp --baseline oracle": Solver(
-        Graph, lambda g, o: _weight(oracles.oracle_tsp(g))
+        Graph, "oracles", lambda oracles, g, o: _weight(oracles.oracle_tsp(g))
     ),
     "count-pm-inex": Solver(
         Graph,
-        lambda g, o: {
+        "pm_inex",
+        lambda pm_inex, g, o: {
             "count": str(pm_inex.count_pm_inex(g)),
             "subsets_processed": pm_inex.inex_subsets(g.n),
         },
         "subsets_processed",
     ),
     "count-pm-dp": Solver(
-        Graph, lambda g, o: _dp_count(pm_dp.count_pm_dp(g)), "states_visited"
+        Graph, "pm_dp", lambda pm_dp, g, o: _dp_count(pm_dp.count_pm_dp(g)), "states_visited"
     ),
     "count-pm-oracle": Solver(
-        Graph, lambda g, o: {"count": str(oracles.oracle_count_pm(g))}
+        Graph, "oracles", lambda oracles, g, o: {"count": str(oracles.oracle_count_pm(g))}
     ),
-    "count-pm-bip": Solver(
-        BipartiteGraph,
-        lambda g, o: _bip_count(pm_bipartite.count_pm_bipartite(g, o.alpha)),
-        "stored_states",
-    ),
+    "count-pm-bip": Solver(BipartiteGraph, "pm_bipartite", _bip_count, "stored_states"),
     "count-pm-bip --baseline": Solver(
         BipartiteGraph,
-        lambda g, o: {"count": str(pm_bipartite.ryser_permanent(g))},
+        "pm_bipartite",
+        lambda pm_bipartite, g, o: {"count": str(pm_bipartite.ryser_permanent(g))},
     ),
 }
 # count-pm --algo X runs count-pm-X; bench runs the flagless entries that
@@ -146,8 +152,10 @@ BENCH_ALGOS = [
 
 def _solve(name: str, g, options) -> dict:
     """The payload of SOLVERS[name] on g; elapsed_ms times the solve alone."""
+    solver = SOLVERS[name]
+    module = import_module(f"{__package__}.{solver.module}")
     start = time.perf_counter()
-    payload = SOLVERS[name].run(g, options)
+    payload = solver.run(module, g, options)
     payload["elapsed_ms"] = _elapsed_ms(start)
     return payload
 
@@ -179,6 +187,11 @@ def _cmd_count_pm_bip(args) -> None:
 
 
 def _cmd_stats(args) -> None:
+    from fractions import Fraction
+
+    from . import structure
+    from .bitset import bits
+
     g = _read_graph(args.input, Graph)
     profile = degree_profile(g)
     gap = structure.find_gap_threshold(g, args.alpha)
@@ -219,6 +232,8 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_gen(args) -> None:
+    from . import generate
+
     g = generate.gen_random_graph(
         args.model, args.seed, n=args.n, m=args.m, d=args.d, k=args.k
     )
@@ -242,6 +257,8 @@ BENCH_COLUMNS = [
 def _bench_row(algo: str, model: str, g, seed: int, alpha) -> dict:
     """One bench row: what the command for `algo` prints for g, generated
     from `seed` (n is the side size k in the bipartite model)."""
+    from fractions import Fraction
+
     n = g.k if model == "bipartite" else g.n
     payload = _solve(algo, g, argparse.Namespace(alpha=alpha))
     states = payload.get(SOLVERS[algo].states, 0)
@@ -270,13 +287,19 @@ def run_bench(
     sizes: list[int],
     degrees: list[Fraction | int | float],
     seeds: list[int],
-    alpha: Fraction | str = pm_bipartite.DEFAULT_ALPHA,
+    alpha: Fraction | str | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Run the grid sizes x degrees x seeds one instance after another in
     this process, and return (rows, per-(n, d) summary).  count-pm-bip runs
     the 'bipartite' model, where a size is the side size k; the others run
     'gnm' or 'regular' (whole degrees).  A float degree is read by its
-    decimal repr (see exact_fraction)."""
+    decimal repr (see exact_fraction).  alpha None is
+    pm_bipartite.DEFAULT_ALPHA."""
+    from fractions import Fraction
+
+    from . import generate
+    from .counting import exact_fraction
+
     bipartite = SOLVERS[algo].kind is BipartiteGraph
     if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
@@ -326,6 +349,8 @@ def _cmd_bench(args) -> None:
         args.algo, model, args.sizes, args.degrees, args.seeds, args.alpha
     )
     if args.format == "csv":
+        import csv
+
         writer = csv.DictWriter(
             sys.stdout, fieldnames=BENCH_COLUMNS, lineterminator="\n"
         )
@@ -358,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bip = sub.add_parser("count-pm-bip", help="count bipartite perfect matchings")
     p_bip.add_argument("--input", required=True)
-    p_bip.add_argument("--alpha", type=_rational, default=pm_bipartite.DEFAULT_ALPHA)
+    p_bip.add_argument("--alpha", type=_rational)
     p_bip.add_argument("--swap-sides", action="store_true")
     p_bip.add_argument("--baseline", action="store_true")
     p_bip.set_defaults(func=_cmd_count_pm_bip)
@@ -384,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=int, nargs="+", required=True)
     p_bench.add_argument("--degrees", type=_rational, nargs="+", required=True)
     p_bench.add_argument("--seeds", type=int, nargs="+", required=True)
-    p_bench.add_argument("--alpha", type=_rational, default=pm_bipartite.DEFAULT_ALPHA)
+    p_bench.add_argument("--alpha", type=_rational)
     p_bench.add_argument("--format", choices=["json", "csv"], default="json")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -17,9 +17,6 @@ default to 1 when omitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .errors import CapacityError, InputFormatError, _shown
 
 VERTEX_CAPACITY = 64
@@ -33,6 +30,53 @@ class _EdgeError(ValueError):
         self.index = index
 
 
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in `_fields` and lists them, with any
+    attribute derived from them, in `__slots__`.  A record is built from
+    its fields by position or keyword, equals a record of the same class
+    with equal fields, hashes and reprs by its fields, and refuses
+    attribute assignment.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:  # the fields after the positional ones, in field order
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild from the fields
+        return type(self), self._values()
+
+
 def _check_size(size: int, what: str) -> None:
     if size < 0:
         raise ValueError(f"{what} must be nonnegative")
@@ -40,8 +84,7 @@ def _check_size(size: int, what: str) -> None:
         raise CapacityError(f"{what} is {_shown(size)}, capacity is {VERTEX_CAPACITY}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected weighted graph on vertices 0..n-1.
 
     The constructor takes (u, v, w) triples in any order and orientation and
@@ -51,18 +94,17 @@ class Graph:
     and sorted by neighbour.
     """
 
+    __slots__ = ("n", "edges", "adjacency")
+    _fields = ("n", "edges")
     n: int
     edges: tuple[tuple[int, int, int], ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    adjacency: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, edges):
         _check_size(n, "vertex count")
         seen = set()
         canon = []
-        for index, (u, v, w) in enumerate(self.edges):
+        for index, (u, v, w) in enumerate(edges):
             if type(u) is not int or type(v) is not int:
                 raise _EdgeError(f"edge ({u!r},{v!r}) has a non-integer endpoint", index)
             if not (0 <= u < n and 0 <= v < n):
@@ -84,6 +126,7 @@ class Graph:
         for u, v, w in canon:
             adj[u].append((v, w))
             adj[v].append((u, w))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
@@ -112,24 +155,24 @@ class Graph:
         return any(x == v for x, _ in self.adjacency[u])
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(Record):
     """Bipartite graph with sides A and B of equal size k, edges (i, j).
 
     The constructor takes the edges in any order and checks each in turn:
     int indices in range, no duplicate.  edges then holds them sorted.
     """
 
+    __slots__ = ("k", "edges", "adj_a", "adj_b")
+    _fields = ("k", "edges")
     k: int
     edges: tuple[tuple[int, int], ...]
-    adj_a: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    adj_b: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    adj_a: tuple[tuple[int, ...], ...]
+    adj_b: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        k = self.k
+    def __init__(self, k: int, edges):
         _check_size(k, "bipartite side size")
         seen = set()
-        for index, (i, j) in enumerate(self.edges):
+        for index, (i, j) in enumerate(edges):
             if type(i) is not int or type(j) is not int:
                 raise _EdgeError(f"edge ({i!r},{j!r}) has a non-integer index", index)
             if not (0 <= i < k and 0 <= j < k):
@@ -144,6 +187,7 @@ class BipartiteGraph:
         for i, j in edges:
             adj_a[i].append(j)
             adj_b[j].append(i)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "adj_a", tuple(map(tuple, adj_a)))
         object.__setattr__(self, "adj_b", tuple(map(tuple, adj_b)))
@@ -160,10 +204,10 @@ class BipartiteGraph:
         return BipartiteGraph(self.k, [(j, i) for i, j in self.edges])
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Record):
     """histogram maps degree -> vertex count; avg is the exact rational 2m/n."""
 
+    __slots__ = _fields = ("histogram", "avg")
     histogram: dict[int, int]
     avg: Fraction
 
@@ -177,6 +221,8 @@ class DegreeProfile:
 
 def degree_profile(g: Graph) -> DegreeProfile:
     """Degree histogram and exact average degree."""
+    from fractions import Fraction  # here, so loading the graph types skips it
+
     hist: dict[int, int] = {}
     for v in range(g.n):
         d = g.degree(v)

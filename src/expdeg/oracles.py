@@ -8,15 +8,14 @@ work budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import BudgetExceededError
-from .graphs import BipartiteGraph, Graph
+from .graphs import BipartiteGraph, Graph, Record
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(Record):
+    __slots__ = _fields = ("max_n", "max_work")
     max_n: int
     max_work: int
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import bits, mask_of
 from .counting import exact_fraction
 from .errors import CapacityError
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, Record
 
 DEFAULT_ALPHA = Fraction("3.55")
 
@@ -39,12 +38,12 @@ def _b0_size(k: int, d: Fraction, alpha: Fraction) -> int:
     return math.floor(Fraction(k, alpha * d)) if d else 0
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(Record):
     """Result of peeling: a sub-instance with minimum degree >= 2 (or empty),
     reindexed compactly; original matching count is 0 when infeasible, else
     the reduced graph's count (forced pairs contribute a factor of 1)."""
 
+    __slots__ = _fields = ("graph", "feasible", "forced_pairs")
     graph: BipartiteGraph
     feasible: bool
     forced_pairs: tuple[tuple[int, int], ...]
@@ -95,11 +94,11 @@ def reduce_degree_one(g: BipartiteGraph) -> ReducedInstance:
     return ReducedInstance(BipartiteGraph(len(keep_a), edges), True, tuple(forced))
 
 
-@dataclass(frozen=True)
-class TrimPlan:
+class TrimPlan(Record):
     """b0: lowest-degree block on side B; order_a puts A-vertices with no
     neighbor in b0 first; low_card_limit = floor((1 - 1/alpha) * k)."""
 
+    __slots__ = _fields = ("alpha", "d", "b0", "a0", "order_a", "low_card_limit")
     alpha: Fraction
     d: Fraction
     b0: tuple[int, ...]
@@ -139,8 +138,10 @@ def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> Tri
     return TrimPlan(alpha, d, b0, tuple(sorted(a0)), order_a, low_card_limit)
 
 
-@dataclass(frozen=True)
-class BipCountResult:
+class BipCountResult(Record):
+    __slots__ = _fields = (
+        "count", "stored_states", "pruned_calls", "b0_size", "reduced_k", "reduced_d", "alpha"
+    )
     count: int
     stored_states: int
     pruned_calls: int

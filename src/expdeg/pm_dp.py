@@ -88,13 +88,10 @@ on the greedy pairs.  The pass itself takes O(n^2) list operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph
+from .graphs import Graph, Record
 
 
-@dataclass(frozen=True)
-class LabeledMultigraph:
+class LabeledMultigraph(Record):
     """Multigraph on k nodes; edges are (p, q, x, y) with p <= q, where the
     label is the original-vertex pair {x, y}, x in {2p, 2p+1} and
     y in {2q, 2q+1}.  Self-loops (p == q) always carry {2p, 2p+1}.
@@ -107,6 +104,7 @@ class LabeledMultigraph:
     nodes at most four edges, one per label.  _strata relies on this and
     counts every label once."""
 
+    __slots__ = _fields = ("k", "edges")
     k: int
     edges: tuple[tuple[int, int, int, int], ...]
 
@@ -121,8 +119,8 @@ def build_contracted_graph(n: int, edges) -> LabeledMultigraph:
     return LabeledMultigraph(n // 2, tuple(sorted(labels)))
 
 
-@dataclass(frozen=True)
-class PmDpResult:
+class PmDpResult(Record):
+    __slots__ = _fields = ("count", "states_visited")
     count: int
     states_visited: int
 

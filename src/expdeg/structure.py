@@ -15,23 +15,23 @@ self-loops, reach it by the same path and are checked the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import bits, mask_of
 from .counting import exact_fraction
 from .errors import CapacityError
-from .graphs import Graph, degree_profile
+from .graphs import Graph, Record, degree_profile
 
 DEG2_MAX_N = 16
 
 
-@dataclass(frozen=True)
-class GapResult:
+class GapResult(Record):
     """Smallest degree threshold D with few vertices above it.
 
     bound is the exact rational n*d/(alpha*D); count_above = |{v: deg(v) > D}|.
     """
+
+    __slots__ = _fields = ("d_threshold", "bound", "count_above")
 
     d_threshold: int
     bound: Fraction

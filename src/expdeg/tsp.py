@@ -39,19 +39,18 @@ states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .bitset import bits
 from .errors import CapacityError
-from .graphs import VERTEX_CAPACITY, Graph
+from .graphs import VERTEX_CAPACITY, Graph, Record
 
 HELD_KARP_MAX_N = 22
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class TourResult:
+class TourResult(Record):
+    __slots__ = _fields = ("weight", "order", "states_visited")
     weight: int
     order: tuple[int, ...]
     states_visited: int
@@ -66,20 +65,20 @@ def _is_biconnected(g: Graph) -> bool:
     reaches no vertex above u, the root iff it has two children.
     """
     n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
+    adj = g.adjacency
     disc = [-1] * n
     low = [0] * n
     disc[0] = 0
     seen = 1
     root_children = 0
-    stack = [(0, iter(nbrs[0]))]
+    stack = [(0, iter(adj[0]))]
     while stack:
         u, it = stack[-1]
-        for v in it:
+        for v, _ in it:
             if disc[v] < 0:
                 disc[v] = low[v] = seen
                 seen += 1
-                stack.append((v, iter(nbrs[v])))
+                stack.append((v, iter(adj[v])))
                 break
             if disc[v] < low[u]:
                 low[u] = disc[v]
@@ -271,7 +270,7 @@ def _cycle(g: Graph, a: int) -> TourResult | None:
         return None
     weight, v, mask, partner = best
     first, second = (_reconstruct(g, layers, v, s) for s in (mask, partner))
-    states = sum(len(masks) for layer in layers for masks in layer)
+    states = sum(map(len, chain.from_iterable(layers)))
     return TourResult(weight, first + second[-2:0:-1], states)
 
 
