@@ -33,7 +33,6 @@ _EXPORTS = {
     ),
     "oracles": (
         "OracleBudget",
-        "oracle_alternating_covers",
         "oracle_count_pm",
         "oracle_permanent",
         "oracle_tsp",

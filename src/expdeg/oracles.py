@@ -7,8 +7,7 @@ work budgets.
 
 from __future__ import annotations
 
-import math
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .errors import BudgetExceededError
 from .graphs import BipartiteGraph, Graph, Record
@@ -22,7 +21,6 @@ class OracleBudget(Record):
 
 PM_BUDGET = OracleBudget(max_n=20, max_work=10_000_000)
 TSP_BUDGET = OracleBudget(max_n=10, max_work=10_000_000)
-ALT_COVER_BUDGET = OracleBudget(max_n=12, max_work=10_000_000)
 PERMANENT_BUDGET = OracleBudget(max_n=9, max_work=10_000_000)
 
 
@@ -80,40 +78,6 @@ def oracle_tsp(g: Graph, budget: OracleBudget = TSP_BUDGET) -> int | None:
                 if best is None or total < best:
                     best = total
     return best
-
-
-def oracle_alternating_covers(
-    g: Graph, budget: OracleBudget = ALT_COVER_BUDGET
-) -> int:
-    """Count edge subsets that, together with the pairing edges (2i, 2i+1),
-    form a cycle cover whose cycles alternate pairing/graph edges.
-
-    Enumerates all subsets of n/2 graph edges (a degree-2 cover over the
-    n/2 pairing edges needs exactly that many) and counts those whose edges
-    are pairwise disjoint.  No traversal is needed: n/2 disjoint edges form
-    a perfect matching M, and the pairing P and M are fixed-point-free
-    involutions, so P and M together split into even cycles that alternate
-    P and M edges (a 2-cycle where M uses a pairing edge); a walk from any
-    vertex returns to it on an M step.  For n = 0 the one empty subset
-    counts.
-    """
-    if g.n > budget.max_n:
-        raise BudgetExceededError(f"cover oracle capped at n={budget.max_n}")
-    if g.n % 2 != 0:
-        return 0
-    half = g.n // 2
-    if math.comb(g.m, half) > budget.max_work:
-        raise BudgetExceededError("cover oracle exceeded its work budget")
-    count = 0
-    for subset in combinations(g.edges, half):
-        matched = [False] * g.n
-        for u, v, _ in subset:
-            if matched[u] or matched[v]:
-                break
-            matched[u] = matched[v] = True
-        else:
-            count += 1
-    return count
 
 
 def oracle_permanent(g: BipartiteGraph, budget: OracleBudget = PERMANENT_BUDGET) -> int:

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 from math import factorial
 
+import pytest
 import sympy
 
 from expdeg import (
@@ -21,7 +22,6 @@ from expdeg import (
     find_disjoint_set,
     find_gap_threshold,
     held_karp_cycle,
-    oracle_alternating_covers,
     oracle_count_pm,
     oracle_permanent,
     oracle_tsp,
@@ -45,6 +45,7 @@ from conftest import (
     seeded_graph,
     seeded_weighted_graph,
     tour_weight,
+    unordered_total,
 )
 
 ALPHAS = (Fraction(5, 2), Fraction("3.55"), Fraction(5))
@@ -69,11 +70,26 @@ def test_criterion_1_matching_count_agreement():
 
 
 def test_criterion_2_alternating_covers_equal_matchings():
-    """Alternating-cover enumeration equals matching enumeration, n <= 10."""
+    """The perfect matchings of g are the cycle covers of its pair
+    contraction with pairwise-disjoint labels, n <= 10: the ordered
+    reference cover DP, divided by q! per cycle count q, equals matching
+    enumeration; an odd n has no matching and no contraction."""
+    even = 0
     for seed in range(100):
         g = seeded_graph(seed + 10_000, 10)
-        assert oracle_alternating_covers(g) == oracle_count_pm(g), seed
-    print("\nACCEPTANCE 2 PASS: alternating covers = matchings on 100 instances")
+        want = oracle_count_pm(g)
+        if g.n % 2:
+            assert want == 0, seed
+            with pytest.raises(ValueError):
+                build_contracted_graph(g.n, g.edges)
+            continue
+        run = naive_cover_dp(build_contracted_graph(g.n, g.edges))
+        assert unordered_total(run.full_covers.items()) == want, seed
+        even += 1
+    print(
+        f"\nACCEPTANCE 2 PASS: label-disjoint covers = matchings on {even} even "
+        f"instances; {100 - even} odd ones refused"
+    )
 
 
 def test_criterion_3_bipartite_agreement_and_alpha_invariance():

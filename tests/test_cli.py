@@ -204,6 +204,23 @@ def test_gen_regular_output_is_pinned(capsys):
     )
 
 
+def test_cubic_24_answers_and_state_counts_are_pinned(capsys, tmp_path):
+    """Counts, weights and state counts on the cubic n=24 graph that the CI
+    pipelines also check through the installed console script."""
+    assert main(["gen", "--model", "regular", "--d", "3", "--n", "24", "--seed", "1"]) == 0
+    path = tmp_path / "cubic24.txt"
+    path.write_text(capsys.readouterr().out)
+    for argv, want in (
+        (["count-pm", "--algo", "dp"], {"count": "48", "states_visited": 337}),
+        (["count-pm", "--algo", "inex"], {"count": "48", "subsets_processed": 4096}),
+        (["tsp"], {"weight": 24, "states_visited": 981}),
+        (["tsp", "--path", "0", "5"], {"weight": 23, "states_visited": 886}),
+    ):
+        code, payload = run_json(capsys, [*argv, "--input", str(path)])
+        assert code == 0
+        assert {key: payload[key] for key in want} == want, argv
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -616,6 +633,8 @@ def test_bench_model_follows_algo(capsys):
         ["--algo", "tsp", "--model", "bipartite"],
         ["--algo", "count-pm-bip", "--model", "regular"],
         ["--algo", "count-pm-bip", "--model", "gnm"],
+        # the bipartite model follows from the algo alone
+        ["--algo", "count-pm-bip", "--model", "bipartite"],
     ):
         assert main(["bench", *argv, *grid]) == 2
         assert "model" in capsys.readouterr().err
