@@ -1,4 +1,5 @@
-"""Brute-force oracles: hand values and budget refusals."""
+"""Brute-force oracles and the reference alternating-cover count: hand
+values and budget refusals."""
 
 import pytest
 
@@ -11,11 +12,14 @@ from expdeg import (
     oracle_permanent,
     oracle_tsp,
 )
+from expdeg.pm_dp import build_contracted_graph
 from conftest import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    naive_cover_dp,
     star_graph,
+    unordered_total,
 )
 
 
@@ -34,6 +38,22 @@ def test_tsp_hand_values():
     assert oracle_tsp(c4w) == 10
     assert oracle_tsp(complete_graph(4)) == 4
     assert oracle_tsp(star_graph(3)) is None
+
+
+def alternating_covers(g: Graph) -> int:
+    """Label-disjoint cycle covers of the pair contraction of g, counted by
+    the ordered reference cover DP and divided by q! per cycle count q."""
+    run = naive_cover_dp(build_contracted_graph(g.n, g.edges))
+    return unordered_total(run.full_covers.items())
+
+
+def test_alternating_covers_hand_values():
+    assert alternating_covers(complete_graph(2)) == 1
+    assert alternating_covers(complete_graph(4)) == 3
+    assert alternating_covers(cycle_graph(4)) == 2
+    assert alternating_covers(Graph.from_edges(0, [])) == 1
+    with pytest.raises(ValueError, match="even"):
+        alternating_covers(complete_graph(3))  # odd n: no matching, no contraction
 
 
 def test_permanent_hand_values():
