@@ -39,6 +39,29 @@ adds prod * W_0 to the sum of its sign: banning label 0 would add prod
 with one sign and allowing it prod * (1 + W_0) with the other, and the
 two prods cancel.
 
+A node returns before it recurses when an undecided label is dead: when
+each of its two vertices v has no arc out to a vertex of an unbanned
+label, or none in from one.  No closed walk that avoids the banned set
+passes through such a v, so for every banned set J that completes the
+node's, J and J plus the dead label count the same tuples with opposite
+signs; deadness only grows with the banned set, so the pairing stays
+inside the subtree, and the subtree's leaf terms sum to zero in every
+coefficient.  Skipping it takes the same series from both sums of sign,
+so acc, the count and the zero check below n/2 are unchanged; in the
+tables, a dead vertex keeps a zero row or column in every descendant, so
+its fold would be a no-op and W_2l = 0.  The two vertices die together:
+the arcs out of 2l go to the neighbours of 2l+1, those into 2l come from
+the partners of the neighbours of 2l, and symmetrically for 2l+1, while
+the unbanned vertices are closed under partners.  So label l is dead
+exactly when the heads out of 2l, or those out of 2l+1, are all banned,
+which is what the counter tests.  It tests every label at the root,
+which prunes the whole sum when a vertex is isolated.  In a ban child it
+tests only the labels below with an arc to or from the label just
+banned, since no other label lost a head; an allow child bans nothing
+new and needs no test.  Each test is two ANDs with precomputed head
+masks, and the sum still ranges over the 2^(n/2) subsets that
+`inex_subsets` reports.
+
 Each series is one Python int holding its coefficients in F-bit fields
 (a Kronecker substitution x = 2^F), so a truncated product is one integer
 multiply and a mask.  `field_width` takes F from exact walk counts of the
@@ -249,20 +272,42 @@ def inex_accumulators(g: Graph) -> list[int]:
     for u, heads in enumerate(out):
         for w in heads:
             arcs[u][w] += step
+    # masks[l]: the heads out of 2l and of 2l+1 as vertex masks; near[l]:
+    # masks[k] for the labels k < l with an arc to or from a vertex of l,
+    # the only labels whose deadness banning l can change
+    masks = [
+        (sum(1 << w for w in out[v]), sum(1 << w for w in out[v + 1]))
+        for v in range(0, g.n, 2)
+    ]
+    near = [
+        tuple(masks[k] for k in range(label) if (out_a | out_b) >> 2 * k & 3)
+        for label, (out_a, out_b) in enumerate(masks)
+    ]
     sums = [0, 0]  # packed sums of sign +1 and -1, less the prods that cancel
 
-    def visit(label: int, table: list[list[int]], prod: int, negative: int) -> None:
+    def visit(
+        label: int, table: list[list[int]], prod: int, negative: int, live: int
+    ) -> None:
         # labels above `label` are decided: `table` holds the walks through
-        # the allowed ones, `prod` counts the walk tuples on their anchors
+        # the allowed ones, `prod` counts the walk tuples on their anchors,
+        # `live` masks the vertices of unbanned labels, and no undecided
+        # label is dead
         if label:
-            visit(label - 1, table, prod, negative ^ 1)
+            left = live & ~(3 << 2 * label)  # the live vertices once label is banned
+            for out_a, out_b in near[label]:
+                if not (out_a & left and out_b & left):
+                    break  # that label is dead once this one is banned
+            else:
+                visit(label - 1, table, prod, negative ^ 1, left)
             walks, table = count_anchored_walks(table, 2 * label, trunc)
-            visit(label - 1, table, count_walk_tuples(prod, walks, trunc), negative)
+            prod = count_walk_tuples(prod, walks, trunc)
+            visit(label - 1, table, prod, negative, live)
         else:
             walks, _ = count_anchored_walks(table, 0, trunc)
             sums[negative] += count_leaf_term(prod, walks, trunc)
 
-    visit(half - 1, arcs, 1, 0)
+    if all(out_a and out_b for out_a, out_b in masks):
+        visit(half - 1, arcs, 1, 0, (1 << g.n) - 1)
     field = (1 << width) - 1
     return [
         (sums[0] >> width * j & field) - (sums[1] >> width * j & field)

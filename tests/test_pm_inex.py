@@ -164,20 +164,54 @@ def unpack(packed: int, terms: int, width: int = WIDTH) -> list[int]:
     return [packed >> width * j & ((1 << width) - 1) for j in range(terms)]
 
 
-def allowing_nodes(half: int) -> list[tuple[int, int]]:
+def stuck(ag: tuple, v: int, banned) -> bool:
+    """Whether v has no arc out to, or no arc in from, a vertex of a label
+    outside banned: no closed walk avoiding banned can pass through it."""
+    live = [
+        (src, dst)
+        for src, dst, _ in arcs_of(ag)
+        if src // 2 not in banned and dst // 2 not in banned
+    ]
+    return all(src != v for src, _ in live) or all(dst != v for _, dst in live)
+
+
+def dead_label(ag: tuple, label: int, banned) -> bool:
+    """Whether both vertices of label are stuck."""
+    return stuck(ag, 2 * label, banned) and stuck(ag, 2 * label + 1, banned)
+
+
+def test_pair_vertices_are_stuck_together():
+    """One vertex of a label is stuck exactly when the other is, on graphs
+    with and without pair edges, whatever the banned set: so a counter may
+    test either vertex, or one mask of each, for a dead label."""
+    rng = random.Random(3)
+    graphs = [even_seeded_graph(seed + 8000, 12) for seed in range(30)]
+    graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs)]
+    for g in graphs:
+        ag = build_arc_graph(g)
+        for _ in range(8):
+            banned = {k for k in range(g.n // 2) if rng.random() < 0.4}
+            for label in set(range(g.n // 2)) - banned:
+                a, b = 2 * label, 2 * label + 1
+                assert stuck(ag, a, banned) == stuck(ag, b, banned), (g, banned, a)
+
+
+def allowing_nodes(ag: tuple) -> list[tuple[int, int]]:
     """(anchor, allowed vertex mask) at each node that allows a label, in
     the order the enumeration reaches them: label half-1 first, and each
-    label banned before it is allowed."""
+    label banned before it is allowed.  A node with a dead undecided label
+    (see dead_label) is skipped with its subtree: the subsets with and
+    without that label cancel."""
 
-    def rec(label: int, allowed: int):
-        if label < 0:
+    def rec(label: int, banned: frozenset, allowed: int):
+        if label < 0 or any(dead_label(ag, k, banned) for k in range(label + 1)):
             return
-        yield from rec(label - 1, allowed)
+        yield from rec(label - 1, banned | {label}, allowed)
         allowed |= 3 << 2 * label
         yield 2 * label, allowed
-        yield from rec(label - 1, allowed)
+        yield from rec(label - 1, banned, allowed)
 
-    return list(rec(half - 1, 0))
+    return list(rec(len(ag) // 2 - 1, frozenset(), 0))
 
 
 def with_pair_edges(g: Graph, seed: int) -> Graph:
@@ -188,8 +222,9 @@ def with_pair_edges(g: Graph, seed: int) -> Graph:
 
 
 def test_table_walks_match_naive_dp(monkeypatch):
-    """At every node that allows a label, the closed walks the folded table
-    yields equal a fresh walk DP at that anchor and allowed mask."""
+    """The folds run at exactly the allowing nodes that no dead label
+    prunes, in order, and at each the closed walks the folded table yields
+    equal a fresh walk DP at that anchor and allowed mask."""
     calls = []
 
     def recording(table, anchor, trunc):
@@ -206,7 +241,7 @@ def test_table_walks_match_naive_dp(monkeypatch):
         inex_accumulators(g)
         ag = build_arc_graph(g)
         half, width = g.n // 2, field_width(ag)
-        nodes = allowing_nodes(half)
+        nodes = allowing_nodes(ag)
         assert [anchor for anchor, _ in calls] == [anchor for anchor, _ in nodes]
         for (anchor, walks), (_, allowed) in zip(calls, nodes):
             assert walks >> width * (half + 1) == 0, (g, anchor)
@@ -430,17 +465,72 @@ def test_perfect_matching_graph_counts_one():
 
 
 def test_oracle_agreement_seeded():
-    for seed in range(80):
+    for seed in [*range(80), *range(300, 330)]:
         g = seeded_graph(seed, 10)
         assert count_pm_inex(g) == oracle_count_pm(g), seed
 
 
-def test_alternating_cover_crosscheck():
-    """The alternating covers that count_pm_inex sums over are the perfect
-    matchings, on a second seed range."""
-    for seed in range(30):
-        g = seeded_graph(seed + 300, 10)
-        assert count_pm_inex(g) == oracle_count_pm(g), seed
+def folds_and_accumulators(monkeypatch, g: Graph) -> tuple[int, list[int]]:
+    """inex_accumulators(g) and the number of folds it ran."""
+    calls = []
+
+    def counting(table, anchor, trunc):
+        calls.append(anchor)
+        return count_anchored_walks(table, anchor, trunc)
+
+    with monkeypatch.context() as m:
+        m.setattr(pm_inex, "count_anchored_walks", counting)
+        acc = inex_accumulators(g)
+    return len(calls), acc
+
+
+def test_isolated_vertex_prunes_the_root(monkeypatch):
+    """An isolated vertex has no arc in, and its partner no arc out, so its
+    label is dead at the root: acc is all zero and no fold runs."""
+    for g in (
+        Graph.from_edges(2, []),
+        Graph.from_edges(6, [(0, 1), (2, 3)]),
+        Graph.from_edges(8, [(u, v) for u in range(7) for v in range(u + 1, 7)]),
+        Graph.from_edges(12, [(u, v, w) for u, v, w in petersen_graph().edges]),
+    ):
+        assert folds_and_accumulators(monkeypatch, g) == (0, [0] * (g.n // 2 + 1)), g
+        assert count_pm_inex(g) == 0
+
+
+def sparse_graphs() -> list[Graph]:
+    """Graphs with few edges per vertex, some in several components, where
+    labels die soonest once their neighbours' labels are banned."""
+    rng = random.Random(11)
+    graphs = []
+    for n in range(4, 17, 2):
+        for _ in range(10):
+            m = rng.randint(n // 2, 3 * n // 2)
+            graphs.append(random_gnm(n, m, rng.randrange(2**32)))
+        # two components, of odd or of even order
+        left = rng.randrange(2, n - 1, 2) + rng.randint(0, 1)
+        edges = []
+        for start, k in ((0, left), (left, n - left)):
+            part = random_gnm(k, min(k * (k - 1) // 2, k + 1), rng.randrange(2**32))
+            edges += [(u + start, v + start) for u, v, _ in part.edges]
+        graphs.append(Graph.from_edges(n, edges))
+    return graphs
+
+
+def test_dead_labels_leave_the_sums_exact(monkeypatch):
+    """On sparse and disconnected graphs, where the rule prunes most, every
+    signed sum is still exact, and fewer than the 2^(n/2) - 1 folds of the
+    full enumeration run."""
+    graphs = sparse_graphs()
+    pruned = 0
+    for g in graphs:
+        half = g.n // 2
+        folds, acc = folds_and_accumulators(monkeypatch, g)
+        assert acc == [0] * half + [count_pm_dp(g).count], g
+        if g.n <= 12:
+            assert acc[half] == oracle_count_pm(g), g
+        assert folds <= (1 << half) - 1
+        pruned += folds < (1 << half) - 1
+    assert pruned > len(graphs) // 2
 
 
 def test_accumulators_divisible_and_nonnegative():
