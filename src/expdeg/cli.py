@@ -33,8 +33,8 @@ from .graphs import BipartiteGraph, Graph, degree_profile, parse_graph, serializ
 
 def _read_graph(path: str, kind: type) -> Graph | BipartiteGraph:
     """The graph in the file at `path` ("-": stdin), which must be a `kind`."""
-    if path == "-":
-        g = parse_graph(sys.stdin.read())
+    if path == "-":  # decoded as the file is, whatever the locale
+        g = parse_graph(sys.stdin.buffer.read().decode("utf-8"))
     else:
         with open(path, encoding="utf-8") as fh:
             g = parse_graph(fh.read())

@@ -6,7 +6,8 @@ after construction and capped at 64 vertices per side.  The cap is a
 refusal limit (CapacityError), not a word size: the subset DPs key their
 tables on Python int bit masks, which have none.
 
-Text format (UTF-8, '#' starts a comment line, blank lines ignored):
+Text format (UTF-8, with or without one leading byte-order mark; '#'
+starts a comment line, blank lines ignored):
 
     graph <n> <m>        header, then m lines "u v" or "u v w"
     bigraph <k> <m>      header, then m lines "i j" (i in side A, j in B)
@@ -241,9 +242,11 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
 
     Raises InputFormatError with a line number on malformed input (for a
     bad edge, the constructor's message) and CapacityError when the
-    declared size exceeds the vertex capacity.
+    declared size exceeds the vertex capacity.  One leading byte-order
+    mark (U+FEFF), which some editors write at the start of a UTF-8 file,
+    is skipped; a mark anywhere else is malformed input.
     """
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     content: list[tuple[int, list[str]]] = []
     for idx, raw in enumerate(lines, start=1):
         stripped = raw.strip()

@@ -148,10 +148,18 @@ def _path_layers(g: Graph, a: int):
     whose cost over mask ^ (1 << v) plus w(u, v) equals the cost of
     (mask, v).  Costs and reconstructed orders are deterministic without
     sorting a layer.
+
+    The arc table is built once per call: per vertex u, one tuple per arc
+    u -> v with v's bit, v, the weight, v's neighbour mask for the
+    completion test and v's rim for the anchor rule.  Every source of every
+    layer pushes through it into the next layer's dict of v.
     """
     n = g.n
     full = (1 << n) - 1
-    nbrs = [sum(1 << v for v, _ in g.adjacency[r]) for r in range(n)]
+    nbrs = [0] * n
+    for u, v, _ in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
     ring, closer = nbrs[a], 1 << a
     # the rim of an arc into a neighbour of a is ring, for the anchor rule
     arcs = [
@@ -166,11 +174,10 @@ def _path_layers(g: Graph, a: int):
     yield layer
     for _ in range(1, n):
         nxt: list[dict[int, int]] = [{} for _ in range(n)]
-        for u in range(n):
-            src = layer[u]
+        for u, src in enumerate(layer):
             if not src:
                 continue
-            steps = [(bit, nxt[v], w, nb, rim) for bit, v, w, nb, rim in arcs[u]]
+            steps = arcs[u]
             for mask, cost in src.items():
                 # the free set of every state made from (mask, u)
                 free = full ^ mask | closer
@@ -184,7 +191,7 @@ def _path_layers(g: Graph, a: int):
                             break
                         short = (step,)
                 else:
-                    for bit, dst, w, _, rim in short or steps:
+                    for bit, v, w, _, rim in short or steps:
                         if mask & bit:
                             continue
                         nmask = mask | bit
@@ -192,6 +199,7 @@ def _path_layers(g: Graph, a: int):
                         if rim and nmask & rim == rim and nmask != full:
                             continue
                         cand = cost + w
+                        dst = nxt[v]
                         old = dst.get(nmask)
                         if old is None or cand < old:
                             dst[nmask] = cand
@@ -208,9 +216,10 @@ def _reconstruct(g: Graph, layers: list, b: int, mask: int) -> tuple[int, ...]:
         cost = layers[i][v][mask]
         mask ^= 1 << v
         below = layers[i - 1]
-        v = next(
-            u for u, w in g.adjacency[v] if below[u].get(mask, _INF) + w == cost
-        )
+        for u, w in g.adjacency[v]:
+            if below[u].get(mask, _INF) + w == cost:
+                v = u
+                break
         order.append(v)
     order.reverse()
     return tuple(order)

@@ -505,6 +505,37 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_byte_order_mark_read_alike_from_file_and_stdin(tmp_path, capsys, monkeypatch):
+    """One leading UTF-8 byte-order mark is skipped on either input path;
+    stdin is decoded as UTF-8 even where the locale's encoding is not, and
+    a mark past the start is a parse error at its line on both paths."""
+    plain = b"graph 3 3\n0 1\n1 2\n0 2\n"
+    cases = [
+        (b"\xef\xbb\xbf" + plain, None),
+        (b"graph 3 3\n0 1\n\xef\xbb\xbf1 2\n0 2\n", "line 3"),
+        (b"\xef\xbb\xbf\xef\xbb\xbf" + plain, "line 1"),
+    ]
+    unmarked = tmp_path / "plain.txt"
+    unmarked.write_bytes(plain)
+    assert main(["tsp", "--input", str(unmarked)]) == 0
+    want = json.loads(capsys.readouterr().out)
+    keys = ("weight", "order", "states_visited")
+    for data, fault in cases:
+        path = tmp_path / "marked.txt"
+        path.write_bytes(data)
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="cp1252")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        for source in (str(path), "-"):
+            code = main(["tsp", "--input", source])
+            out, err = capsys.readouterr()
+            if fault is None:
+                assert code == 0, (data, source, err)
+                got = json.loads(out)
+                assert [got[k] for k in keys] == [want[k] for k in keys], source
+            else:
+                assert code == 2 and fault in err and "Traceback" not in err, (data, source)
+
+
 def test_bip_small_alpha_rejected_after_peeling(tmp_path, capsys):
     # peeling empties this instance before any trim plan is made
     path = tmp_path / "pm2.txt"

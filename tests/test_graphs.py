@@ -66,6 +66,11 @@ def test_parse_comments_and_blank_lines():
         ("graph -1 0\n", "nonnegative"),
         ("graph 2 1\n0 1 1 1", "'u v' or 'u v w'"),
         ("graph 2 1\n0 x", "fields must be integers"),
+        # a byte-order mark is skipped only once, and only at the start
+        ("\ufeff\ufeffgraph 2 1\n0 1\n", "line 1: header"),
+        ("\n\ufeffgraph 2 1\n0 1\n", "line 2: header"),
+        ("graph 2 1\n\ufeff0 1\n", "line 2: edge fields must be integers"),
+        ("graph 2 1\n0 1\n\ufeff", "2 edge lines"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -73,6 +78,12 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         parse_graph(text)
     assert fragment in str(info.value)
     assert "line" in str(info.value)
+
+
+def test_parse_skips_one_leading_byte_order_mark():
+    text = "graph 3 3\n0 1\n1 2\n0 2 4\n"
+    assert parse_graph("\ufeff" + text) == parse_graph(text)
+    assert parse_graph("\ufeff# saved by an editor\n" + text) == parse_graph(text)
 
 
 def test_parse_empty_input_has_no_line_number():

@@ -471,11 +471,16 @@ def test_oracle_agreement_seeded():
 
 
 def test_alternating_cover_crosscheck():
-    """The alternating covers that count_pm_inex sums over are the perfect
-    matchings, on a second seed range."""
+    """Three independent counts agree on a second seed range: the
+    inclusion-exclusion sum over walk tuples, the cover DP over alternating
+    covers of the pair contraction, and the brute-force oracle."""
+    matched = 0
     for seed in range(30):
         g = seeded_graph(seed + 300, 10)
-        assert count_pm_inex(g) == oracle_count_pm(g), seed
+        inex = count_pm_inex(g)
+        assert inex == count_pm_dp(g).count == oracle_count_pm(g), seed
+        matched += inex > 0
+    assert matched >= 10
 
 
 def folds_and_accumulators(monkeypatch, g: Graph) -> tuple[int, list[int]]:
