@@ -33,11 +33,13 @@ from .graphs import BipartiteGraph, Graph, degree_profile, parse_graph, serializ
 
 def _read_graph(path: str, kind: type) -> Graph | BipartiteGraph:
     """The graph in the file at `path` ("-": stdin), which must be a `kind`."""
-    if path == "-":  # decoded as the file is, whatever the locale
-        g = parse_graph(sys.stdin.buffer.read().decode("utf-8"))
+    # a file and stdin are read as bytes and decoded alike, whatever the locale
+    if path == "-":
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, encoding="utf-8") as fh:
-            g = parse_graph(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+    g = parse_graph(data.decode("utf-8"))
     if not isinstance(g, kind):
         wanted = "general 'graph'" if kind is Graph else "'bigraph'"
         raise ValueError(f"this command needs a {wanted} input")

@@ -112,7 +112,8 @@ class Graph(Record):
                 raise _EdgeError(f"edge ({u},{v}) out of range for n={n}", index)
             if u == v:
                 raise _EdgeError(f"self-loop at vertex {u}", index)
-            key = (u, v) if u < v else (v, u)
+            lo, hi = (u, v) if u < v else (v, u)
+            key = lo * n + hi
             if key in seen:
                 raise _EdgeError(f"duplicate edge ({u},{v})", index)
             if type(w) is not int:
@@ -120,7 +121,7 @@ class Graph(Record):
             if w < 0:
                 raise _EdgeError(f"negative weight on edge ({u},{v})", index)
             seen.add(key)
-            canon.append((*key, w))
+            canon.append((lo, hi, w))
         canon.sort()
         # sorted edges fill every adjacency list in neighbour order
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -240,19 +241,22 @@ def pair_partner(v: int) -> int:
 def parse_graph(text: str) -> Graph | BipartiteGraph:
     """Parse the text format described in the module docstring.
 
-    Raises InputFormatError with a line number on malformed input (for a
-    bad edge, the constructor's message) and CapacityError when the
-    declared size exceeds the vertex capacity.  One leading byte-order
+    One pass splits each line into its whitespace-separated fields; a line
+    without fields, or whose first field starts with '#', is skipped.  The
+    edge fields go straight to the constructor as (u, v, w) triples, or
+    (i, j) pairs for a bigraph, which checks them.  One leading byte-order
     mark (U+FEFF), which some editors write at the start of a UTF-8 file,
     is skipped; a mark anywhere else is malformed input.
+
+    Raises InputFormatError with a line number on malformed input (for a
+    bad edge, the constructor's message) and CapacityError when the
+    declared size exceeds the vertex capacity.
     """
-    lines = text.removeprefix("\ufeff").splitlines()
     content: list[tuple[int, list[str]]] = []
-    for idx, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        content.append((idx, stripped.split()))
+    for idx, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        tok = raw.split()
+        if tok and tok[0][0] != "#":
+            content.append((idx, tok))
 
     if not content:
         raise InputFormatError("empty input, expected a 'graph' or 'bigraph' header")
@@ -280,21 +284,25 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
             f"header declares {m} edges but {len(body)} edge lines found", header_line
         )
 
-    # the constructor checks the edges; a bad one is reported at its line
+    # the constructor checks the edges; a bad one is reported at its line.
+    # tail completes a 2-field line: weight 1 in a graph, nothing in a bigraph
     if header[0] == "graph":
-        kind, arity, shape = Graph, (2, 3), "edge line must be 'u v' or 'u v w'"
+        kind, arity, tail = Graph, (2, 3), (1,)
+        shape = "edge line must be 'u v' or 'u v w'"
     else:
-        kind, arity, shape = BipartiteGraph, (2,), "bipartite edge line must be 'i j'"
+        kind, arity, tail = BipartiteGraph, (2,), ()
+        shape = "bipartite edge line must be 'i j'"
     edges = []
-    for line_no, tok in body:
-        if len(tok) not in arity:
-            raise InputFormatError(shape, line_no)
-        try:
-            edges.append(tuple(map(int, tok)))
-        except ValueError:
-            raise InputFormatError("edge fields must be integers", line_no) from None
     try:
-        return kind.from_edges(size, edges)
+        for line_no, tok in body:
+            if len(tok) not in arity:
+                raise InputFormatError(shape, line_no)
+            pair = (int(tok[0]), int(tok[1]))
+            edges.append(pair + (int(tok[2]),) if len(tok) == 3 else pair + tail)
+    except ValueError:
+        raise InputFormatError("edge fields must be integers", line_no) from None
+    try:
+        return kind(size, edges)
     except _EdgeError as exc:
         raise InputFormatError(str(exc), body[exc.index][0]) from None
 

@@ -7,7 +7,16 @@ from math import factorial
 
 import pytest
 
-from expdeg import BipartiteGraph, Graph, random_gnm, random_regular
+from expdeg import (
+    BipartiteGraph,
+    CapacityError,
+    Graph,
+    InputFormatError,
+    random_gnm,
+    random_regular,
+)
+from expdeg.errors import _shown
+from expdeg.graphs import VERTEX_CAPACITY
 from expdeg.pm_dp import LabeledMultigraph
 from expdeg.pm_inex import build_arc_graph
 
@@ -93,6 +102,82 @@ def tour_weight(g: Graph, order, cycle: bool) -> int:
         assert g.has_edge(u, v), f"({u},{v}) is not an edge"
         total += g.weight(u, v)
     return total
+
+
+def reference_parse_graph(text: str) -> Graph | BipartiteGraph:
+    """parse_graph as it read a text before its one-pass rewrite: each line
+    stripped, then split, and every edge line converted by tuple(map(int,
+    ...)).  The checks of the Graph and BipartiteGraph constructors that it
+    relied on run here in the same order, with the same messages, on the
+    edge's own line; a graph that passes them is built by the constructor.
+    The int-type checks are left out: int() only returns ints."""
+    lines = text.removeprefix("\ufeff").splitlines()
+    content: list[tuple[int, list[str]]] = []
+    for idx, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        content.append((idx, stripped.split()))
+    if not content:
+        raise InputFormatError("empty input, expected a 'graph' or 'bigraph' header")
+
+    header_line, header = content[0]
+    if len(header) != 3 or header[0] not in ("graph", "bigraph"):
+        raise InputFormatError(
+            "header must be 'graph <n> <m>' or 'bigraph <k> <m>'", header_line
+        )
+    try:
+        size, m = int(header[1]), int(header[2])
+    except ValueError:
+        raise InputFormatError("header sizes must be integers", header_line) from None
+    if size < 0 or m < 0:
+        raise InputFormatError("header sizes must be nonnegative", header_line)
+    graph = header[0] == "graph"
+    if size > VERTEX_CAPACITY:
+        what = "vertex count" if graph else "bipartite side size"
+        raise CapacityError(
+            f"line {header_line}: {what} is {_shown(size)}, capacity is {VERTEX_CAPACITY}"
+        )
+
+    body = content[1:]
+    if len(body) != m:
+        raise InputFormatError(
+            f"header declares {m} edges but {len(body)} edge lines found", header_line
+        )
+    edges = []
+    for line_no, tok in body:
+        if graph and len(tok) not in (2, 3):
+            raise InputFormatError("edge line must be 'u v' or 'u v w'", line_no)
+        if not graph and len(tok) != 2:
+            raise InputFormatError("bipartite edge line must be 'i j'", line_no)
+        try:
+            edges.append(tuple(map(int, tok)))
+        except ValueError:
+            raise InputFormatError("edge fields must be integers", line_no) from None
+
+    seen = set()
+    for (line_no, _), edge in zip(body, edges):
+        if graph:
+            u, v, w = edge if len(edge) == 3 else (*edge, 1)
+            if not (0 <= u < size and 0 <= v < size):
+                raise InputFormatError(f"edge ({u},{v}) out of range for n={size}", line_no)
+            if u == v:
+                raise InputFormatError(f"self-loop at vertex {u}", line_no)
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise InputFormatError(f"duplicate edge ({u},{v})", line_no)
+            if w < 0:
+                raise InputFormatError(f"negative weight on edge ({u},{v})", line_no)
+        else:
+            key = i, j = edge
+            if not (0 <= i < size and 0 <= j < size):
+                raise InputFormatError(f"edge ({i},{j}) out of range for k={size}", line_no)
+            if key in seen:
+                raise InputFormatError(f"duplicate edge ({i},{j})", line_no)
+        seen.add(key)
+    if graph:
+        return Graph(size, [e if len(e) == 3 else (*e, 1) for e in edges])
+    return BipartiteGraph(size, edges)
 
 
 @pytest.fixture

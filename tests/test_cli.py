@@ -536,6 +536,39 @@ def test_byte_order_mark_read_alike_from_file_and_stdin(tmp_path, capsys, monkey
                 assert code == 2 and fault in err and "Traceback" not in err, (data, source)
 
 
+@pytest.mark.parametrize("command", [["count-pm", "--algo", "dp"], ["tsp"]])
+def test_file_and_stdin_read_the_same_bytes_alike(tmp_path, capsys, monkeypatch, command):
+    """The same bytes give the same report (less elapsed_ms), stderr and
+    exit code through --input FILE and --input -: CRLF and lone-CR line
+    ends, a byte-order mark, and an invalid UTF-8 byte, which fails the
+    decode of the whole input even inside a comment."""
+    text = "graph 4 4\n# a square\n0 1\n1 2\n2 3\n0 3 5\n"
+    crlf = text.replace("\n", "\r\n").encode()
+    cases = [
+        crlf,
+        text.replace("\n", "\r").encode(),
+        b"\xef\xbb\xbf" + crlf,
+        crlf.replace(b"a square", b"a \xff square"),
+        text.encode().replace(b"0 3 5", b"0 3 \xff"),
+    ]
+    codes = []
+    for data in cases:
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        seen = []
+        for source in (str(path), "-"):
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="cp1252")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            code = main([*command, "--input", source])
+            out, err = capsys.readouterr()
+            report = json.loads(out) if out else {}
+            report.pop("elapsed_ms", None)
+            seen.append((code, report, err))
+        assert seen[0] == seen[1], data
+        codes.append(seen[0][0])
+    assert codes == [0, 0, 0, 2, 2]
+
+
 def test_bip_small_alpha_rejected_after_peeling(tmp_path, capsys):
     # peeling empties this instance before any trim plan is made
     path = tmp_path / "pm2.txt"

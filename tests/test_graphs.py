@@ -1,5 +1,7 @@
 """Graph types, parsing/serialization, degree statistics and generators."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from expdeg import (
     random_regular,
     serialize_graph,
 )
-from conftest import complete_graph, empty_graph, path_graph
+from conftest import complete_graph, empty_graph, path_graph, reference_parse_graph
 
 # --- parsing -------------------------------------------------------------
 
@@ -182,6 +184,106 @@ def test_roundtrip_random(seed, n):
     m = random.Random(seed).randint(0, n * (n - 1) // 2)
     g = random_gnm(n, m, seed)
     assert parse_graph(serialize_graph(g)) == g
+
+
+# --- differential parse --------------------------------------------------
+
+# odd edge fields: int() reads "1_0", "+3", the Arabic-Indic digit three,
+# "-2", "99" and "-0", and refuses "x" and "1.0"
+ODD_FIELDS = ("1_0", "+3", "\u0663", "-2", "99", "-0", "x", "1.0")
+# str.split() whitespace; \x0b, \x0c and \x1c also end a line for splitlines
+SPACES = ("\t", "  ", "\u00a0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1c")
+FILLER = ("", "   ", "\t", "# a comment", "  # x", "\t# y", "#", "\u00a0# z", "#0 1")
+NEWLINES = ("\n", "\n", "\r\n", "\r")
+FAULTS = (
+    "empty input", "header must be", "header sizes must be integers",
+    "header sizes must be nonnegative", "capacity is", "edge lines found",
+    "edge line must be 'u v'", "bipartite edge line must be", "edge fields must be",
+    "out of range", "self-loop", "duplicate edge", "negative weight",
+)
+
+
+def random_parse_text(rng: random.Random) -> str:
+    """A graph or bigraph text, often valid, otherwise off by a detail or
+    two: odd fields, 2-4 fields a line, out-of-range vertices, self-loops,
+    duplicates in either orientation, negative weights, a wrong edge count
+    or size, no header; with comment and blank lines, Unicode whitespace,
+    mixed line endings and byte-order marks."""
+    graph = rng.random() < 0.7
+    size = rng.choice((0, 1, 2, 3, 4, 5, 6, 8, 8, 64, 65)) if rng.random() < 0.97 else -1
+    side = range(min(size, 8))
+    pairs = [(u, v) for u in side for v in side if u < v or not graph]
+
+    def sep():
+        return " " if rng.random() < 0.95 else rng.choice(SPACES)
+
+    def field(value):
+        return str(value) if rng.random() < 0.97 else rng.choice(ODD_FIELDS)
+
+    rows: list[tuple[int, int]] = []
+    lines = []
+    for u, v in rng.sample(pairs, min(len(pairs), rng.randint(0, 8))):
+        fault = rng.random()
+        if rows and fault < 0.015:  # a duplicate, in either orientation
+            u, v = rng.choice(rows)[:: rng.choice((1, -1))]
+        elif graph and fault < 0.03:
+            v = u
+        elif fault < 0.045:
+            v = size
+        elif graph and fault < 0.5:
+            u, v = v, u
+        rows.append((u, v))
+        fields = [field(u), field(v)]
+        if graph and rng.random() < 0.4:
+            fields.append(field(-1 if rng.random() < 0.05 else rng.randint(0, 9)))
+        if rng.random() < 0.02:
+            fields.append(field(1))
+        lines.append(sep().join(fields))
+    m = len(rows) + (rng.choice((-1, 1)) if rng.random() < 0.05 else 0)
+    header = ["graph" if graph else "bigraph", field(size), str(m)]
+    if rng.random() < 0.98:
+        lines.insert(0, sep().join(header if rng.random() < 0.98 else header[:2]))
+    for i in range(len(lines)):
+        if rng.random() < 0.1:
+            lines[i] = rng.choice(("", " ", "\t", "\u00a0", "\u3000")) + lines[i]
+    for _ in range(rng.choice((0, 0, 1, 2, 4))):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(FILLER))
+    text = "".join(line + rng.choice(NEWLINES) for line in lines)
+    if rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    if rng.random() < 0.2:
+        text = "\ufeff" + text
+    if rng.random() < 0.05:
+        at = rng.randint(0, len(text))
+        text = text[:at] + "\ufeff" + text[at:]
+    return text
+
+
+def parse_outcome(parse, text):
+    """The graph parse returns, or the class, message and line it raises."""
+    try:
+        return parse(text)
+    except (InputFormatError, CapacityError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def test_parse_graph_matches_the_reference_parser():
+    """parse_graph returns a graph equal to the reference parser's, or raises
+    the same exception class with the same message and line, on 3,000
+    seeded texts; the tally checks that the texts reach valid graphs of
+    both kinds and every fault the parser reports."""
+    rng = random.Random(2031)
+    tally = Counter()
+    for case in range(3000):
+        text = random_parse_text(rng)
+        want = parse_outcome(reference_parse_graph, text)
+        assert parse_outcome(parse_graph, text) == want, (case, text)
+        if isinstance(want, tuple):
+            tally.update(fault for fault in FAULTS if fault in want[1])
+        else:
+            tally[type(want).__name__] += 1
+    assert tally["Graph"] >= 800 and tally["BipartiteGraph"] >= 300, tally
+    assert all(tally[fault] >= 5 for fault in FAULTS), tally
 
 
 # --- graph invariants ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Contracted cycle-cover DP: construction, recurrences, sparse-state audit."""
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -582,6 +583,40 @@ def test_states_visited_counts_nonzero_keys():
         assert all(m.bit_count() == 2 * j for m in covers)
         assert all(m.bit_count() == 2 * j for m, _ in paths)
     assert j == mg.k and covers == {(1 << 2 * mg.k) - 1: run.count}
+
+
+def bench_scale_cover_graphs():
+    """Graphs of even n = 24..32 for seeds 1-3: random_regular(n, 3) and, as
+    irregular families of mean degree 3 and 3.5, random_gnm(n, 3n/2) and
+    random_gnm(n, 7n/4), which often have no perfect matching."""
+    for seed in (1, 2, 3):
+        for n in range(24, 33, 2):
+            yield random_regular(n, 3, seed)
+            yield random_gnm(n, 3 * n // 2, seed)
+            yield random_gnm(n, 7 * n // 4, seed)
+
+
+STATES_AT_BENCH_SCALE = 9736
+COVER_LAYERS_AT_BENCH_SCALE_SHA256 = (
+    "e519d5b09e603b997d21c7c3a44a57930c88baa20b6dffd2fbf61dacc44668f3"
+)
+
+
+def test_cover_layers_at_bench_scale_are_pinned():
+    """Every _strata layer's sorted path and cover entries, values included,
+    on the graphs relabelled by _matching_labels as count_pm_dp relabels
+    them, hash to the value the cover DP gave before its push was inlined:
+    a faster DP must store the same keys with the same values in every
+    layer."""
+    layers = []
+    for g in bench_scale_cover_graphs():
+        label = _matching_labels(g)
+        mg = build_contracted_graph(g.n, [(label[u], label[v]) for u, v, _ in g.edges])
+        for paths, covers in _strata(mg):
+            layers.append((sorted(paths.items()), sorted(covers.items())))
+    assert sum(len(p) + len(c) for p, c in layers) == STATES_AT_BENCH_SCALE
+    digest = hashlib.sha256(repr(layers).encode()).hexdigest()
+    assert digest == COVER_LAYERS_AT_BENCH_SCALE_SHA256
 
 
 @pytest.mark.parametrize(
