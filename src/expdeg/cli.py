@@ -5,8 +5,9 @@ Counts are always emitted as decimal strings so arbitrary-precision values
 survive JSON consumers; rationals are emitted as "p/q" strings.
 
 `SOLVERS` is the single dispatch point: every solver the CLI runs has one
-entry there, which `tsp`, `count-pm`, `count-pm-bip` and `bench` all call,
-so a bench row holds what the command prints for the same graph.
+entry there, naming the solver flags it reads, which `_cmd_solve` (for `tsp`,
+`count-pm` and `count-pm-bip`) and `bench` call, so a bench row holds what
+the command prints for the same graph.
 
 Importing this module loads only the graph types and the argument parser;
 each command imports the solver module it runs, and `csv`, `fractions` and
@@ -48,10 +49,6 @@ def _read_graph(path: str, kind: type) -> Graph | BipartiteGraph:
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _elapsed_ms(start: float) -> float:
-    return round((time.perf_counter() - start) * 1000, 3)
 
 
 def _rational(text: str) -> Fraction:
@@ -97,8 +94,9 @@ def _bip_count(pm_bipartite, g, o) -> dict:
 
 # kind: the graph class the solver reads; module: the expdeg module it
 # runs; run: (module, graph, options) -> payload without elapsed_ms;
-# states: the payload key of the stored-state count
-Solver = namedtuple("Solver", "kind module run states", defaults=(None,))
+# states: the payload key of the stored-state count; reads: its SOLVER_FLAGS
+Solver = namedtuple("Solver", "kind module run states reads", defaults=(None, ()))
+SOLVER_FLAGS = ("path", "baseline", "alpha", "swap_sides")
 
 
 # Every solver the CLI runs, by name; the commands and bench dispatch here
@@ -106,17 +104,18 @@ Solver = namedtuple("Solver", "kind module run states", defaults=(None,))
 # and the entry looks its solver up in that module at call time, so a
 # module attribute rebound after import is the one called.
 SOLVERS = {
-    "tsp": Solver(
-        Graph, "tsp", lambda tsp, g, o: _tour(tsp.tsp_cycle(g)), "states_visited"
-    ),
+    "tsp": Solver(Graph, "tsp", lambda tsp, g, o: _tour(tsp.tsp_cycle(g)), "states_visited"),
     "tsp --path": Solver(
-        Graph, "tsp", lambda tsp, g, o: _tour(tsp.ham_path(g, *o.path)), "states_visited"
+        Graph, "tsp", lambda tsp, g, o: _tour(tsp.ham_path(g, *o.path)),
+        "states_visited", ("path",),
     ),
     "tsp --baseline held-karp": Solver(
-        Graph, "tsp", lambda tsp, g, o: _tour(tsp.held_karp_cycle(g)), "states_visited"
+        Graph, "tsp", lambda tsp, g, o: _tour(tsp.held_karp_cycle(g)),
+        "states_visited", ("baseline",),
     ),
     "tsp --baseline oracle": Solver(
-        Graph, "oracles", lambda oracles, g, o: _weight(oracles.oracle_tsp(g))
+        Graph, "oracles", lambda oracles, g, o: _weight(oracles.oracle_tsp(g)),
+        reads=("baseline",),
     ),
     "count-pm-inex": Solver(
         Graph,
@@ -133,11 +132,13 @@ SOLVERS = {
     "count-pm-oracle": Solver(
         Graph, "oracles", lambda oracles, g, o: {"count": str(oracles.oracle_count_pm(g))}
     ),
-    "count-pm-bip": Solver(BipartiteGraph, "pm_bipartite", _bip_count, "stored_states"),
+    "count-pm-bip": Solver(
+        BipartiteGraph, "pm_bipartite", _bip_count, "stored_states", ("alpha", "swap_sides")
+    ),
     "count-pm-bip --baseline": Solver(
-        BipartiteGraph,
-        "pm_bipartite",
+        BipartiteGraph, "pm_bipartite",
         lambda pm_bipartite, g, o: {"count": str(pm_bipartite.ryser_permanent(g))},
+        reads=("baseline", "swap_sides"),
     ),
 }
 # count-pm --algo X runs count-pm-X; bench runs the flagless entries that
@@ -158,32 +159,25 @@ def _solve(name: str, g, options) -> dict:
     module = import_module(f"{__package__}.{solver.module}")
     start = time.perf_counter()
     payload = solver.run(module, g, options)
-    payload["elapsed_ms"] = _elapsed_ms(start)
+    payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
     return payload
 
 
-def _cmd_tsp(args) -> None:
-    if args.path is not None and args.baseline is not None:
-        # both baselines solve cycles only
-        raise ValueError("--path and --baseline cannot be combined")
-    if args.path is not None:
-        name = "tsp --path"
-    elif args.baseline is not None:
-        name = f"tsp --baseline {args.baseline}"
-    else:
-        name = "tsp"
-    _emit(_solve(name, _read_graph(args.input, SOLVERS[name].kind), args))
+def _check_flags(name: str, options) -> None:
+    """Refuse a solver flag given in `options` that SOLVERS[name] does not
+    read; given means neither None nor False, by identity, as 0 == False."""
+    for flag in SOLVER_FLAGS:
+        value = getattr(options, flag, None)
+        if value is not None and value is not False and flag not in SOLVERS[name].reads:
+            raise ValueError(f"{name} does not read --{flag.replace('_', '-')}")
 
 
-def _cmd_count_pm(args) -> None:
-    name = f"count-pm-{args.algo}"
-    _emit(_solve(name, _read_graph(args.input, SOLVERS[name].kind), args))
-
-
-def _cmd_count_pm_bip(args) -> None:
-    name = "count-pm-bip --baseline" if args.baseline else "count-pm-bip"
+def _cmd_solve(args) -> None:
+    """tsp, count-pm and count-pm-bip: run the SOLVERS entry `pick` names."""
+    name = args.pick(args)
+    _check_flags(name, args)
     g = _read_graph(args.input, SOLVERS[name].kind)
-    if args.swap_sides:
+    if getattr(args, "swap_sides", False):
         g = g.transpose()
     _emit(_solve(name, g, args))
 
@@ -256,13 +250,13 @@ BENCH_COLUMNS = [
 ]
 
 
-def _bench_row(algo: str, model: str, g, seed: int, alpha) -> dict:
+def _bench_row(algo: str, model: str, g, seed: int, options) -> dict:
     """One bench row: what the command for `algo` prints for g, generated
     from `seed` (n is the side size k in the bipartite model)."""
     from fractions import Fraction
 
     n = g.k if model == "bipartite" else g.n
-    payload = _solve(algo, g, argparse.Namespace(alpha=alpha))
+    payload = _solve(algo, g, options)
     states = payload.get(SOLVERS[algo].states, 0)
     # a bipartite degree is per vertex of one side; log2(states) is per tour
     # vertex, or per matching edge: k in a bipartite graph, n/2 in a general one
@@ -302,6 +296,8 @@ def run_bench(
     from . import generate
     from .counting import exact_fraction
 
+    options = argparse.Namespace(alpha=alpha)
+    _check_flags(algo, options)
     bipartite = SOLVERS[algo].kind is BipartiteGraph
     if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
@@ -326,7 +322,7 @@ def run_bench(
                     g = generate.random_regular(n, int(d), seed)
                 else:
                     g = generate.random_gnm(n, round(n * d / 2), seed)
-                rows.append(_bench_row(algo, model, g, seed, alpha))
+                rows.append(_bench_row(algo, model, g, seed, options))
     # --sizes, --degrees and --seeds may come in any order; d sorts as a
     # number, since as strings "10" would sort before "3" and "5/2"
     rows.sort(key=lambda r: (r["n"], Fraction(r["avg_degree"]), r["seed"]))
@@ -376,19 +372,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tsp.add_argument(
         "--baseline", nargs="?", const="held-karp", choices=["held-karp", "oracle"]
     )
-    p_tsp.set_defaults(func=_cmd_tsp)
+    # --baseline picks the entry, which then refuses --path
+    p_tsp.set_defaults(func=_cmd_solve, pick=lambda a: (
+        f"tsp --baseline {a.baseline}" if a.baseline else "tsp --path" if a.path else "tsp"))
 
     p_pm = sub.add_parser("count-pm", help="count perfect matchings")
     p_pm.add_argument("--input", required=True)
     p_pm.add_argument("--algo", choices=COUNT_PM_ALGOS, default="inex")
-    p_pm.set_defaults(func=_cmd_count_pm)
+    p_pm.set_defaults(func=_cmd_solve, pick=lambda a: f"count-pm-{a.algo}")
 
     p_bip = sub.add_parser("count-pm-bip", help="count bipartite perfect matchings")
     p_bip.add_argument("--input", required=True)
     p_bip.add_argument("--alpha", type=_rational)
     p_bip.add_argument("--swap-sides", action="store_true")
     p_bip.add_argument("--baseline", action="store_true")
-    p_bip.set_defaults(func=_cmd_count_pm_bip)
+    p_bip.set_defaults(func=_cmd_solve, pick=lambda a: (
+        "count-pm-bip --baseline" if a.baseline else "count-pm-bip"))
 
     p_stats = sub.add_parser("stats", help="degree and structural statistics")
     p_stats.add_argument("--input", required=True)

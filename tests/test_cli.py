@@ -119,6 +119,40 @@ def test_tsp_path_refuses_a_baseline(capsys, tmp_path):
         assert "--path" in captured.err and "--baseline" in captured.err
 
 
+BENCH_GRID = ["--sizes", "8", "--degrees", "3", "--seeds", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["count-pm-bip", "--baseline", "--alpha", "3.55"], "--alpha"),
+        (["count-pm-bip", "--baseline", "--alpha", "0"], "--alpha"),
+        (["bench", "--algo", "tsp", "--alpha", "1", *BENCH_GRID], "--alpha"),
+        (["bench", "--algo", "count-pm-dp", "--alpha", "0", *BENCH_GRID], "--alpha"),
+        (["tsp", "--path", "0", "3", "--baseline", "oracle"], "--path"),
+    ],
+)
+def test_a_solver_flag_the_entry_does_not_read_exits_2(capsys, tmp_path, argv, flag):
+    """A solver flag that the chosen SOLVERS entry does not read is refused
+    in one line naming it, not ignored; an --alpha of 0 counts as given.
+    The solve commands refuse it before reading the input, which here is
+    missing."""
+    if argv[0] != "bench":
+        argv = [*argv, "--input", str(tmp_path / "missing.txt")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("expdeg: error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err and "missing" not in captured.err
+
+
+def test_run_bench_refuses_a_flag_the_algo_does_not_read():
+    with pytest.raises(ValueError, match="tsp does not read --alpha"):
+        run_bench("tsp", "regular", [8], [3], [1], alpha=1)
+    with pytest.raises(ValueError, match="count-pm-dp does not read --alpha"):
+        run_bench("count-pm-dp", "gnm", [8], [3], [1], alpha=0)
+
+
 def test_parser_reuse_leaks_no_state(capsys, c4w_file, k4_file):
     """One parser serves every main call in a process: each call of a
     sequence prints what a freshly built parser prints for it."""

@@ -10,10 +10,12 @@ import pytest
 
 from expdeg import (
     Graph,
+    count_pm_bipartite,
     count_pm_dp,
     count_pm_inex,
     deg2_witness,
     oracle_count_pm,
+    random_bipartite_min2,
     random_gnm,
     random_regular,
     serialize_graph,
@@ -637,3 +639,36 @@ def test_cover_dp_past_32_nodes(n, edges, count):
     may pass its vertex cap, count exactly: a cycle has 2 perfect matchings
     and the ladder P_35 x K2, paired along its rungs, has Fib(36)."""
     assert run_cover_dp(build_contracted_graph(n, edges)).count == count
+
+
+# --- differential checks past the oracle caps -------------------------------
+
+
+@pytest.mark.parametrize("k", [20, 22, 24])
+def test_a_bipartite_graph_counts_as_a_general_graph(k):
+    """count_pm_bipartite against count_pm_dp, two different algorithms and
+    neither an oracle (oracle_count_pm stops at n = 20): the bipartite graph
+    with A-vertex i as i and B-vertex j as k + j has the same perfect
+    matchings."""
+    for m in (3 * k, 7 * k // 2):
+        for seed in (1, 2):
+            b = random_bipartite_min2(k, m, seed)
+            g = Graph(2 * k, [(i, k + j, 1) for i, j in b.edges])
+            want = count_pm_bipartite(b).count
+            assert want > 0 and count_pm_dp(g).count == want, (k, m, seed)
+
+
+@pytest.mark.parametrize("n", [32, 40, 48])
+def test_a_relabelled_graph_keeps_its_matching_count(n):
+    """count_pm_dp against itself on a random vertex permutation, which
+    changes its greedy pairing and the entries it stores, so the two runs
+    are close to independent; neither is an oracle (oracle_count_pm stops at
+    n = 20, and count_pm_inex is out of reach at these n)."""
+    rng = random.Random(n)
+    for seed in (1, 2):
+        g = random_regular(n, 3, seed)
+        perm = rng.sample(range(n), n)
+        moved = Graph(n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+        base, other = count_pm_dp(g), count_pm_dp(moved)
+        assert base.count > 0 and other.count == base.count, (n, seed)
+        assert other.states_visited != base.states_visited, (n, seed)

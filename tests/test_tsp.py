@@ -862,3 +862,46 @@ def test_relabelling_keeps_tour_weights():
             assert tour_weight(g, back, cycle=False) == moved.weight
             checked += 1
     assert checked > 20
+
+
+# --- differential checks past the oracle caps -------------------------------
+
+
+def weighted_cubic(n: int, seed: int) -> Graph:
+    """random_regular(n, 3, seed) with seeded weights 1..100."""
+    return reweighted(random_regular(n, 3, seed), seed * 1000 + n, w_max=100)
+
+
+@pytest.mark.parametrize("n", [24, 30, 36])
+def test_cycle_is_the_best_path_plus_its_closing_edge(n):
+    """tsp_cycle against ham_path, two runs of the same tour DP and neither
+    an oracle (oracle_tsp stops at n = 10, Held-Karp at 22): a cheapest
+    cycle through the anchor a is a cheapest a-b path, for some neighbour
+    b of a, closed by the edge (a, b)."""
+    for seed in (1, 2):
+        g = weighted_cubic(n, seed)
+        a = anchor_vertex(g)
+        cycle = tsp_cycle(g)
+        paths = [(ham_path(g, a, b), b) for b in g.neighbors(a)]
+        closed = [res.weight + g.weight(a, b) for res, b in paths if res is not None]
+        assert cycle is not None and closed, (n, seed)
+        assert cycle.weight == min(closed), (n, seed)
+        assert tour_weight(g, cycle.order, cycle=True) == cycle.weight
+
+
+def test_every_anchor_gives_the_same_weight():
+    """The tour DP from each of the n anchors, and tsp_cycle on a random
+    relabelling, against one another: runs of one DP from different
+    starting points, none of them an oracle (n = 24 is past oracle_tsp and
+    Held-Karp), so they must agree on the cheapest tour's weight."""
+    rng = random.Random(24)
+    for seed in (1, 2):
+        g = weighted_cubic(24, seed)
+        want = tsp_cycle(g).weight
+        for a in range(g.n):
+            res = tsp._cycle(g, a)
+            assert res.order[0] == a and res.weight == want, (seed, a)
+            assert tour_weight(g, res.order, cycle=True) == want
+        perm = rng.sample(range(g.n), g.n)
+        moved = Graph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+        assert tsp_cycle(moved).weight == want, seed
