@@ -18,6 +18,7 @@ from expdeg import (
 )
 from expdeg import pm_inex
 from expdeg.pm_inex import (
+    _inex_labels,
     build_arc_graph,
     count_anchored_walks,
     count_leaf_term,
@@ -214,6 +215,12 @@ def allowing_nodes(ag: tuple) -> list[tuple[int, int]]:
     return list(rec(len(ag) // 2 - 1, frozenset(), 0))
 
 
+def counted_arc_graph(g: Graph) -> tuple:
+    """The arc graph inex_accumulators runs on: g's, under _inex_labels."""
+    label = _inex_labels(g)
+    return build_arc_graph(Graph(g.n, [(label[u], label[v], w) for u, v, w in g.edges]))
+
+
 def with_pair_edges(g: Graph, seed: int) -> Graph:
     """g plus random edges (2p, 2p+1), which become arc self-loops."""
     rng = random.Random(seed)
@@ -222,9 +229,10 @@ def with_pair_edges(g: Graph, seed: int) -> Graph:
 
 
 def test_table_walks_match_naive_dp(monkeypatch):
-    """The folds run at exactly the allowing nodes that no dead label
-    prunes, in order, and at each the closed walks the folded table yields
-    equal a fresh walk DP at that anchor and allowed mask."""
+    """On the arc graph the counter runs on, the folds run at exactly the
+    allowing nodes that no dead label prunes, in order, and at each the
+    closed walks the folded table yields equal a fresh walk DP at that
+    anchor and allowed mask."""
     calls = []
 
     def recording(table, anchor, trunc):
@@ -239,7 +247,7 @@ def test_table_walks_match_naive_dp(monkeypatch):
     for g in graphs:
         calls.clear()
         inex_accumulators(g)
-        ag = build_arc_graph(g)
+        ag = counted_arc_graph(g)
         half, width = g.n // 2, field_width(ag)
         nodes = allowing_nodes(ag)
         assert [anchor for anchor, _ in calls] == [anchor for anchor, _ in nodes]
@@ -311,15 +319,16 @@ def capped_graph(n: int, m: int, cap: int, seed: int) -> Graph:
 def test_field_width_holds_every_coefficient(monkeypatch):
     """Rerun with fields three times as wide, where nothing can overflow,
     and check that every coefficient the counter holds stays below 2^F for
-    the F that field_width gives: the walk tables in and out of each fold,
-    the closed-walk series, the products, and the two leaf sums, each of
-    which adds at most 2^(n/2) products or leaf terms prod * W_0."""
+    the F that field_width gives on the arc graph the counter runs on: the
+    walk tables in and out of each fold, the closed-walk series, the
+    products, and the two leaf sums, each of which adds at most 2^(n/2)
+    products or leaf terms prod * W_0."""
     graphs = [complete_graph(n) for n in (12, 14, 16)]
     graphs += [random_gnm(16, 100, 1), random_gnm(16, 110, 2), hub_graph(14)]
     graphs += [capped_graph(n, 2 * n, 5, seed) for n, seed in ((14, 1), (16, 2))]
     graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs[5:])]
     for g in graphs:
-        half, width = g.n // 2, field_width(build_arc_graph(g))
+        half, width = g.n // 2, field_width(counted_arc_graph(g))
         wide = 3 * width
         largest = {"walks": 0, "products": 0, "leaves": 0}
 
@@ -546,6 +555,37 @@ def test_dead_labels_leave_the_sums_exact(monkeypatch):
     assert pruned > len(graphs) // 2
 
 
+def shuffled_graph(g: Graph, seed: int) -> Graph:
+    """g under a seeded random vertex permutation."""
+    perm = random.Random(seed).sample(range(g.n), g.n)
+    return Graph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+
+
+def test_inex_labels_cut_the_folds(monkeypatch):
+    """On shuffled cubic n = 18 graphs the folds run at exactly the allowing
+    nodes of the arc graph under _inex_labels, and they total at most 0.75x
+    those of the arc graph on the input's own labels.  The total is pinned,
+    so any change to the label rule shows here."""
+    anchors = []
+
+    def recording(table, anchor, trunc):
+        anchors.append(anchor)
+        return count_anchored_walks(table, anchor, trunc)
+
+    monkeypatch.setattr(pm_inex, "count_anchored_walks", recording)
+    folds = unlabelled = 0
+    for seed in range(1, 11):
+        g = shuffled_graph(random_regular(18, 3, seed), seed)
+        anchors.clear()
+        inex_accumulators(g)
+        nodes = allowing_nodes(counted_arc_graph(g))
+        assert anchors == [anchor for anchor, _ in nodes], seed
+        folds += len(anchors)
+        unlabelled += len(allowing_nodes(build_arc_graph(g)))
+    assert folds <= 0.75 * unlabelled, (folds, unlabelled)
+    assert (folds, unlabelled) == (2225, 3395)
+
+
 def test_accumulators_divisible_and_nonnegative():
     for seed in range(25):
         g = seeded_graph(seed, 10)
@@ -710,3 +750,31 @@ def test_arbitrary_relabeling_invariance(seed):
     want = count_pm_inex(g)
     assert count_pm_inex(relabeled) == want
     assert count_pm_dp(relabeled).count == count_pm_dp(g).count == want
+
+
+@pytest.mark.parametrize("n", [20, 22, 24])
+def test_relabelled_cubic_counts_agree_with_the_cover_dp(n):
+    """Past the n <= 10 relabelling tests: under three random vertex
+    permutations of a cubic graph, count_pm_inex equals count_pm_dp.  Neither
+    solver is an oracle, so this checks that the two agree, and that
+    neither's own label choice changes its count."""
+    g = random_regular(n, 3, n)
+    want = count_pm_dp(g).count
+    assert want > 0
+    for seed in range(3):
+        relabelled = shuffled_graph(g, 100 * n + seed)
+        assert count_pm_inex(relabelled) == count_pm_dp(relabelled).count == want, seed
+
+
+def test_inex_labels_are_a_permutation():
+    """_inex_labels maps the vertices onto range(n) one to one on edge
+    cases: no vertex, one edge, an isolated vertex, a complete graph, and
+    graphs with pair edges; on the path 0-1-2-3 the ends take the low
+    labels and the middle vertices the high ones, last end's neighbour
+    first."""
+    cases = [Graph.from_edges(0, []), Graph.from_edges(2, [(0, 1)])]
+    cases += [Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]), complete_graph(8)]
+    cases += [with_pair_edges(even_seeded_graph(seed + 600, 12), seed) for seed in range(10)]
+    for g in cases:
+        assert sorted(_inex_labels(g)) == list(range(g.n)), g
+    assert _inex_labels(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) == [0, 3, 2, 1]
