@@ -57,12 +57,11 @@ def oracle_tsp(g: Graph, budget: OracleBudget = TSP_BUDGET) -> int | None:
         raise BudgetExceededError(f"TSP oracle capped at n={budget.max_n}")
     if g.n < 3:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")
-    weight = {}
-    for u, v, w in g.edges:
-        weight[(u, v)] = w
-        weight[(v, u)] = w
+    weight = {e: w for u, v, w in g.edges for e in ((u, v), (v, u))}
     best: int | None = None
-    for order in permutations(range(1, g.n)):
+    for work, order in enumerate(permutations(range(1, g.n)), 1):
+        if work > budget.max_work:
+            raise BudgetExceededError("TSP oracle exceeded its work budget")
         prev = 0
         total = 0
         for v in order:
@@ -86,7 +85,9 @@ def oracle_permanent(g: BipartiteGraph, budget: OracleBudget = PERMANENT_BUDGET)
         raise BudgetExceededError(f"permanent oracle capped at k={budget.max_n}")
     edges = set(g.edges)
     total = 0
-    for perm in permutations(range(g.k)):
+    for work, perm in enumerate(permutations(range(g.k)), 1):
+        if work > budget.max_work:
+            raise BudgetExceededError("permanent oracle exceeded its work budget")
         if all((i, j) in edges for i, j in enumerate(perm)):
             total += 1
     return total

@@ -8,6 +8,7 @@ the number of matchings of the first i A-vertices into Y, and drops Y when
 a B-vertex outside it has no neighbor among the A-vertices still to come.
 While only B0-free A-vertices have been matched, every kept set misses B0,
 so the kept sets are bounded by an explicit formula instead of 2^k.
+count_pm_bipartite pulls the levels by layers.drive and keeps the last.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .bitset import bits, mask_of
 from .counting import exact_fraction
 from .errors import CapacityError
 from .graphs import BipartiteGraph, Record
+from .layers import drive
 
 DEFAULT_ALPHA = Fraction("3.55")
 
@@ -192,10 +194,8 @@ def count_pm_bipartite(
         alpha = _check_alpha(alpha)  # plan_trim checks it on the other path
         return BipCountResult(int(red.feasible), 0, 0, 0, 0, Fraction(0), alpha)
     plan = plan_trim(h, alpha)
-    stored = pruned = 0
-    for level, dropped in _levels(h, plan.order_a):
-        stored += len(level)
-        pruned += dropped
+    [(level, _)], sizes = drive(_levels(h, plan.order_a), lambda lv: (len(lv[0]), lv[1]))
+    stored, pruned = map(sum, zip(*sizes))
     count = level.get((1 << k) - 1, 0)
     return BipCountResult(count, stored, pruned, len(plan.b0), k, plan.d, plan.alpha)
 

@@ -36,9 +36,9 @@ Since each cover arises in exactly one order and one direction, cover[all
 vertices] in layer k is the unordered count and no division by the number
 of cycles is needed.
 
-The generator _strata yields each layer as (paths, covers), in the pattern
-of pm_bipartite._levels, and keeps two layers live; run_cover_dp sums their
-entries into states_visited.
+The generator _strata yields each layer as (paths, covers), like
+pm_bipartite._levels.  run_cover_dp pulls it by layers.drive and keeps only
+the last layer, so two are live at once; states_visited sums their entries.
 
 Neighbour rule.  Every entry leaves a set U of unmatched original vertices,
 and U is exactly the complement of M.  An entry is stored only if every
@@ -94,6 +94,7 @@ on the greedy pairs.  The pass itself takes O(n^2) list operations.
 from __future__ import annotations
 
 from .graphs import Graph, Record
+from .layers import drive
 
 
 class LabeledMultigraph(Record):
@@ -204,14 +205,11 @@ def _strata(mg: LabeledMultigraph):
 
 def run_cover_dp(mg: LabeledMultigraph) -> PmDpResult:
     """count: label-disjoint cycle covers of the whole node set, the last
-    layer's entry for M = every original vertex; states_visited: the
-    entries stored over every layer."""
-    count = states = 0
-    for paths, covers in _strata(mg):
-        states += len(paths) + len(covers)
-        count = covers.get((1 << 2 * mg.k) - 1, 0)
-        del paths, covers  # let _strata free this layer when it moves on
-    return PmDpResult(count, states)
+    layer's entry for M = every original vertex, 0 if there is no layer;
+    states_visited: the entries stored over every layer."""
+    last, sizes = drive(_strata(mg), lambda layer: len(layer[0]) + len(layer[1]))
+    count = sum(covers.get((1 << 2 * mg.k) - 1, 0) for _, covers in last)
+    return PmDpResult(count, sum(sizes))
 
 
 def _matching_labels(g: Graph) -> list[int]:

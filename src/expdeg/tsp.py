@@ -13,14 +13,14 @@ A Hamiltonian a-b path of g is a Hamiltonian cycle of g + z, the graph with
 one added vertex z = n joined to a and b by weight-0 edges, less z; so
 `ham_path` solves that cycle, anchored at z, and reads the order from a.
 
-The sparse DP is the generator `_path_layers`, which yields one layer per
-path length, like `pm_dp._strata` and `pm_bipartite._levels`.  `_cycle`
-pulls only its first h = ceil((n+2)/2) layers and joins complementary
-halves: a Hamiltonian cycle through the anchor a splits at its vertex v in
-position h into two a-v paths of the same DP, over S (|S| = h) and over
-(V - S) | {a, v}.  The optimum is the cheapest such join.
-Tie rule: among optimal joins the smallest split vertex v, then the smallest
-mask S; each half is the DP's kept path, the second reversed.
+The sparse DP is the generator `_path_layers`, one layer per path length,
+like `pm_dp._strata` and `pm_bipartite._levels`.  `_cycle` pulls only its
+first h = ceil((n+2)/2) layers by `layers.drive`, keeps them all and joins
+complementary halves: a Hamiltonian cycle through the anchor a splits at
+its vertex v in position h into two a-v paths of the same DP, over S
+(|S| = h) and over (V - S) | {a, v}.  The optimum is the cheapest such
+join.  Tie rule: among optimal joins the smallest split vertex v, then the
+smallest mask S; each half is the DP's kept path, the second reversed.
 
 Neither engine stores a parent table, only costs.  A kept path is rebuilt
 backwards from its last state: at each step the predecessor is the smallest
@@ -39,11 +39,10 @@ states.
 
 from __future__ import annotations
 
-from itertools import chain, islice
-
 from .bitset import bits
 from .errors import CapacityError
 from .graphs import VERTEX_CAPACITY, Graph, Record
+from .layers import drive
 
 HELD_KARP_MAX_N = 22
 _INF = float("inf")
@@ -60,42 +59,29 @@ def _is_biconnected(g: Graph) -> bool:
     """True if g is connected and has no cut vertex.
 
     A graph with a Hamiltonian cycle is 2-connected, so the solvers refuse a
-    graph that fails this before running any DP.  Iterative lowpoint DFS
-    from vertex 0: a non-root u is a cut vertex iff some child subtree
-    reaches no vertex above u, the root iff it has two children.
+    graph that fails this before running any DP.  Lowpoint DFS from vertex
+    0: a non-root u is a cut vertex iff some child subtree reaches no vertex
+    above u, the root iff its first child's subtree misses a vertex.
     """
-    n = g.n
-    adj = g.adjacency
-    disc = [-1] * n
-    low = [0] * n
-    disc[0] = 0
-    seen = 1
-    root_children = 0
-    stack = [(0, iter(adj[0]))]
-    while stack:
-        u, it = stack[-1]
-        for v, _ in it:
-            if disc[v] < 0:
-                disc[v] = low[v] = seen
-                seen += 1
-                stack.append((v, iter(adj[v])))
-                break
-            if disc[v] < low[u]:
-                low[u] = disc[v]
-        else:
-            stack.pop()
-            if not stack:
-                break
-            p = stack[-1][0]
-            if len(stack) == 1:
-                root_children += 1
-                if root_children > 1:
-                    return False
-            elif low[u] >= disc[p]:
-                return False
-            if low[u] < low[p]:
-                low[p] = low[u]
-    return seen == n
+    n, adj, disc = g.n, g.adjacency, {0: 0}
+
+    def low(u: int) -> int:
+        # the lowest discovery index u's subtree reaches by one edge, or n
+        # once it holds a cut vertex; at most n <= 64 calls deep, g + z too
+        lo = disc[u] = len(disc)
+        for v, _ in adj[u]:
+            sub = disc.get(v)
+            if sub is None:
+                sub = low(v)
+                if sub >= disc[u]:
+                    return n
+            if sub < lo:
+                lo = sub
+        return lo
+
+    if not adj[0]:
+        return n == 1
+    return low(adj[0][0][0]) < n and len(disc) == n
 
 
 def _path_layers(g: Graph, a: int):
@@ -273,14 +259,13 @@ def _cycle(g: Graph, a: int) -> TourResult | None:
         return None
     n = g.n
     h = (n + 3) // 2
-    layers = list(islice(_path_layers(g, a), h))
+    layers, sizes = drive(_path_layers(g, a), lambda ds: sum(map(len, ds)), stop=h, keep=None)
     best = _join(n, a, layers[-1], layers[n + 1 - h])
     if best is None:
         return None
     weight, v, mask, partner = best
     first, second = (_reconstruct(g, layers, v, s) for s in (mask, partner))
-    states = sum(map(len, chain.from_iterable(layers)))
-    return TourResult(weight, first + second[-2:0:-1], states)
+    return TourResult(weight, first + second[-2:0:-1], sum(sizes))
 
 
 def ham_path(g: Graph, a: int, b: int) -> TourResult | None:

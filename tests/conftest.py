@@ -63,6 +63,11 @@ def matching_graph(pairs: int) -> Graph:
     return Graph.from_edges(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)])
 
 
+def plus_z(g: Graph, a: int, b: int) -> Graph:
+    """g + z: one added vertex z = n joined to a and b by weight-0 edges."""
+    return Graph(g.n + 1, [*g.edges, (a, g.n, 0), (b, g.n, 0)])
+
+
 def complete_bipartite(k: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(k, [(i, j) for i in range(k) for j in range(k)])
 

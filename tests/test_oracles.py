@@ -11,6 +11,8 @@ from expdeg import (
     oracle_count_pm,
     oracle_permanent,
     oracle_tsp,
+    random_bipartite,
+    random_regular,
 )
 from expdeg.pm_dp import build_contracted_graph
 from conftest import (
@@ -75,3 +77,8 @@ def test_budget_refusals():
         oracle_tsp(complete_graph(12))
     with pytest.raises(BudgetExceededError):
         oracle_permanent(complete_bipartite(10))
+    # under max_n, each oracle counts the orders or permutations it tries
+    with pytest.raises(BudgetExceededError, match="work budget"):
+        oracle_tsp(random_regular(10, 3, 1), OracleBudget(max_n=10, max_work=5))
+    with pytest.raises(BudgetExceededError, match="work budget"):
+        oracle_permanent(random_bipartite(9, 40, 1), OracleBudget(max_n=9, max_work=5))

@@ -114,8 +114,9 @@ def loaded_by(argv):
 @pytest.mark.parametrize(
     "argv, solver",
     [
-        (["tsp"], {"expdeg.tsp", "expdeg.bitset"}),
-        (["count-pm", "--algo", "dp"], {"expdeg.pm_dp"}),
+        # the sparse DPs walk their layers by expdeg.layers.drive
+        (["tsp"], {"expdeg.tsp", "expdeg.bitset", "expdeg.layers"}),
+        (["count-pm", "--algo", "dp"], {"expdeg.pm_dp", "expdeg.layers"}),
         (["count-pm", "--algo", "inex"], {"expdeg.pm_inex"}),
     ],
 )

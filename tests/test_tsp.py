@@ -30,6 +30,7 @@ from conftest import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    plus_z,
     seeded_graph,
     seeded_weighted_graph,
     star_graph,
@@ -46,11 +47,6 @@ def k4_spiked():
     return Graph.from_edges(
         4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 10), (0, 3, 10), (1, 3, 10)]
     )
-
-
-def plus_z(g: Graph, a: int, b: int) -> Graph:
-    """g + z: one added vertex z = n joined to a and b by weight-0 edges."""
-    return Graph(g.n + 1, [*g.edges, (a, g.n, 0), (b, g.n, 0)])
 
 
 # --- ham_path --------------------------------------------------------------
