@@ -6,8 +6,8 @@ survive JSON consumers; rationals are emitted as "p/q" strings.
 
 `SOLVERS` is the single dispatch point: every solver the CLI runs has one
 entry there, naming the solver flags it reads, which `_cmd_solve` (for `tsp`,
-`count-pm` and `count-pm-bip`) and `bench` call, so a bench row holds what
-the command prints for the same graph.
+`count-pm`, `count-pm-bip` and `stats`) and `bench` call, so a bench row
+holds what the command prints for the same graph.
 
 Importing this module loads only the graph types and the argument parser;
 each command imports the solver module it runs, and `csv`, `fractions` and
@@ -79,6 +79,49 @@ def _dp_count(result) -> dict:
     return {"count": str(result.count), "states_visited": result.states_visited}
 
 
+def _stats(structure, g, o) -> dict:
+    from fractions import Fraction
+
+    from .bitset import bits
+
+    profile = degree_profile(g)
+    gap = structure.find_gap_threshold(g, o.alpha)
+    d = max(profile.avg, Fraction(1))
+    max_deg = max(profile.max_degree, 1)  # the Delta of the size bound
+    disjoint = structure.find_disjoint_set(g, d)
+    payload = {
+        "n": g.n,
+        "m": g.m,
+        "avg_degree": str(profile.avg),
+        "max_degree": profile.max_degree,
+        "histogram": {str(k): v for k, v in sorted(profile.histogram.items())},
+        "gap": {
+            "alpha": str(o.alpha),
+            "d_threshold": gap.d_threshold,
+            "count_above": gap.count_above,
+            "bound": str(gap.bound),
+        },
+        "disjoint_set": {
+            "d": str(d),
+            "max_deg": max_deg,
+            "vertices": list(bits(disjoint)),
+            "size": disjoint.bit_count(),
+            "size_bound": math.ceil(Fraction(g.n, 2 + 4 * d * max_deg)),
+        },
+    }
+    if 2 <= g.n <= 14:
+        s, t = 0, g.n - 1
+        sets = structure.enumerate_deg2_sets(g, s, t)
+        payload["deg2_sample"] = {
+            "s": s,
+            "t": t,
+            "count": len(sets),
+            "total_subsets": 1 << g.n,
+            "ratio": str(Fraction(len(sets), 1 << g.n)),
+        }
+    return payload
+
+
 def _bip_count(pm_bipartite, g, o) -> dict:
     # --alpha and run_bench default to None, read here as DEFAULT_ALPHA so
     # that neither the parser nor run_bench imports pm_bipartite
@@ -140,6 +183,7 @@ SOLVERS = {
         lambda pm_bipartite, g, o: {"count": str(pm_bipartite.ryser_permanent(g))},
         reads=("baseline", "swap_sides"),
     ),
+    "stats": Solver(Graph, "structure", _stats, reads=("alpha",)),
 }
 # count-pm --algo X runs count-pm-X; bench runs the flagless entries that
 # store states.
@@ -173,58 +217,13 @@ def _check_flags(name: str, options) -> None:
 
 
 def _cmd_solve(args) -> None:
-    """tsp, count-pm and count-pm-bip: run the SOLVERS entry `pick` names."""
+    """Every command but gen and bench: run the SOLVERS entry `pick` names."""
     name = args.pick(args)
     _check_flags(name, args)
     g = _read_graph(args.input, SOLVERS[name].kind)
     if getattr(args, "swap_sides", False):
         g = g.transpose()
     _emit(_solve(name, g, args))
-
-
-def _cmd_stats(args) -> None:
-    from fractions import Fraction
-
-    from . import structure
-    from .bitset import bits
-
-    g = _read_graph(args.input, Graph)
-    profile = degree_profile(g)
-    gap = structure.find_gap_threshold(g, args.alpha)
-    d = max(profile.avg, Fraction(1))
-    max_deg = max(profile.max_degree, 1)  # the Delta of the size bound
-    disjoint = structure.find_disjoint_set(g, d)
-    payload = {
-        "n": g.n,
-        "m": g.m,
-        "avg_degree": str(profile.avg),
-        "max_degree": profile.max_degree,
-        "histogram": {str(k): v for k, v in sorted(profile.histogram.items())},
-        "gap": {
-            "alpha": str(args.alpha),
-            "d_threshold": gap.d_threshold,
-            "count_above": gap.count_above,
-            "bound": str(gap.bound),
-        },
-        "disjoint_set": {
-            "d": str(d),
-            "max_deg": max_deg,
-            "vertices": list(bits(disjoint)),
-            "size": disjoint.bit_count(),
-            "size_bound": math.ceil(Fraction(g.n, 2 + 4 * d * max_deg)),
-        },
-    }
-    if 2 <= g.n <= 14:
-        s, t = 0, g.n - 1
-        sets = structure.enumerate_deg2_sets(g, s, t)
-        payload["deg2_sample"] = {
-            "s": s,
-            "t": t,
-            "count": len(sets),
-            "total_subsets": 1 << g.n,
-            "ratio": str(Fraction(len(sets), 1 << g.n)),
-        }
-    _emit(payload)
 
 
 def _cmd_gen(args) -> None:
@@ -392,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="degree and structural statistics")
     p_stats.add_argument("--input", required=True)
     p_stats.add_argument("--alpha", type=_rational, default="1")
-    p_stats.set_defaults(func=_cmd_stats)
+    p_stats.set_defaults(func=_cmd_solve, pick=lambda a: "stats")
 
     p_gen = sub.add_parser("gen", help="generate a seeded random graph file")
     p_gen.add_argument("--model", required=True)

@@ -55,12 +55,12 @@ the partners of the neighbours of 2l, and symmetrically for 2l+1, while
 the unbanned vertices are closed under partners.  So label l is dead
 exactly when the heads out of 2l, or those out of 2l+1, are all banned,
 which is what the counter tests.  It tests every label at the root,
-which prunes the whole sum when a vertex is isolated.  In a ban child it
-tests only the labels below with an arc to or from the label just
-banned, since no other label lost a head; an allow child bans nothing
-new and needs no test.  Each test is two ANDs with precomputed head
-masks, and the sum still ranges over the 2^(n/2) subsets that
-`inex_subsets` reports.
+which prunes the whole sum when a vertex is isolated.  A ban child tests
+the labels below; those without an arc to or from the label just banned
+lost no head, so they pass as they did at the parent.  An allow child
+bans nothing new and needs no test.  Each test is two ANDs with
+precomputed head masks, and the sum still ranges over the 2^(n/2)
+subsets that `inex_subsets` reports.
 
 Label order.  The pairing is free, and how early a label dies depends on
 it, so inex_accumulators first relabels g by _inex_labels.  The vertices
@@ -70,7 +70,7 @@ which fills the top positions in reverse.  So low-degree vertices share
 the low labels, which are decided last, and their neighbours share the
 top labels, which are decided first: once the few labels holding a low
 vertex's neighbours are banned, that vertex's label is dead, and the
-subtree goes near the root.  On the perfbench count-inex mixes, seeds
+subtree goes close to the root.  On the perfbench count-inex mixes, seeds
 1/2/3, a pass runs 5,291 / 5,068 / 5,024 folds on these labels against
 10,665 / 11,037 / 12,234 on the input's own.  Pairing the edges of
 pm_dp's greedy matching instead prunes nothing, since each label's arcs
@@ -316,16 +316,10 @@ def inex_accumulators(g: Graph) -> list[int]:
     for u, heads in enumerate(out):
         for w in heads:
             arcs[u][w] += step
-    # masks[l]: the heads out of 2l and of 2l+1 as vertex masks; near[l]:
-    # masks[k] for the labels k < l with an arc to or from a vertex of l,
-    # the only labels whose deadness banning l can change
+    # masks[l]: the heads out of 2l and of 2l+1 as vertex masks
     masks = [
         (sum(1 << w for w in out[v]), sum(1 << w for w in out[v + 1]))
         for v in range(0, g.n, 2)
-    ]
-    near = [
-        tuple(masks[k] for k in range(label) if (out_a | out_b) >> 2 * k & 3)
-        for label, (out_a, out_b) in enumerate(masks)
     ]
     sums = [0, 0]  # packed sums of sign +1 and -1, less the prods that cancel
 
@@ -338,7 +332,7 @@ def inex_accumulators(g: Graph) -> list[int]:
         # label is dead
         if label:
             left = live & ~(3 << 2 * label)  # the live vertices once label is banned
-            for out_a, out_b in near[label]:
+            for out_a, out_b in masks[:label]:
                 if not (out_a & left and out_b & left):
                     break  # that label is dead once this one is banned
             else:

@@ -26,7 +26,9 @@ Neither engine stores a parent table, only costs.  A kept path is rebuilt
 backwards from its last state: at each step the predecessor is the smallest
 neighbour u of the endpoint v whose cost over the set without v, plus
 w(u, v), equals the current cost (the smallest cheapest predecessor, which
-is the one the forward relaxation keeps).
+is the one the forward relaxation keeps).  "No path" is an absent state: a
+missing dict key in the sparse DP, None in the dense table.  So every cost
+is an exact int sum of edge weights, whatever their size.
 
 The sparse DP drops a state when some unvisited vertex has fewer than two
 neighbours left for the rest of the tour (the completion test of
@@ -45,7 +47,6 @@ from .graphs import VERTEX_CAPACITY, Graph, Record
 from .layers import drive
 
 HELD_KARP_MAX_N = 22
-_INF = float("inf")
 
 
 class TourResult(Record):
@@ -203,7 +204,7 @@ def _reconstruct(g: Graph, layers: list, b: int, mask: int) -> tuple[int, ...]:
         mask ^= 1 << v
         below = layers[i - 1]
         for u, w in g.adjacency[v]:
-            if below[u].get(mask, _INF) + w == cost:
+            if below[u].get(mask) == cost - w:
                 v = u
                 break
         order.append(v)
@@ -330,33 +331,37 @@ def held_karp_cycle(g: Graph) -> TourResult | None:
     if not _is_biconnected(g):
         return None
     n = g.n
-    dp = [_INF] * ((1 << n) * n)
+    dp: list[int | None] = [None] * ((1 << n) * n)  # None: not reached
     dp[1 * n + 0] = 0  # state (mask {0}, at 0)
     states = 1
     for mask in range(1, 1 << n, 2):  # the masks holding vertex 0
         base = mask * n
         for u in bits(mask):
             cur = dp[base + u]
-            if cur == _INF:
+            if cur is None:
                 continue
             for v, w in g.adjacency[u]:
                 if (mask >> v) & 1 or v == 0:
                     continue
                 idx = (mask | (1 << v)) * n + v
                 cand = cur + w
-                if cand < dp[idx]:
-                    if dp[idx] == _INF:
-                        states += 1
-                    dp[idx] = cand
+                old = dp[idx]
+                if old is None:
+                    states += 1
+                elif cand >= old:
+                    continue
+                dp[idx] = cand
     full = (1 << n) - 1
-    best_w, v = min((dp[full * n + v] + w, v) for v, w in g.adjacency[0])
-    if best_w == _INF:
+    last = full * n  # the states over V
+    ends = [(dp[last + v] + w, v) for v, w in g.adjacency[0] if dp[last + v] is not None]
+    if not ends:
         return None
+    best_w, v = min(ends)
     order, mask = [v], full
     while v != 0:
         cost = dp[mask * n + v]
         mask ^= 1 << v
-        v = next(u for u, w in g.adjacency[v] if dp[mask * n + u] + w == cost)
+        v = next(u for u, w in g.adjacency[v] if dp[mask * n + u] == cost - w)
         order.append(v)
     order.reverse()
-    return TourResult(int(best_w), tuple(order), states)
+    return TourResult(best_w, tuple(order), states)

@@ -758,6 +758,34 @@ def test_ham_path_weight_is_held_karp_on_g_plus_z():
     assert feasible > 80
 
 
+def test_weights_past_the_float_range_stay_exact():
+    """Weights 10**400 + r, r in 0..99, do not fit a float, and a float sum
+    would lose r: the sparse DP, the dense table and the oracle agree
+    exactly, on the cycle and on three path queries per graph."""
+    def weight(res):
+        return None if res is None else res.weight
+
+    big = 10**400
+    feasible = 0
+    for seed in (1, 2, 3, 4):
+        rng = random.Random(seed)
+        g = random_regular(10, 3, seed)
+        g = Graph(10, [(u, v, big + rng.randrange(100)) for u, v, _ in g.edges])
+        best = oracle_tsp(g)
+        assert weight(tsp_cycle(g)) == weight(held_karp_cycle(g)) == best, seed
+        if best is not None:
+            assert tour_weight(g, tsp_cycle(g).order, cycle=True) == best
+            assert tour_weight(g, held_karp_cycle(g).order, cycle=True) == best
+            feasible += 1
+        for a, b in ((0, 9), (2, 5), (7, 3)):
+            res = ham_path(g, a, b)
+            assert weight(res) == weight(held_karp_cycle(plus_z(g, a, b))), (seed, a, b)
+            if res is not None:
+                assert tour_weight(g, res.order, cycle=False) == res.weight
+                feasible += 1
+    assert feasible > 6
+
+
 def test_ham_path_on_a_bare_path_graph():
     # P_n is not 2-connected, but P_n plus the edge between its ends is
     for n in (2, 3, 6, 9):
