@@ -31,12 +31,7 @@ _EXPORTS = {
         "parse_graph",
         "serialize_graph",
     ),
-    "oracles": (
-        "OracleBudget",
-        "oracle_count_pm",
-        "oracle_permanent",
-        "oracle_tsp",
-    ),
+    "oracles": ("OracleBudget", "oracle_count_pm", "oracle_tsp"),
     "pm_bipartite": (
         "BipCountResult",
         "count_pm_bipartite",

@@ -48,7 +48,12 @@ def _read_graph(path: str, kind: type) -> Graph | BipartiteGraph:
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, indent=2)
+    except ValueError:  # an int past Python's int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise CapacityError(f"the answer has more than {limit} digits to print") from None
+    sys.stdout.write(text + "\n")
 
 
 def _rational(text: str) -> Fraction:

@@ -12,11 +12,13 @@ starts a comment line, blank lines ignored):
     graph <n> <m>        header, then m lines "u v" or "u v w"
     bigraph <k> <m>      header, then m lines "i j" (i in side A, j in B)
 
-Vertices are 0-indexed; weights are decimal nonnegative integers and
-default to 1 when omitted.
+Vertices are 0-indexed; weights are decimal nonnegative integers, 1 when
+omitted, of at most Python's int-to-str digit limit (4,300 by default).
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import CapacityError, InputFormatError, _shown
 
@@ -300,7 +302,10 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
             pair = (int(tok[0]), int(tok[1]))
             edges.append(pair + (int(tok[2]),) if len(tok) == 3 else pair + tail)
     except ValueError:
-        raise InputFormatError("edge fields must be integers", line_no) from None
+        # int() also refuses a field past Python's digit limit, where it has one
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        cap = f" of at most {limit} digits" if limit and max(map(len, tok)) > limit else ""
+        raise InputFormatError(f"edge fields must be integers{cap}", line_no) from None
     try:
         return kind(size, edges)
     except _EdgeError as exc:

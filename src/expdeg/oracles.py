@@ -1,8 +1,11 @@
-"""Brute-force ground truths for the counting and TSP algorithms.
+"""Brute-force ground truths, one per question: perfect matchings and
+cheapest Hamiltonian cycles.
 
-These share no DP code with the main algorithms; they exist to be
-obviously correct and to refuse (rather than hang on) inputs beyond their
-work budgets.
+A bipartite count is checked as the perfect matchings of the general form
+of its graph (A-vertex i as i, B-vertex j as k + j), which the matching
+oracle counts.  Both share no DP code with the main algorithms; they
+exist to be obviously correct and to refuse (rather than hang on) inputs
+beyond their work budgets.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import BudgetExceededError
-from .graphs import BipartiteGraph, Graph, Record
+from .graphs import Graph, Record
 
 
 class OracleBudget(Record):
@@ -21,7 +24,6 @@ class OracleBudget(Record):
 
 PM_BUDGET = OracleBudget(max_n=20, max_work=10_000_000)
 TSP_BUDGET = OracleBudget(max_n=10, max_work=10_000_000)
-PERMANENT_BUDGET = OracleBudget(max_n=9, max_work=10_000_000)
 
 
 def oracle_count_pm(g: Graph, budget: OracleBudget = PM_BUDGET) -> int:
@@ -77,17 +79,3 @@ def oracle_tsp(g: Graph, budget: OracleBudget = TSP_BUDGET) -> int | None:
                 if best is None or total < best:
                     best = total
     return best
-
-
-def oracle_permanent(g: BipartiteGraph, budget: OracleBudget = PERMANENT_BUDGET) -> int:
-    """Permanent of the biadjacency matrix by summing over all k! permutations."""
-    if g.k > budget.max_n:
-        raise BudgetExceededError(f"permanent oracle capped at k={budget.max_n}")
-    edges = set(g.edges)
-    total = 0
-    for work, perm in enumerate(permutations(range(g.k)), 1):
-        if work > budget.max_work:
-            raise BudgetExceededError("permanent oracle exceeded its work budget")
-        if all((i, j) in edges for i, j in enumerate(perm)):
-            total += 1
-    return total

@@ -240,20 +240,6 @@ def _join(n: int, a: int, left: list, right: list) -> tuple[int, int, int, int] 
     return best
 
 
-def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
-    """Every (visited-set, endpoint) state the full sparse cycle DP (all n
-    layers, completion test and anchor rule) keeps from anchor a; for
-    instrumentation and state-space tests."""
-    if not 0 <= a < g.n:
-        raise ValueError("source out of range")
-    return [
-        (mask, v)
-        for layer in _path_layers(g, a)
-        for v, masks in enumerate(layer)
-        for mask in masks
-    ]
-
-
 def _cycle(g: Graph, a: int) -> TourResult | None:
     """`tsp_cycle` with the anchor a given: the order starts at a."""
     if not _is_biconnected(g):

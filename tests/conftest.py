@@ -19,6 +19,7 @@ from expdeg.errors import _shown
 from expdeg.graphs import VERTEX_CAPACITY
 from expdeg.pm_dp import LabeledMultigraph
 from expdeg.pm_inex import build_arc_graph
+from expdeg.tsp import _path_layers
 
 
 def complete_graph(n: int) -> Graph:
@@ -66,6 +67,23 @@ def matching_graph(pairs: int) -> Graph:
 def plus_z(g: Graph, a: int, b: int) -> Graph:
     """g + z: one added vertex z = n joined to a and b by weight-0 edges."""
     return Graph(g.n + 1, [*g.edges, (a, g.n, 0), (b, g.n, 0)])
+
+
+def general_form(b: BipartiteGraph) -> Graph:
+    """b as a general graph, A-vertex i as i and B-vertex j as k + j: it has
+    the same perfect matchings."""
+    return Graph(2 * b.k, [(i, b.k + j, 1) for i, j in b.edges])
+
+
+def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
+    """Every (visited-set, endpoint) state the full sparse cycle DP (all n
+    layers, completion test and anchor rule) keeps from anchor a."""
+    return [
+        (mask, v)
+        for layer in _path_layers(g, a)
+        for v, masks in enumerate(layer)
+        for mask in masks
+    ]
 
 
 def complete_bipartite(k: int) -> BipartiteGraph:

@@ -23,7 +23,6 @@ from expdeg import (
     find_gap_threshold,
     held_karp_cycle,
     oracle_count_pm,
-    oracle_permanent,
     oracle_tsp,
     random_bipartite_min2,
     random_regular,
@@ -33,13 +32,14 @@ from expdeg import (
 )
 from expdeg.bitset import bits
 from expdeg.pm_dp import build_contracted_graph
-from expdeg.tsp import path_dp_states
 from conftest import (
     complete_graph,
     cycle_graph,
+    general_form,
     k33_graph,
     naive_cover_dp,
     naive_inex_accumulators,
+    path_dp_states,
     petersen_graph,
     seeded_bipartite,
     seeded_graph,
@@ -93,17 +93,17 @@ def test_criterion_2_alternating_covers_equal_matchings():
 
 
 def test_criterion_3_bipartite_agreement_and_alpha_invariance():
-    """count = Ryser = permutation permanent on 300 instances, k in 1..8,
-    and the answer does not depend on alpha."""
+    """count = Ryser = matching oracle on the general form on 300
+    instances, k in 1..8, and the answer does not depend on alpha."""
     for seed in range(300):
         g = seeded_bipartite(seed + 20_000, 8)
-        want = oracle_permanent(g)
+        want = oracle_count_pm(general_form(g))
         assert ryser_permanent(g) == want, seed
         counts = {count_pm_bipartite(g, alpha).count for alpha in ALPHAS}
         assert counts == {want}, seed
     print(
-        "\nACCEPTANCE 3 PASS: bipartite count = Ryser = permanent on 300 "
-        "instances, invariant over alpha in {5/2, 3.55, 5}"
+        "\nACCEPTANCE 3 PASS: bipartite count = Ryser = matching oracle on the "
+        "general form on 300 instances, invariant over alpha in {5/2, 3.55, 5}"
     )
 
 

@@ -117,6 +117,44 @@ def test_tsp_weight_past_the_float_range(capsys, tmp_path):
         assert code == 0 and payload["weight"] == want, argv
 
 
+
+# Python's int-to-str digit limit; 0 where the interpreter has none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python reads and prints ints of any length"
+)
+
+
+@needs_digit_limit
+def test_an_answer_past_the_digit_limit_exits_3(capsys, tmp_path):
+    """A triangle whose weights each have as many nines as the digit limit
+    allows parses, and every tsp entry solves it; its weight is one digit
+    longer, so each refuses to print it with exit 3 in one line."""
+    nines = "9" * DIGIT_LIMIT
+    path = tmp_path / "tri.txt"
+    path.write_text(f"graph 3 3\n0 1 {nines}\n1 2 {nines}\n0 2 {nines}\n")
+    for argv in ([], ["--baseline"], ["--baseline", "oracle"], ["--path", "0", "2"]):
+        code = main(["tsp", "--input", str(path), *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", argv
+        assert captured.err == (
+            f"expdeg: capacity: the answer has more than {DIGIT_LIMIT} digits to print\n"
+        ), argv
+
+
+@needs_digit_limit
+def test_a_weight_past_the_digit_limit_exits_2_naming_it(capsys, tmp_path):
+    """A weight one digit past the limit is refused at its line, with the
+    limit named, not called a non-integer."""
+    path = tmp_path / "tri.txt"
+    path.write_text(f"graph 3 3\n0 1 {'9' * (DIGIT_LIMIT + 1)}\n1 2\n0 2\n")
+    code = main(["tsp", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"expdeg: error: line 2: edge fields must be integers of at most {DIGIT_LIMIT} digits\n"
+    )
+
 def test_tsp_path_refuses_a_baseline(capsys, tmp_path):
     """Both baselines solve cycles only, so --path with --baseline exits 2
     with one line naming both flags instead of dropping one of them."""

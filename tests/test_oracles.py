@@ -9,9 +9,7 @@ from expdeg import (
     Graph,
     OracleBudget,
     oracle_count_pm,
-    oracle_permanent,
     oracle_tsp,
-    random_bipartite,
     random_regular,
 )
 from expdeg.pm_dp import build_contracted_graph
@@ -19,6 +17,7 @@ from conftest import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    general_form,
     naive_cover_dp,
     star_graph,
     unordered_total,
@@ -59,13 +58,14 @@ def test_alternating_covers_hand_values():
 
 
 def test_permanent_hand_values():
-    assert oracle_permanent(complete_bipartite(3)) == 6
+    """Permanents, counted as the perfect matchings of the general form."""
+    assert oracle_count_pm(general_form(complete_bipartite(3))) == 6
     identity4 = BipartiteGraph.from_edges(4, [(i, i) for i in range(4)])
-    assert oracle_permanent(identity4) == 1
+    assert oracle_count_pm(general_form(identity4)) == 1
     near = BipartiteGraph.from_edges(
         3, [(i, j) for i in range(3) for j in range(3) if (i, j) != (2, 2)]
     )
-    assert oracle_permanent(near) == 4
+    assert oracle_count_pm(general_form(near)) == 4
 
 
 def test_budget_refusals():
@@ -75,10 +75,6 @@ def test_budget_refusals():
         oracle_count_pm(complete_graph(12), OracleBudget(max_n=20, max_work=50))
     with pytest.raises(BudgetExceededError):
         oracle_tsp(complete_graph(12))
-    with pytest.raises(BudgetExceededError):
-        oracle_permanent(complete_bipartite(10))
-    # under max_n, each oracle counts the orders or permutations it tries
+    # under max_n, the TSP oracle counts the orders it tries
     with pytest.raises(BudgetExceededError, match="work budget"):
         oracle_tsp(random_regular(10, 3, 1), OracleBudget(max_n=10, max_work=5))
-    with pytest.raises(BudgetExceededError, match="work budget"):
-        oracle_permanent(random_bipartite(9, 40, 1), OracleBudget(max_n=9, max_work=5))

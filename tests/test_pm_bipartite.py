@@ -10,7 +10,7 @@ import pytest
 from expdeg import (
     BipartiteGraph,
     count_pm_bipartite,
-    oracle_permanent,
+    oracle_count_pm,
     plan_trim,
     reduce_degree_one,
     random_bipartite_min2,
@@ -19,7 +19,7 @@ from expdeg import (
 )
 from expdeg.bitset import bits
 from expdeg.pm_bipartite import DEFAULT_ALPHA, _levels
-from conftest import complete_bipartite, seeded_bipartite
+from conftest import complete_bipartite, general_form, seeded_bipartite
 
 ALPHAS = (Fraction(5, 2), Fraction("3.55"), Fraction(5))
 
@@ -38,7 +38,7 @@ def test_reduce_forced_chain():
     assert red.feasible
     assert red.graph.k == 0
     assert set(red.forced_pairs) == {(0, 0), (1, 1)}
-    assert count_pm_bipartite(g).count == 1 == oracle_permanent(g)
+    assert count_pm_bipartite(g).count == 1 == oracle_count_pm(general_form(g))
 
 
 def test_reduce_isolated_infeasible():
@@ -59,11 +59,11 @@ def test_reduce_preserves_count():
     for seed in range(40):
         g = seeded_bipartite(seed, 7)
         red = reduce_degree_one(g)
-        want = oracle_permanent(g)
+        want = oracle_count_pm(general_form(g))
         if not red.feasible:
             assert want == 0
         else:
-            assert oracle_permanent(red.graph) == want
+            assert oracle_count_pm(general_form(red.graph)) == want
 
 
 def test_reduce_replays_as_degree_one_forcings():
@@ -174,10 +174,21 @@ def test_count_named():
 def test_count_agreement_seeded():
     for seed in range(120):
         g = seeded_bipartite(seed, 8)
-        want = oracle_permanent(g)
+        want = oracle_count_pm(general_form(g))
         assert ryser_permanent(g) == want, seed
         for alpha in ALPHAS:
             assert count_pm_bipartite(g, alpha).count == want, (seed, alpha)
+
+
+@pytest.mark.parametrize("m", [30, 40, 50])
+def test_count_agreement_at_k10(m):
+    """The level DP and Ryser against the matching oracle on the general
+    form (n = 20) at k = 10, past the 9! sum of a permutation brute force."""
+    for seed in (1, 2, 3):
+        g = random_bipartite_min2(10, m, seed)
+        want = oracle_count_pm(general_form(g))
+        assert ryser_permanent(g) == want, (m, seed)
+        assert count_pm_bipartite(g).count == want, (m, seed)
 
 
 def test_ryser_examples():
@@ -291,7 +302,7 @@ def test_permanent_invariant_under_transpose_and_permutations():
         g = random_bipartite_min2(k, rng.randint(2 * k, k * k), seed)
         want = ryser_permanent(g)
         if k <= 9:
-            assert oracle_permanent(g) == want, seed
+            assert oracle_count_pm(general_form(g)) == want, seed
         rows = list(range(k))
         cols = list(range(k))
         rng.shuffle(rows)
@@ -306,4 +317,4 @@ def test_permanent_invariant_under_transpose_and_permutations():
         for h in variants:
             assert count_pm_bipartite(h).count == ryser_permanent(h) == want, seed
             if k <= 8:
-                assert oracle_permanent(h) == want, seed
+                assert oracle_count_pm(general_form(h)) == want, seed

@@ -18,11 +18,11 @@ from expdeg import (
     random_regular,
 )
 from expdeg.bitset import bits, mask_of
-from expdeg.tsp import path_dp_states
 from conftest import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    path_dp_states,
     path_graph,
     seeded_graph,
     star_graph,

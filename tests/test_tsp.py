@@ -22,12 +22,12 @@ from expdeg.tsp import (
     _path_layers,
     _reconstruct,
     anchor_vertex,
-    path_dp_states,
 )
 from conftest import (
     bowtie_graph,
     complete_graph,
     cycle_graph,
+    path_dp_states,
     path_graph,
     petersen_graph,
     plus_z,
@@ -74,8 +74,6 @@ def test_ham_path_argument_errors():
         ham_path(g, 0, 0)
     with pytest.raises(ValueError):
         ham_path(g, 0, 5)
-    with pytest.raises(ValueError, match="source out of range"):
-        path_dp_states(g, 3)
 
 
 def test_ham_path_two_vertices():
