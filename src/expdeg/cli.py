@@ -29,7 +29,14 @@ from collections import namedtuple
 from importlib import import_module
 
 from .errors import CapacityError, ExpdegError
-from .graphs import BipartiteGraph, Graph, degree_profile, parse_graph, serialize_graph
+from .graphs import (
+    BipartiteGraph,
+    Graph,
+    _digit_cap,
+    degree_profile,
+    parse_graph,
+    serialize_graph,
+)
 
 
 def _read_graph(path: str, kind: type) -> Graph | BipartiteGraph:
@@ -57,13 +64,22 @@ def _emit(payload: dict) -> None:
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type: an exact rational such as 3.55, 7/2 or 1e3."""
+    """argparse type: an exact rational such as 3.55, 7/2 or 1e3.  A value
+    that is refused is echoed in one short line: past 40 characters, its
+    first 20 and its length."""
     from fractions import Fraction
 
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        pass
+    import re
+
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    # Fraction reads each run of digits with int(), which has the digit limit
+    cap = _digit_cap(re.findall(r"\d+", text))
+    what = f"rationals must be written with integers{cap}" if cap else "not a rational number"
+    raise argparse.ArgumentTypeError(f"{what}: {shown}")
 
 
 def _tour(result) -> dict:

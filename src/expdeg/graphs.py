@@ -240,6 +240,15 @@ def pair_partner(v: int) -> int:
     return v ^ 1
 
 
+def _digit_cap(fields) -> str:
+    """The message suffix ' of at most L digits' when a field is longer
+    than L, Python's int-to-str digit limit, where it has one, and ''
+    otherwise: int() refuses such a field as it refuses a non-integer."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    longest = max(map(len, fields), default=0)
+    return f" of at most {limit} digits" if limit and longest > limit else ""
+
+
 def parse_graph(text: str) -> Graph | BipartiteGraph:
     """Parse the text format described in the module docstring.
 
@@ -271,7 +280,9 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
     try:
         size, m = int(header[1]), int(header[2])
     except ValueError:
-        raise InputFormatError("header sizes must be integers", header_line) from None
+        raise InputFormatError(
+            f"header sizes must be integers{_digit_cap(header[1:])}", header_line
+        ) from None
     if size < 0 or m < 0:
         raise InputFormatError("header sizes must be nonnegative", header_line)
     what = "vertex count" if header[0] == "graph" else "bipartite side size"
@@ -302,10 +313,7 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
             pair = (int(tok[0]), int(tok[1]))
             edges.append(pair + (int(tok[2]),) if len(tok) == 3 else pair + tail)
     except ValueError:
-        # int() also refuses a field past Python's digit limit, where it has one
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        cap = f" of at most {limit} digits" if limit and max(map(len, tok)) > limit else ""
-        raise InputFormatError(f"edge fields must be integers{cap}", line_no) from None
+        raise InputFormatError(f"edge fields must be integers{_digit_cap(tok)}", line_no) from None
     try:
         return kind(size, edges)
     except _EdgeError as exc:

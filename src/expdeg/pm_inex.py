@@ -33,11 +33,16 @@ folds vertex t = 2l+1 and then a = 2l into the table in one pass,
 for v = t and then v = a, which admits v as an inner vertex: two rank-one
 updates into one new table over 0..2l-1.  W_2l is T[a][a] once t is
 folded in, the closed walks at 2l that stay above it.  At label l only
-vertices 0..2l+1 remain, so the 2^(n/2-1) nodes at label 0 each cost
-O(1) series operations.  Such a node reads W_0 off its 2x2 table and
-adds prod * W_0 to the sum of its sign: banning label 0 would add prod
-with one sign and allowing it prod * (1 + W_0) with the other, and the
-two prods cancel.
+vertices 0..2l+1 remain.  A node at label 0 would read W_0 off its 2x2
+table and add only prod * W_0 to the sum of its sign: banning label 0
+would add prod with one sign and allowing it prod * (1 + W_0) with the
+other, and the two prods cancel.  So each node at label 1, of at most
+2^(n/2-2), closes labels 1 and 0 in one step, in straight-line code on
+its 4x4 table: it adds its ban child's leaf term prod * W_0(T) to one
+sum and its allow child's prod * (1 + W_2) * W_0(T'') to the other,
+where T'' is the 2x2 table left after folding 3 and 2, and no node at
+label 0 is built.  Only n = 2, whose root decides label 0, folds at
+anchor 0.
 
 A node returns before it recurses when an undecided label is dead: when
 each of its two vertices v has no arc out to a vertex of an unbanned
@@ -56,9 +61,10 @@ the unbanned vertices are closed under partners.  So label l is dead
 exactly when the heads out of 2l, or those out of 2l+1, are all banned,
 which is what the counter tests.  It tests every label at the root,
 which prunes the whole sum when a vertex is isolated.  A ban child tests
-the labels below; those without an arc to or from the label just banned
-lost no head, so they pass as they did at the parent.  An allow child
-bans nothing new and needs no test.  Each test is two ANDs with
+the labels below (at label 1, label 0 alone, before its leaf term is
+formed); those without an arc to or from the label just banned lost no
+head, so they pass as they did at the parent.  An allow child bans
+nothing new and needs no test.  Each test is two ANDs with
 precomputed head masks, and the sum still ranges over the 2^(n/2)
 subsets that `inex_subsets` reports.
 
@@ -71,8 +77,10 @@ the low labels, which are decided last, and their neighbours share the
 top labels, which are decided first: once the few labels holding a low
 vertex's neighbours are banned, that vertex's label is dead, and the
 subtree goes close to the root.  On the perfbench count-inex mixes, seeds
-1/2/3, a pass runs 5,291 / 5,068 / 5,024 folds on these labels against
-10,665 / 11,037 / 12,234 on the input's own.  Pairing the edges of
+1/2/3, a pass reaches 5,291 / 5,068 / 5,024 allowing nodes on these
+labels against 10,665 / 11,037 / 12,234 on the input's own; with labels
+1 and 0 closed in one step, that is 2,735 / 2,620 / 2,600 folds and
+closings.  Pairing the edges of
 pm_dp's greedy matching instead prunes nothing, since each label's arcs
 are then self-loops, which never die.  A count does not depend on
 labels, so nothing is mapped back.
@@ -80,8 +88,9 @@ labels, so nothing is mapped back.
 Each series is one Python int holding its coefficients in F-bit fields
 (a Kronecker substitution x = 2^F), so a truncated product is one integer
 multiply and a mask.  `field_width` takes F from exact walk counts of the
-arc graph, which bound every walk series and product the recursion
-forms, and proves that no field overflows.  Too narrow a width gives a
+arc graph, which bound every walk series and product the recursion forms
+and, summed over the leaves' anchor sets, both signed leaf sums, and
+proves that no field overflows.  Too narrow a width gives a
 wrong count that the zero check below length n/2 need not catch.  The
 live state is one table of O(n^2) packed series of (n/2+1)*F bits, and
 one product, per level of the recursion, so space stays polynomial.
@@ -95,15 +104,23 @@ from operator import or_
 from .graphs import Graph, pair_partner
 
 
-def build_arc_graph(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The directed labeled arc graph on g's n vertices, as out[v], the
-    heads of the arcs leaving v, all of which carry label v//2.  Two arcs
-    per input edge: (partner(x) -> y, label x//2) and symmetric, so the
-    heads out of v are the neighbours of partner(v), in order; a self-loop
-    occurs whenever an input edge joins the two members of one pair."""
+def build_arc_graph(g: Graph, label) -> tuple[tuple[int, ...], ...]:
+    """The directed labeled arc graph on g's n vertices, renamed by label
+    (label[v] is v's new name, and range(n) keeps the names), as out[v],
+    the heads of the arcs leaving v, all of which carry label v//2.  Two
+    arcs per input edge: (partner(x) -> y, label x//2) and symmetric, so
+    the heads out of v are the new names of the neighbours of the vertex
+    renamed partner(v), in g's adjacency order; a self-loop occurs whenever
+    an input edge joins the two members of one pair."""
     if g.n % 2 != 0:
         raise ValueError("vertex count must be even")
-    return tuple(g.neighbors(pair_partner(v)) for v in range(g.n))
+    vertex = [0] * g.n  # the inverse map: vertex[label[v]] = v
+    for v, new in enumerate(label):
+        vertex[new] = v
+    adj = g.adjacency
+    return tuple(
+        tuple(label[w] for w, _ in adj[vertex[pair_partner(v)]]) for v in range(g.n)
+    )
 
 
 def inex_subsets(n: int) -> int:
@@ -114,10 +131,12 @@ def inex_subsets(n: int) -> int:
 def field_width(out: tuple[tuple[int, ...], ...]) -> int:
     """Bits per packed coefficient, from exact walk counts of the arc graph
     A = out (from `build_arc_graph`), with n = len(out) and h = n/2: F is
-    the larger of the bit lengths of the largest entry of A^j for
-    1 <= j <= h and of 2^h * max_j B_j, where B is the product of
-    (1 + C_a(x)) over the h anchors a (the even vertices), truncated after
-    x^h, and C_a(x) sums (A^j)[a][a] x^j for j >= 1.
+    the largest of the bit lengths of the largest entry of A^j for
+    1 <= j <= h, of max_j B_j and of max_j S_j, where, with C_a(x) the sum
+    of (A^j)[a][a] x^j over j >= 1 and all series truncated after x^h,
+
+        B = prod over the h anchors a of (1 + C_a),
+        S = C_0 * prod over the anchors a >= 2 of (2 + C_a).
 
     Proof.  Every coefficient at or below x^h is an exact count, and
     (A^j)[u][w] counts all u->w walks of length j.  A table entry T[u][w]
@@ -128,24 +147,28 @@ def field_width(out: tuple[tuple[int, ...], ...]) -> int:
     and its partial products count closed walks at v, and W_a counts some
     of the closed walks at a, so W_a <= C_a coefficientwise.  A product is
     prod = (1 + W_a1)(1 + W_a2)... over the allowed anchors so far; all
-    terms are nonnegative, so prod <= B, and so is prod * W_0 <= prod *
-    (1 + W_0).  Each of the two leaf sums adds at most 2^h such terms.
-    Coefficients above x^h may exceed the field, but a carry moves only
-    upward and the mask drops it.  The zero check below length h does not
-    guard this width: narrower fields can give a wrong count that passes.
+    terms are nonnegative, so prod <= B.  A leaf term is prod * W_0 over
+    a set A of allowed anchors >= 2, at most C_0 * prod over A of
+    (1 + C_a); the leaves have distinct sets A, and summed over every A
+    these bounds give S, so the leaf sum of either sign, and both together,
+    stay at most S.  Coefficients above x^h may exceed the field, but a
+    carry moves only upward and the mask drops it.  The zero check below
+    length h does not guard this width: narrower fields can give a wrong
+    count that passes.
 
     With D = max(1, maximum degree), which is A's maximum out-degree,
     (A^j)[u][w] <= D^j and, by counting anchor sets and compositions,
-    B_j <= 4^h D^h, so F <= bitlen((8D)^h).
+    B_j <= 4^h D^h; S <= 2^(h-1) * B coefficientwise, since
+    2 + C_a <= 2 (1 + C_a) and C_0 <= 1 + C_0, so F <= bitlen((8D)^h).
     The counts take O(h * arcs) additions of one packed int per vertex v,
     whose field u holds (A^j)[u][v]; fields of bitlen(D^h) bits cannot
-    overflow, and B is packed in fields of bitlen((4D)^h) bits.
+    overflow, and B and S are packed in fields of bitlen((8D)^h) bits.
     """
     n = len(out)
     half = n // 2
     delta = max(1, max(map(len, out), default=0))  # v has deg(partner(v)) arcs
     room = (delta**half).bit_length()  # holds every (A^j)[u][w], j <= h
-    wide = ((4 * delta) ** half).bit_length()  # holds every B_j
+    wide = ((8 * delta) ** half).bit_length()  # holds every B_j and S_j
     field = (1 << room) - 1
     arcs = [(v, w) for v, heads in enumerate(out) for w in heads]
     into = [1 << room * v for v in range(n)]  # A^0 = I
@@ -159,19 +182,21 @@ def field_width(out: tuple[tuple[int, ...], ...]) -> int:
         seen = reduce(or_, into, seen)
         anchors.append(into[::2])
     trunc = (1 << wide * (half + 1)) - 1
-    bound = 1  # B
+    bound = leaves = 1  # B and S
     for i, columns in enumerate(zip(*anchors)):
         closed = 0  # C_2i
         for column in reversed(columns):
             closed = (closed | column >> 2 * i * room & field) << wide
         bound = bound * (1 + closed) & trunc
+        leaves = leaves * (2 + closed if i else closed) & trunc
     walk_bits = max(
         ((seen >> room * u & field).bit_length() for u in range(n)), default=0
     )
-    product_bits = max(
-        (bound >> wide * j & (1 << wide) - 1).bit_length() for j in range(half + 1)
+    both = bound | leaves  # the OR of two fields is as long as the longer
+    sum_bits = max(
+        (both >> wide * j & (1 << wide) - 1).bit_length() for j in range(half + 1)
     )
-    return max(walk_bits, product_bits + half)
+    return max(walk_bits, sum_bits)
 
 
 def _star(s: int, trunc: int) -> int:
@@ -202,15 +227,6 @@ def count_anchored_walks(
     At anchor 0, W = T00 + T01 * star(T11) * T10 and the folded table is
     empty.
     """
-    if not anchor:
-        row0, row1 = table[0], table[1]
-        walks, t01, t10, t11 = row0[0], row0[1], row1[0], row1[1]
-        if t01 and t10:
-            via = t01 * t10 & trunc
-            if t11:
-                via = via * _star(t11, trunc) & trunc
-            walks += via
-        return walks, []
     top = anchor + 1
     # walks out of top that may loop at top first: star(T[t][t]) * T[t][w]
     row = table[top]
@@ -260,11 +276,82 @@ def count_walk_tuples(prod: int, walks: int, trunc: int) -> int:
 
 
 def count_leaf_term(prod: int, walks: int, trunc: int) -> int:
-    """prod * walks, packed and masked to trunc: what a node at label 0
-    adds to the sum of its sign.  Banning label 0 would add prod to one sum
-    and allowing it prod * (1 + walks) to the other, and the two prods
-    cancel."""
+    """prod * walks, packed and masked to trunc: the leaf term a node at
+    label 0 adds to the sum of its sign, for walks = W_0.  Banning label 0
+    would add prod to one sum and allowing it prod * (1 + walks) to the
+    other, and the two prods cancel."""
     return prod * walks & trunc
+
+
+def _closed_at_0(t00: int, t01: int, t10: int, t11: int, trunc: int) -> int:
+    """W_0 = T00 + T01 * star(T11) * T10 of a table over vertices 0 and 1."""
+    if t01 and t10:
+        via = t01 * t10 & trunc
+        if t11:
+            via = via * _star(t11, trunc) & trunc
+        t00 += via
+    return t00
+
+
+def close_last_labels(
+    table: list[list[int]], prod: int, ban: bool, trunc: int
+) -> tuple[int, int]:
+    """The leaf terms of the two children of a node that decides label 1,
+    from its walk table over vertices 0..3 (rows and columns past 3 are not
+    read) and its product prod: (banned, allowed), with
+
+        banned = prod * W_0(T),                 or 0 unless ban is true,
+        allowed = prod * (1 + W_2) * W_0(T''),
+
+    where W_2 = T'[2][2] once vertex 3 is folded in, T'' is the table over
+    0 and 1 left after folding 3 and then 2, as count_anchored_walks(table,
+    2, trunc) returns them, and W_0 is read off a table as at anchor 0.
+    ban says whether the ban child is visited, i.e. label 0 is not dead
+    once label 1 is banned; the allow child bans nothing new.
+    """
+    row0, row1, row2, row3 = table[0], table[1], table[2], table[3]
+    t00, t01, t10, t11 = row0[0], row0[1], row1[0], row1[1]
+    banned = 0
+    if ban:
+        banned = count_leaf_term(prod, _closed_at_0(t00, t01, t10, t11, trunc), trunc)
+    # walks out of 3 that may loop at 3 first: star(T[3][3]) * T[3][w]
+    h0, h1, h2 = row3[0], row3[1], row3[2]
+    if row3[3] and (h0 or h1 or h2):
+        loops = _star(row3[3], trunc)
+        h0, h1, h2 = h0 * loops & trunc, h1 * loops & trunc, h2 * loops & trunc
+    # T' over 0..2; its entry [2][2] is W_2
+    t02, t12, t20, t21, walks = row0[2], row1[2], row2[0], row2[1], row2[2]
+    up = row0[3]
+    if up:
+        t00 += up * h0 & trunc
+        t01 += up * h1 & trunc
+        t02 += up * h2 & trunc
+    up = row1[3]
+    if up:
+        t10 += up * h0 & trunc
+        t11 += up * h1 & trunc
+        t12 += up * h2 & trunc
+    up = row2[3]
+    if up:
+        t20 += up * h0 & trunc
+        t21 += up * h1 & trunc
+        walks += up * h2 & trunc
+    # T'' over 0 and 1: fold 2, looping on W_2 first
+    if walks and (t20 or t21):
+        loops = _star(walks, trunc)
+        t20, t21 = t20 * loops & trunc, t21 * loops & trunc
+    if t02:
+        t00 += t02 * t20 & trunc
+        t01 += t02 * t21 & trunc
+    if t12:
+        t10 += t12 * t20 & trunc
+        t11 += t12 * t21 & trunc
+    allowed = count_leaf_term(
+        count_walk_tuples(prod, walks, trunc),
+        _closed_at_0(t00, t01, t10, t11, trunc),
+        trunc,
+    )
+    return banned, allowed
 
 
 def _inex_labels(g: Graph) -> list[int]:
@@ -303,9 +390,7 @@ def inex_accumulators(g: Graph) -> list[int]:
     acc[n/2] is the number of perfect matchings and every lower entry is 0:
     a tuple of length j < n/2 has only j arcs for n/2 labels.
     """
-    label = _inex_labels(g)
-    g = Graph(g.n, [(label[u], label[v], w) for u, v, w in g.edges])
-    out = build_arc_graph(g)
+    out = build_arc_graph(g, _inex_labels(g))
     half = g.n // 2
     if not half:
         return [1]  # the empty family, and no label to exclude
@@ -321,6 +406,7 @@ def inex_accumulators(g: Graph) -> list[int]:
         (sum(1 << w for w in out[v]), sum(1 << w for w in out[v + 1]))
         for v in range(0, g.n, 2)
     ]
+    zero_a, zero_b = masks[0]
     sums = [0, 0]  # packed sums of sign +1 and -1, less the prods that cancel
 
     def visit(
@@ -330,7 +416,7 @@ def inex_accumulators(g: Graph) -> list[int]:
         # the allowed ones, `prod` counts the walk tuples on their anchors,
         # `live` masks the vertices of unbanned labels, and no undecided
         # label is dead
-        if label:
+        if label > 1:
             left = live & ~(3 << 2 * label)  # the live vertices once label is banned
             for out_a, out_b in masks[:label]:
                 if not (out_a & left and out_b & left):
@@ -340,7 +426,14 @@ def inex_accumulators(g: Graph) -> list[int]:
             walks, table = count_anchored_walks(table, 2 * label, trunc)
             prod = count_walk_tuples(prod, walks, trunc)
             visit(label - 1, table, prod, negative, live)
-        else:
+        elif label:
+            left = live & ~0b1100
+            banned, allowed = close_last_labels(
+                table, prod, bool(zero_a & left and zero_b & left), trunc
+            )
+            sums[negative ^ 1] += banned
+            sums[negative] += allowed
+        else:  # n = 2: the root decides label 0
             walks, _ = count_anchored_walks(table, 0, trunc)
             sums[negative] += count_leaf_term(prod, walks, trunc)
 

@@ -417,7 +417,7 @@ def naive_inex_accumulators(g: Graph) -> list[int]:
     I, so it equals r! times the number of matchings whose pairing overlay
     splits into exactly r cycles."""
     half = g.n // 2
-    ag = build_arc_graph(g)
+    ag = build_arc_graph(g, range(g.n))
     acc = [0] * (half + 1)
     for banned in range(1 << half):
         labels = [l for l in range(half) if not (banned >> l) & 1]

@@ -155,6 +155,62 @@ def test_a_weight_past_the_digit_limit_exits_2_naming_it(capsys, tmp_path):
         f"expdeg: error: line 2: edge fields must be integers of at most {DIGIT_LIMIT} digits\n"
     )
 
+@needs_digit_limit
+def test_a_header_size_past_the_digit_limit_exits_2_naming_it(capsys, tmp_path):
+    """A header size one digit past the limit is refused at its line with
+    the limit named, as an edge field is; one digit less is read, and is
+    over the vertex capacity."""
+    path = tmp_path / "big.txt"
+    for digits, code, err in (
+        (DIGIT_LIMIT + 1, 2,
+         f"error: line 1: header sizes must be integers of at most {DIGIT_LIMIT} digits"),
+        (DIGIT_LIMIT, 3, "capacity: line 1: vertex count is over 10^18, capacity is 64"),
+    ):
+        path.write_text(f"graph {'9' * digits} 0\n")
+        assert main(["tsp", "--input", str(path)]) == code, digits
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"expdeg: {err}\n", digits
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-pm-bip", "--alpha"],
+        ["stats", "--alpha"],
+        ["bench", "--algo", "count-pm-bip", "--sizes", "6", "--seeds", "1", "--degrees"],
+    ],
+)
+def test_a_rational_past_the_digit_limit_is_refused_in_one_short_line(
+    capsys, k4_file, k33_file, argv
+):
+    """A flag's rational with a run of digits one past the limit exits 2 in
+    one error line that names the limit and shows only the value's first 20
+    characters and its length, after argparse's usage lines; nothing is
+    solved and no traceback is printed."""
+    value = "9" * (DIGIT_LIMIT + 1)
+    files = {"count-pm-bip": k33_file, "stats": k4_file}
+    given = ["--input", files[argv[0]]] if argv[0] in files else []
+    assert main([*argv, value, *given]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1 and errors[0] == captured.err.splitlines()[-1]
+    assert errors[0].endswith(
+        f": rationals must be written with integers of at most {DIGIT_LIMIT} digits:"
+        f" {'9' * 20!r}... ({DIGIT_LIMIT + 1} characters)"
+    )
+    assert "Traceback" not in captured.err and len(captured.err) < 600
+
+
+def test_a_long_bad_rational_is_echoed_short(capsys, k33_file):
+    """A value that is no rational is echoed whole up to 40 characters, and
+    past that by its first 20 and its length."""
+    for value, shown in (("x" * 40, repr("x" * 40)), ("x" * 500, f"{'x' * 20!r}... (500 characters)")):
+        assert main(["count-pm-bip", "--alpha", value, "--input", k33_file]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"error: argument --alpha: not a rational number: {shown}")
+
+
 def test_tsp_path_refuses_a_baseline(capsys, tmp_path):
     """Both baselines solve cycles only, so --path with --baseline exits 2
     with one line naming both flags instead of dropping one of them."""

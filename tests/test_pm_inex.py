@@ -20,6 +20,7 @@ from expdeg import pm_inex
 from expdeg.pm_inex import (
     _inex_labels,
     build_arc_graph,
+    close_last_labels,
     count_anchored_walks,
     count_leaf_term,
     count_walk_tuples,
@@ -50,17 +51,17 @@ def arcs_of(ag: tuple) -> list[tuple[int, int, int]]:
 
 
 def test_arc_graph_single_edge():
-    ag = build_arc_graph(Graph.from_edges(2, [(0, 1)]))
+    ag = build_arc_graph(Graph.from_edges(2, [(0, 1)]), range(2))
     assert sorted(arcs_of(ag)) == [(0, 0, 0), (1, 1, 0)]
 
 
 def test_arc_graph_cross_pair_edge():
-    ag = build_arc_graph(Graph.from_edges(4, [(0, 2)]))
+    ag = build_arc_graph(Graph.from_edges(4, [(0, 2)]), range(4))
     assert sorted(arcs_of(ag)) == [(1, 2, 0), (3, 0, 1)]
 
 
 def test_arc_graph_k4_label_tally():
-    ag = build_arc_graph(complete_graph(4))
+    ag = build_arc_graph(complete_graph(4), range(4))
     assert len(arcs_of(ag)) == 12
     tally = {0: 0, 1: 0}
     for _, _, label in arcs_of(ag):
@@ -70,7 +71,21 @@ def test_arc_graph_k4_label_tally():
 
 def test_arc_graph_rejects_odd():
     with pytest.raises(ValueError):
-        build_arc_graph(complete_graph(3))
+        build_arc_graph(complete_graph(3), range(3))
+
+
+def test_arc_graph_under_labels_is_that_of_the_relabelled_graph():
+    """Renaming by a label map gives the arcs of the graph rebuilt under
+    those names, with the heads out of each vertex in any order, for
+    _inex_labels and for random permutations."""
+    rng = random.Random(8)
+    for seed in range(40):
+        g = with_pair_edges(even_seeded_graph(seed + 8500, 12), seed)
+        for label in (_inex_labels(g), rng.sample(range(g.n), g.n)):
+            renamed = Graph(g.n, [(label[u], label[v], w) for u, v, w in g.edges])
+            got = build_arc_graph(g, label)
+            want = build_arc_graph(renamed, range(g.n))
+            assert [sorted(heads) for heads in got] == [sorted(heads) for heads in want], g
 
 
 # --- anchored walk counts -----------------------------------------------------
@@ -114,14 +129,14 @@ def allowed_mask(n: int, banned) -> int:
 
 
 def test_walks_single_edge():
-    ag = build_arc_graph(Graph.from_edges(2, [(0, 1)]))
+    ag = build_arc_graph(Graph.from_edges(2, [(0, 1)]), range(2))
     assert naive_anchored_walks(ag, 0, 0b11) == [0, 1]
     # anchored at 1, vertex 0 is never visited
     assert naive_anchored_walks(ag, 1, 0b11) == [0, 1]
 
 
 def test_walks_c4_length_two():
-    ag = build_arc_graph(cycle_graph(4))
+    ag = build_arc_graph(cycle_graph(4), range(4))
     walks = naive_anchored_walks(ag, 0, 0b1111)
     assert walks[2] == brute_walk_count(ag, frozenset(), 0, 2) == 1
     # banning label 1 removes the only length-2 walk 0 -> 2 -> 0
@@ -133,7 +148,7 @@ def test_walks_match_brute_force():
         g = seeded_graph(seed + 40, 8)
         if g.n % 2:
             g = Graph.from_edges(g.n + 1, g.edges)
-        ag = build_arc_graph(g)
+        ag = build_arc_graph(g, range(g.n))
         half = g.n // 2
         for banned in (frozenset(), frozenset({0}), frozenset({half - 1}), frozenset({1, 2})):
             allowed = allowed_mask(g.n, banned)
@@ -189,7 +204,7 @@ def test_pair_vertices_are_stuck_together():
     graphs = [even_seeded_graph(seed + 8000, 12) for seed in range(30)]
     graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs)]
     for g in graphs:
-        ag = build_arc_graph(g)
+        ag = build_arc_graph(g, range(g.n))
         for _ in range(8):
             banned = {k for k in range(g.n // 2) if rng.random() < 0.4}
             for label in set(range(g.n // 2)) - banned:
@@ -215,10 +230,28 @@ def allowing_nodes(ag: tuple) -> list[tuple[int, int]]:
     return list(rec(len(ag) // 2 - 1, frozenset(), 0))
 
 
+def closing_nodes(ag: tuple) -> list[tuple[int | None, int]]:
+    """(ban mask, allow mask) at each node that decides label 1, in the
+    order the enumeration reaches them, skipping what allowing_nodes skips:
+    the allowed vertex masks of its two children once they allow label 0,
+    the ban mask None when label 0 is dead once label 1 is banned."""
+
+    def rec(label: int, banned: frozenset, allowed: int):
+        if any(dead_label(ag, k, banned) for k in range(label + 1)):
+            return
+        if label == 1:
+            ban = None if dead_label(ag, 0, banned | {1}) else allowed | 0b11
+            yield ban, allowed | 0b1111
+            return
+        yield from rec(label - 1, banned | {label}, allowed)
+        yield from rec(label - 1, banned, allowed | 3 << 2 * label)
+
+    return list(rec(len(ag) // 2 - 1, frozenset(), 0)) if len(ag) >= 4 else []
+
+
 def counted_arc_graph(g: Graph) -> tuple:
     """The arc graph inex_accumulators runs on: g's, under _inex_labels."""
-    label = _inex_labels(g)
-    return build_arc_graph(Graph(g.n, [(label[u], label[v], w) for u, v, w in g.edges]))
+    return build_arc_graph(g, _inex_labels(g))
 
 
 def with_pair_edges(g: Graph, seed: int) -> Graph:
@@ -230,32 +263,57 @@ def with_pair_edges(g: Graph, seed: int) -> Graph:
 
 def test_table_walks_match_naive_dp(monkeypatch):
     """On the arc graph the counter runs on, the folds run at exactly the
-    allowing nodes that no dead label prunes, in order, and at each the
-    closed walks the folded table yields equal a fresh walk DP at that
-    anchor and allowed mask."""
-    calls = []
+    allowing nodes with anchor >= 4 that no dead label prunes, in order, and
+    at each the closed walks the folded table yields equal a fresh walk DP
+    at that anchor and allowed mask.  Each node that decides label 1 closes
+    labels 1 and 0 in one step, and its two leaf terms equal prod * W_0, and
+    prod * (1 + W_2) * W_0, with W_2 and W_0 from the fresh walk DP at its
+    children's masks; the ban term is 0 exactly when label 0 is dead once
+    label 1 is banned.  On n = 2 the root folds at anchor 0."""
+    calls, closings = [], []
 
     def recording(table, anchor, trunc):
         walks, folded = count_anchored_walks(table, anchor, trunc)
         calls.append((anchor, walks))
         return walks, folded
 
+    def closing(table, prod, ban, trunc):
+        terms = close_last_labels(table, prod, ban, trunc)
+        closings.append((prod, ban, terms))
+        return terms
+
     monkeypatch.setattr(pm_inex, "count_anchored_walks", recording)
+    monkeypatch.setattr(pm_inex, "close_last_labels", closing)
     graphs = [even_seeded_graph(seed + 7000, 12) for seed in range(40)]
     graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs[:20])]
     graphs += [complete_graph(12), Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])]
+    graphs += [complete_graph(2), complete_graph(4), cycle_graph(4)]
     for g in graphs:
         calls.clear()
+        closings.clear()
         inex_accumulators(g)
         ag = counted_arc_graph(g)
         half, width = g.n // 2, field_width(ag)
-        nodes = allowing_nodes(ag)
+        trunc = (1 << width * (half + 1)) - 1
+        nodes = [node for node in allowing_nodes(ag) if node[0] >= 4 or half == 1]
         assert [anchor for anchor, _ in calls] == [anchor for anchor, _ in nodes]
         for (anchor, walks), (_, allowed) in zip(calls, nodes):
             assert walks >> width * (half + 1) == 0, (g, anchor)
             assert unpack(walks, half + 1, width) == naive_anchored_walks(
                 ag, anchor, allowed
             ), (g, anchor, allowed)
+        expected = closing_nodes(ag)
+        assert len(closings) == len(expected), g
+        for (prod, ban, (banned, allowed)), (ban_mask, allow_mask) in zip(closings, expected):
+            assert ban == (ban_mask is not None), (g, ban_mask)
+            if ban:
+                w0 = pack(naive_anchored_walks(ag, 0, ban_mask), width)
+                assert banned == prod * w0 & trunc, (g, ban_mask)
+            else:
+                assert banned == 0, g
+            w2 = pack(naive_anchored_walks(ag, 2, allow_mask), width)
+            w0 = pack(naive_anchored_walks(ag, 0, allow_mask), width)
+            assert allowed == prod * (1 + w2) * w0 & trunc, (g, allow_mask)
 
 
 @pytest.mark.parametrize("anchor", [0, 2, 4, 6, 8, 10, 12, 14])
@@ -293,6 +351,47 @@ def test_fused_fold_matches_two_reference_folds(anchor):
         assert table == before
 
 
+def test_closing_matches_reference_folds():
+    """close_last_labels gives prod * W_0 for its ban child, or 0 unless it
+    is visited, and prod * (1 + W_2) * W_0 for its allow child, with W_2
+    and W_0 read off single-vertex reference folds of vertices 3, 2 and 1,
+    on random packed tables with self-loops, all-zero rows and columns, and
+    rows and columns past 3 that must not be read; the input is left as it
+    was."""
+    rng = random.Random(4)
+    half = 5
+    trunc = (1 << WIDTH * (half + 1)) - 1  # counts stay far below 2^WIDTH
+
+    def series(density: float) -> int:
+        terms = [rng.randint(1, 3) if rng.random() < density else 0 for _ in range(half)]
+        return pack([0] + terms)
+
+    for case in range(200):
+        size = 4 + rng.choice([0, 0, 1, 2])
+        density = rng.choice([0.15, 0.5, 1.0])
+        table = [[series(density) for _ in range(size)] for _ in range(size)]
+        for v in range(4):
+            # a self-loop at v, or none
+            table[v][v] = series(1.0) if rng.random() < 0.5 else 0
+        for line in rng.sample(range(4), rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                table[line] = [0] * size
+            else:
+                for row in table:
+                    row[line] = 0
+        prod = pack([1] + [rng.randint(0, 5) for _ in range(half)])
+        ban = case % 3 != 0
+        before = [row[:] for row in table]
+        banned, allowed = close_last_labels(table, prod, ban, trunc)
+        once = eliminate_vertex(table, 3, trunc)
+        twice = eliminate_vertex(once, 2, trunc)
+        w0 = eliminate_vertex(table, 1, trunc)[0][0]
+        assert banned == (prod * w0 & trunc if ban else 0), case
+        w0 = eliminate_vertex(twice, 1, trunc)[0][0]
+        assert allowed == prod * (1 + once[2][2]) * w0 & trunc, case
+        assert table == before
+
+
 def hub_graph(n: int) -> Graph:
     """Vertex 0 joined to every other vertex, which also form a cycle."""
     spokes = [(0, v) for v in range(1, n)]
@@ -320,17 +419,20 @@ def test_field_width_holds_every_coefficient(monkeypatch):
     """Rerun with fields three times as wide, where nothing can overflow,
     and check that every coefficient the counter holds stays below 2^F for
     the F that field_width gives on the arc graph the counter runs on: the
-    walk tables in and out of each fold, the closed-walk series, the
-    products, and the two leaf sums, each of which adds at most 2^(n/2)
-    products or leaf terms prod * W_0."""
+    walk tables in and out of each fold, and those a label-1 closing folds
+    (its table, W_2, the 2x2 table left and its W_0), the closed-walk
+    series, the products, and the coefficientwise sum of every leaf term
+    prod * W_0, of both signs together."""
     graphs = [complete_graph(n) for n in (12, 14, 16)]
     graphs += [random_gnm(16, 100, 1), random_gnm(16, 110, 2), hub_graph(14)]
     graphs += [capped_graph(n, 2 * n, 5, seed) for n, seed in ((14, 1), (16, 2))]
     graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs[5:])]
+    graphs += [random_regular(n, 3, 1) for n in (18, 20)] + [capped_graph(18, 36, 5, 3)]
     for g in graphs:
         half, width = g.n // 2, field_width(counted_arc_graph(g))
         wide = 3 * width
-        largest = {"walks": 0, "products": 0, "leaves": 0}
+        largest = {"walks": 0, "products": 0}
+        leaves = [0] * (half + 1)
 
         def record(kind, series):
             field = max(unpack(series, half + 1, wide))
@@ -344,6 +446,19 @@ def test_field_width_holds_every_coefficient(monkeypatch):
             record("walks", walks)
             return walks, folded
 
+        def closing_recorded(table, prod, ban, trunc):
+            # the tables the closing folds through, by the reference fold:
+            # its own, T' (whose entry [2][2] is W_2) and T'', and their W_0
+            once = eliminate_vertex(table, 3, trunc)
+            twice = eliminate_vertex(once, 2, trunc)
+            for walks in ([row[:4] for row in table[:4]], once, twice):
+                for row in walks:
+                    for series in row:
+                        record("walks", series)
+            for walks in (table, twice):
+                record("walks", count_anchored_walks(walks, 0, trunc)[0])
+            return close_last_labels(table, prod, ban, trunc)
+
         def tuples_recorded(prod, walks, trunc):
             out = count_walk_tuples(prod, walks, trunc)
             record("products", out)
@@ -351,19 +466,60 @@ def test_field_width_holds_every_coefficient(monkeypatch):
 
         def leaves_recorded(prod, walks, trunc):
             out = count_leaf_term(prod, walks, trunc)
-            record("leaves", out)
+            for j, c in enumerate(unpack(out, half + 1, wide)):
+                leaves[j] += c
             return out
 
         with monkeypatch.context() as m:
             m.setattr(pm_inex, "field_width", lambda _: wide)
             m.setattr(pm_inex, "count_anchored_walks", walks_recorded)
+            m.setattr(pm_inex, "close_last_labels", closing_recorded)
             m.setattr(pm_inex, "count_walk_tuples", tuples_recorded)
             m.setattr(pm_inex, "count_leaf_term", leaves_recorded)
             acc = inex_accumulators(g)
         assert acc == inex_accumulators(g), g
         assert largest["walks"] < 1 << width, (g, largest, width)
-        assert largest["products"] << half < 1 << width, (g, largest, width)
-        assert largest["leaves"] << half < 1 << width, (g, largest, width)
+        assert largest["products"] < 1 << width, (g, largest, width)
+        assert max(leaves) < 1 << width, (g, leaves, width)
+
+
+def test_field_width_is_the_bound_it_proves():
+    """field_width's packed computation gives the F its proof states: the
+    largest bit length of an entry of A^j (1 <= j <= h), of a coefficient
+    of B = prod over the anchors of (1 + C_a) and of a coefficient of
+    S = C_0 * prod over the anchors a >= 2 of (2 + C_a), all truncated
+    after x^h, here from plain matrix powers and coefficient lists."""
+
+    def times(p: list[int], q: list[int]) -> list[int]:
+        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(len(p))]
+
+    graphs = [complete_graph(n) for n in (2, 4, 10, 12)] + [hub_graph(12)]
+    graphs += [even_seeded_graph(seed + 9500, 14) for seed in range(20)]
+    graphs += [with_pair_edges(g, i) for i, g in enumerate(graphs[5:15])]
+    for g in graphs:
+        ag = counted_arc_graph(g)
+        n, half = g.n, g.n // 2
+        power = [[int(u == w) for w in range(n)] for u in range(n)]
+        entries = 0
+        closed = [[0] * (half + 1) for _ in range(0, n, 2)]  # C_a by length
+        for j in range(1, half + 1):
+            nxt = [[0] * n for _ in range(n)]
+            for u in range(n):
+                for v, count in enumerate(power[u]):
+                    for w in ag[v]:
+                        nxt[u][w] += count
+            power = nxt
+            entries = max([entries] + [x for row in power for x in row])
+            for a in range(0, n, 2):
+                closed[a // 2][j] = power[a][a]
+        bound = [1] + [0] * half
+        leaves = closed[0][:] if n else [0]
+        for i, c in enumerate(closed):
+            bound = times(bound, [1 + c[0]] + c[1:])
+            if i:
+                leaves = times(leaves, [2 + c[0]] + c[1:])
+        want = max(x.bit_length() for x in [entries] + bound + leaves)
+        assert field_width(ag) == want, g
 
 
 def test_field_width_never_exceeds_the_degree_bound():
@@ -372,7 +528,7 @@ def test_field_width_never_exceeds_the_degree_bound():
     graphs += [complete_graph(n) for n in (12, 14, 16)]
     graphs += [hub_graph(n) for n in (10, 14, 16)]
     for g in graphs:
-        assert field_width(build_arc_graph(g)) <= degree_field_width(g), g
+        assert field_width(build_arc_graph(g, range(g.n))) <= degree_field_width(g), g
 
 
 def test_narrow_width_gives_a_wrong_count_unflagged(monkeypatch):
@@ -380,7 +536,7 @@ def test_narrow_width_gives_a_wrong_count_unflagged(monkeypatch):
     every signed sum below n/2 still vanishes: only the comparison with an
     oracle shows it, which is why field_width must be proved, not tuned."""
     g = complete_graph(12)
-    assert field_width(build_arc_graph(g)) > 13
+    assert field_width(build_arc_graph(g, range(g.n))) > 13
     monkeypatch.setattr(pm_inex, "field_width", lambda _: 13)
     assert count_pm_inex(g) != oracle_count_pm(g) == 10395
 
@@ -493,22 +649,28 @@ def test_alternating_cover_crosscheck():
 
 
 def folds_and_accumulators(monkeypatch, g: Graph) -> tuple[int, list[int]]:
-    """inex_accumulators(g) and the number of folds it ran."""
+    """inex_accumulators(g) and the number of folds plus label-1 closings
+    it ran."""
     calls = []
 
     def counting(table, anchor, trunc):
         calls.append(anchor)
         return count_anchored_walks(table, anchor, trunc)
 
+    def closing(table, prod, ban, trunc):
+        calls.append("closing")
+        return close_last_labels(table, prod, ban, trunc)
+
     with monkeypatch.context() as m:
         m.setattr(pm_inex, "count_anchored_walks", counting)
+        m.setattr(pm_inex, "close_last_labels", closing)
         acc = inex_accumulators(g)
     return len(calls), acc
 
 
 def test_isolated_vertex_prunes_the_root(monkeypatch):
     """An isolated vertex has no arc in, and its partner no arc out, so its
-    label is dead at the root: acc is all zero and no fold runs."""
+    label is dead at the root: acc is all zero and no fold or closing runs."""
     for g in (
         Graph.from_edges(2, []),
         Graph.from_edges(6, [(0, 1), (2, 3)]),
@@ -540,8 +702,9 @@ def sparse_graphs() -> list[Graph]:
 
 def test_dead_labels_leave_the_sums_exact(monkeypatch):
     """On sparse and disconnected graphs, where the rule prunes most, every
-    signed sum is still exact, and fewer than the 2^(n/2) - 1 folds of the
-    full enumeration run."""
+    signed sum is still exact, and fewer than the 2^(n/2-1) - 1 folds plus
+    closings of the full enumeration run: 2^(n/2-2) - 1 folds at anchors
+    of 4 and up, and 2^(n/2-2) nodes that close labels 1 and 0."""
     graphs = sparse_graphs()
     pruned = 0
     for g in graphs:
@@ -550,8 +713,8 @@ def test_dead_labels_leave_the_sums_exact(monkeypatch):
         assert acc == [0] * half + [count_pm_dp(g).count], g
         if g.n <= 12:
             assert acc[half] == oracle_count_pm(g), g
-        assert folds <= (1 << half) - 1
-        pruned += folds < (1 << half) - 1
+        assert folds <= (1 << half - 1) - 1
+        pruned += folds < (1 << half - 1) - 1
     assert pruned > len(graphs) // 2
 
 
@@ -563,27 +726,35 @@ def shuffled_graph(g: Graph, seed: int) -> Graph:
 
 def test_inex_labels_cut_the_folds(monkeypatch):
     """On shuffled cubic n = 18 graphs the folds run at exactly the allowing
-    nodes of the arc graph under _inex_labels, and they total at most 0.75x
-    those of the arc graph on the input's own labels.  The total is pinned,
-    so any change to the label rule shows here."""
+    nodes with anchor >= 4 of the arc graph under _inex_labels, and the
+    label-1 closings at its anchor-2 allowing nodes; those allowing nodes
+    total at most 0.75x those of the arc graph on the input's own labels.
+    The totals are pinned, so any change to the label rule shows here."""
     anchors = []
 
     def recording(table, anchor, trunc):
         anchors.append(anchor)
         return count_anchored_walks(table, anchor, trunc)
 
+    def closing(table, prod, ban, trunc):
+        anchors.append(2)
+        return close_last_labels(table, prod, ban, trunc)
+
     monkeypatch.setattr(pm_inex, "count_anchored_walks", recording)
-    folds = unlabelled = 0
+    monkeypatch.setattr(pm_inex, "close_last_labels", closing)
+    labelled = unlabelled = steps = 0
     for seed in range(1, 11):
         g = shuffled_graph(random_regular(18, 3, seed), seed)
         anchors.clear()
         inex_accumulators(g)
         nodes = allowing_nodes(counted_arc_graph(g))
-        assert anchors == [anchor for anchor, _ in nodes], seed
-        folds += len(anchors)
-        unlabelled += len(allowing_nodes(build_arc_graph(g)))
-    assert folds <= 0.75 * unlabelled, (folds, unlabelled)
-    assert (folds, unlabelled) == (2225, 3395)
+        assert anchors == [anchor for anchor, _ in nodes if anchor], seed
+        labelled += len(nodes)
+        steps += len(anchors)
+        unlabelled += len(allowing_nodes(build_arc_graph(g, range(g.n))))
+    assert labelled <= 0.75 * unlabelled, (labelled, unlabelled)
+    assert (labelled, unlabelled) == (2225, 3395)
+    assert steps == 1157  # the folds plus closings that ran
 
 
 def test_accumulators_divisible_and_nonnegative():
