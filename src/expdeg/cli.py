@@ -158,9 +158,8 @@ def _bip_count(pm_bipartite, g, o) -> dict:
 
 # kind: the graph class the solver reads; module: the expdeg module it
 # runs; run: (module, graph, options) -> payload without elapsed_ms;
-# states: the payload key of the stored-state count; reads: its SOLVER_FLAGS
+# states: the payload key of the stored-state count; reads: the solver flags it reads
 Solver = namedtuple("Solver", "kind module run states reads", defaults=(None, ()))
-SOLVER_FLAGS = ("path", "baseline", "alpha", "swap_sides")
 
 
 # Every solver the CLI runs, by name; the commands and bench dispatch here
@@ -206,6 +205,8 @@ SOLVERS = {
     ),
     "stats": Solver(Graph, "structure", _stats, reads=("alpha",)),
 }
+# every flag some entry reads, in first-seen order
+SOLVER_FLAGS = tuple(dict.fromkeys(f for s in SOLVERS.values() for f in s.reads))
 # count-pm --algo X runs count-pm-X; bench runs the flagless entries that
 # store states.
 COUNT_PM_ALGOS = [
@@ -256,61 +257,44 @@ def _cmd_gen(args) -> None:
     sys.stdout.write(serialize_graph(g))
 
 
-BENCH_COLUMNS = [
-    "algo",
-    "model",
-    "n",
-    "m",
-    "avg_degree",
-    "seed",
-    "result",
-    "states",
-    "log2_states_ratio",
-    "elapsed_ms",
-]
+BENCH_COLUMNS = ["algo", "model", "n", "m", "avg_degree", "seed", "result", "states",
+                 "log2_states_ratio", "elapsed_ms"]
 
 
-def _bench_row(algo: str, model: str, g, seed: int, options) -> dict:
-    """One bench row: what the command for `algo` prints for g, generated
-    from `seed` (n is the side size k in the bipartite model)."""
+def _bench_row(algo: str, model: str, g, n: int, seed: int, options) -> dict:
+    """One bench row, keyed by BENCH_COLUMNS: what the command for `algo`
+    prints for g, of size n (the side size k in the bipartite model),
+    generated from `seed`."""
     from fractions import Fraction
 
-    n = g.k if model == "bipartite" else g.n
     payload = _solve(algo, g, options)
     states = payload.get(SOLVERS[algo].states, 0)
     # a bipartite degree is per vertex of one side; log2(states) is per tour
     # vertex, or per matching edge: k in a bipartite graph, n/2 in a general one
-    avg = Fraction(g.m if model == "bipartite" else 2 * g.m, max(n, 1))
-    per = n if algo == "tsp" or model == "bipartite" else n // 2
+    bipartite = model == "bipartite"
+    avg = Fraction(g.m if bipartite else 2 * g.m, max(n, 1))
+    per = n if algo == "tsp" or bipartite else n // 2
     ratio = round(math.log2(states) / max(per, 1), 6) if states else 0.0
-    return {
-        "algo": algo,
-        "model": model,
-        "n": n,
-        "m": g.m,
-        "avg_degree": str(avg),
-        "seed": seed,
-        "result": str(payload.get("count", payload.get("weight", ""))),
-        "states": states,
-        "log2_states_ratio": ratio,
-        "elapsed_ms": payload["elapsed_ms"],
-    }
+    result = str(payload.get("count", payload.get("weight", "")))
+    return dict(zip(BENCH_COLUMNS, (
+        algo, model, n, g.m, str(avg), seed, result, states, ratio, payload["elapsed_ms"]
+    )))
 
 
 def run_bench(
     algo: str,
-    model: str,
+    model: str | None,
     sizes: list[int],
     degrees: list[Fraction | int | float],
     seeds: list[int],
     alpha: Fraction | str | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Run the grid sizes x degrees x seeds one instance after another in
-    this process, and return (rows, per-(n, d) summary).  count-pm-bip runs
-    the 'bipartite' model, where a size is the side size k; the others run
-    'gnm' or 'regular' (whole degrees).  A float degree is read by its
-    decimal repr (see exact_fraction).  alpha None is
-    pm_bipartite.DEFAULT_ALPHA."""
+    this process, and return (rows, per-(n, d) summary).  model None is the
+    algo's own: 'bipartite' for count-pm-bip, where a size is the side size
+    k, else 'gnm'; gen_random_graph draws 'gnm' and 'regular' (whole degrees)
+    and refuses a model it does not know.  A float degree is read by its
+    decimal repr (see exact_fraction).  alpha None is pm_bipartite.DEFAULT_ALPHA."""
     from fractions import Fraction
 
     from . import generate
@@ -319,6 +303,8 @@ def run_bench(
     options = argparse.Namespace(alpha=alpha)
     _check_flags(algo, options)
     bipartite = SOLVERS[algo].kind is BipartiteGraph
+    if model is None:
+        model = "bipartite" if bipartite else "gnm"
     if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
     if any(n < 0 for n in sizes):
@@ -336,13 +322,11 @@ def run_bench(
         for d in degrees:
             for seed in seeds:
                 if bipartite:
-                    m = max(2 * n, round(n * d))
-                    g = generate.random_bipartite_min2(n, m, seed)
-                elif model == "regular":
-                    g = generate.random_regular(n, int(d), seed)
+                    g = generate.random_bipartite_min2(n, max(2 * n, round(n * d)), seed)
                 else:
-                    g = generate.random_gnm(n, round(n * d / 2), seed)
-                rows.append(_bench_row(algo, model, g, seed, options))
+                    size = {"d": int(d)} if model == "regular" else {"m": round(n * d / 2)}
+                    g = generate.gen_random_graph(model, seed, n=n, **size)
+                rows.append(_bench_row(algo, model, g, n, seed, options))
     # --sizes, --degrees and --seeds may come in any order; d sorts as a
     # number, since as strings "10" would sort before "3" and "5/2"
     rows.sort(key=lambda r: (r["n"], Fraction(r["avg_degree"]), r["seed"]))
@@ -361,10 +345,8 @@ def run_bench(
 
 
 def _cmd_bench(args) -> None:
-    bipartite = SOLVERS[args.algo].kind is BipartiteGraph
-    model = args.model or ("bipartite" if bipartite else "gnm")
     rows, summary = run_bench(
-        args.algo, model, args.sizes, args.degrees, args.seeds, args.alpha
+        args.algo, args.model, args.sizes, args.degrees, args.seeds, args.alpha
     )
     if args.format == "csv":
         import csv

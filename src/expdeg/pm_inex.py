@@ -275,14 +275,6 @@ def count_walk_tuples(prod: int, walks: int, trunc: int) -> int:
     return prod * (1 + walks) & trunc
 
 
-def count_leaf_term(prod: int, walks: int, trunc: int) -> int:
-    """prod * walks, packed and masked to trunc: the leaf term a node at
-    label 0 adds to the sum of its sign, for walks = W_0.  Banning label 0
-    would add prod to one sum and allowing it prod * (1 + walks) to the
-    other, and the two prods cancel."""
-    return prod * walks & trunc
-
-
 def _closed_at_0(t00: int, t01: int, t10: int, t11: int, trunc: int) -> int:
     """W_0 = T00 + T01 * star(T11) * T10 of a table over vertices 0 and 1."""
     if t01 and t10:
@@ -298,7 +290,9 @@ def close_last_labels(
 ) -> tuple[int, int]:
     """The leaf terms of the two children of a node that decides label 1,
     from its walk table over vertices 0..3 (rows and columns past 3 are not
-    read) and its product prod: (banned, allowed), with
+    read) and its product prod: (banned, allowed), packed and masked to
+    trunc, each the prod * W_0 that a node at label 0 would add to the sum
+    of its sign (the prods its two children add cancel), with
 
         banned = prod * W_0(T),                 or 0 unless ban is true,
         allowed = prod * (1 + W_2) * W_0(T''),
@@ -313,7 +307,7 @@ def close_last_labels(
     t00, t01, t10, t11 = row0[0], row0[1], row1[0], row1[1]
     banned = 0
     if ban:
-        banned = count_leaf_term(prod, _closed_at_0(t00, t01, t10, t11, trunc), trunc)
+        banned = prod * _closed_at_0(t00, t01, t10, t11, trunc) & trunc
     # walks out of 3 that may loop at 3 first: star(T[3][3]) * T[3][w]
     h0, h1, h2 = row3[0], row3[1], row3[2]
     if row3[3] and (h0 or h1 or h2):
@@ -346,11 +340,8 @@ def close_last_labels(
     if t12:
         t10 += t12 * t20 & trunc
         t11 += t12 * t21 & trunc
-    allowed = count_leaf_term(
-        count_walk_tuples(prod, walks, trunc),
-        _closed_at_0(t00, t01, t10, t11, trunc),
-        trunc,
-    )
+    prod = count_walk_tuples(prod, walks, trunc)
+    allowed = prod * _closed_at_0(t00, t01, t10, t11, trunc) & trunc
     return banned, allowed
 
 
@@ -435,7 +426,7 @@ def inex_accumulators(g: Graph) -> list[int]:
             sums[negative] += allowed
         else:  # n = 2: the root decides label 0
             walks, _ = count_anchored_walks(table, 0, trunc)
-            sums[negative] += count_leaf_term(prod, walks, trunc)
+            sums[negative] += prod * walks & trunc
 
     if all(out_a and out_b for out_a, out_b in masks):
         visit(half - 1, arcs, 1, 0, (1 << g.n) - 1)

@@ -857,12 +857,38 @@ def test_bench_model_follows_algo(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("model", ["foo", "Regular"])
+def test_run_bench_refuses_a_model_gen_does_not_know(monkeypatch, model):
+    """A model that gen's table does not know is refused in gen's words
+    before any graph is drawn, not drawn as gnm under its own name."""
+
+    def drawn(*args):
+        raise AssertionError(f"a graph was drawn for {model!r}")
+
+    for name in ("random_gnm", "random_regular"):
+        monkeypatch.setattr(generate, name, drawn)
+    with pytest.raises(ValueError, match=f"^unknown model '{model}'$"):
+        run_bench("tsp", model, [8], [3], [1])
+
+
+@pytest.mark.parametrize("algo, model", [("tsp", "gnm"), ("count-pm-bip", "bipartite")])
+def test_run_bench_model_none_is_the_algos_own(algo, model):
+    """model None runs the algo's own model: the rows and summary of that
+    model named, elapsed_ms aside."""
+    runs = [run_bench(algo, m, [8, 10], [3, 2.5], [2, 1]) for m in (None, model)]
+    for rows, _ in runs:
+        for row in rows:
+            row["elapsed_ms"] = None
+    assert runs[0] == runs[1] and len(runs[0][0]) == 8
+    assert {row["model"] for row in runs[0][0]} == {model}
+
+
 def test_bench_rows_and_summary():
     rows, summary = run_bench(
         "count-pm-dp", "gnm", sizes=[10, 12], degrees=[3], seeds=[1, 2]
     )
     assert len(rows) == 4
-    assert [set(r) for r in rows] == [set(BENCH_COLUMNS)] * 4
+    assert [list(r) for r in rows] == [BENCH_COLUMNS] * 4
     assert rows == sorted(rows, key=lambda r: (r["n"], r["avg_degree"], r["seed"]))
     assert len(summary) == 2
     for s in summary:
@@ -991,27 +1017,19 @@ def test_bench_bipartite_state_bound():
 
 
 def test_bench_csv_format(capsys):
-    code = main(
-        [
-            "bench",
-            "--algo",
-            "count-pm-inex",
-            "--sizes",
-            "6",
-            "--degrees",
-            "2",
-            "--seeds",
-            "1",
-            "--format",
-            "csv",
-        ]
-    )
+    argv = ["bench", "--algo", "count-pm-inex", "--sizes", "6", "--degrees", "2",
+            "--seeds", "1", "--format", "csv"]
+    code = main(argv)
     assert code == 0
     out = capsys.readouterr().out
     assert "\r" not in out
     lines = out.strip().splitlines()
     assert lines[0] == ",".join(BENCH_COLUMNS)
     assert len(lines) == 2
+    # the JSON rows of the same grid have the header's keys, in its order
+    code, payload = run_json(capsys, argv[:-2])
+    assert code == 0
+    assert [list(row) for row in payload["rows"]] == [lines[0].split(",")]
 
 
 @pytest.mark.parametrize("algo", ["tsp", "count-pm-bip"])

@@ -22,7 +22,6 @@ from expdeg.pm_inex import (
     build_arc_graph,
     close_last_labels,
     count_anchored_walks,
-    count_leaf_term,
     count_walk_tuples,
     field_width,
     inex_accumulators,
@@ -422,7 +421,8 @@ def test_field_width_holds_every_coefficient(monkeypatch):
     walk tables in and out of each fold, and those a label-1 closing folds
     (its table, W_2, the 2x2 table left and its W_0), the closed-walk
     series, the products, and the coefficientwise sum of every leaf term
-    prod * W_0, of both signs together."""
+    prod * W_0, of both signs together, as the closings return them (at
+    n > 2 every leaf term comes from a closing)."""
     graphs = [complete_graph(n) for n in (12, 14, 16)]
     graphs += [random_gnm(16, 100, 1), random_gnm(16, 110, 2), hub_graph(14)]
     graphs += [capped_graph(n, 2 * n, 5, seed) for n, seed in ((14, 1), (16, 2))]
@@ -457,17 +457,15 @@ def test_field_width_holds_every_coefficient(monkeypatch):
                         record("walks", series)
             for walks in (table, twice):
                 record("walks", count_anchored_walks(walks, 0, trunc)[0])
-            return close_last_labels(table, prod, ban, trunc)
+            terms = close_last_labels(table, prod, ban, trunc)
+            for term in terms:
+                for j, c in enumerate(unpack(term, half + 1, wide)):
+                    leaves[j] += c
+            return terms
 
         def tuples_recorded(prod, walks, trunc):
             out = count_walk_tuples(prod, walks, trunc)
             record("products", out)
-            return out
-
-        def leaves_recorded(prod, walks, trunc):
-            out = count_leaf_term(prod, walks, trunc)
-            for j, c in enumerate(unpack(out, half + 1, wide)):
-                leaves[j] += c
             return out
 
         with monkeypatch.context() as m:
@@ -475,7 +473,6 @@ def test_field_width_holds_every_coefficient(monkeypatch):
             m.setattr(pm_inex, "count_anchored_walks", walks_recorded)
             m.setattr(pm_inex, "close_last_labels", closing_recorded)
             m.setattr(pm_inex, "count_walk_tuples", tuples_recorded)
-            m.setattr(pm_inex, "count_leaf_term", leaves_recorded)
             acc = inex_accumulators(g)
         assert acc == inex_accumulators(g), g
         assert largest["walks"] < 1 << width, (g, largest, width)
