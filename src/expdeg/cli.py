@@ -1,5 +1,8 @@
 """Command-line front end: JSON reports on stdout, diagnostics on stderr.
 
+Each report is one JSON object on one line: compact output is what lets
+`json.dumps` use CPython's C encoder, which it skips for indented output.
+
 Exit codes: 0 success, 2 input errors, 3 capacity/budget/memory refusals.
 Counts are always emitted as decimal strings so arbitrary-precision values
 survive JSON consumers; rationals are emitted as "p/q" strings.
@@ -56,7 +59,7 @@ def _read_graph(path: str, kind: type) -> Graph | BipartiteGraph:
 
 def _emit(payload: dict) -> None:
     try:
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload)
     except ValueError:  # an int past Python's int-to-str digit limit
         limit = sys.get_int_max_str_digits()
         raise CapacityError(f"the answer has more than {limit} digits to print") from None
@@ -292,9 +295,10 @@ def run_bench(
     """Run the grid sizes x degrees x seeds one instance after another in
     this process, and return (rows, per-(n, d) summary).  model None is the
     algo's own: 'bipartite' for count-pm-bip, where a size is the side size
-    k, else 'gnm'; gen_random_graph draws 'gnm' and 'regular' (whole degrees)
-    and refuses a model it does not know.  A float degree is read by its
-    decimal repr (see exact_fraction).  alpha None is pm_bipartite.DEFAULT_ALPHA."""
+    k, else 'gnm'; gen_random_graph draws 'gnm' and 'regular' (whole
+    degrees), and a model outside its table is refused before the grid is
+    read.  A float degree is read by its decimal repr (see exact_fraction).
+    alpha None is pm_bipartite.DEFAULT_ALPHA."""
     from fractions import Fraction
 
     from . import generate
@@ -305,6 +309,8 @@ def run_bench(
     bipartite = SOLVERS[algo].kind is BipartiteGraph
     if model is None:
         model = "bipartite" if bipartite else "gnm"
+    if model not in generate.MODEL_PARAMS:  # in gen's words, before any row
+        raise ValueError(f"unknown model {model!r}")
     if (model == "bipartite") != bipartite:
         raise ValueError(f"--algo {algo} does not run the {model!r} model")
     if any(n < 0 for n in sizes):

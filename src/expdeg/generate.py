@@ -104,7 +104,8 @@ def random_bipartite_min2(k: int, m: int, seed: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(k, edges)
 
 
-_MODEL_PARAMS = {"gnm": ("n", "m"), "regular": ("n", "d"), "bipartite": ("k", "m")}
+# the models gen_random_graph draws, each with the parameters it takes
+MODEL_PARAMS = {"gnm": ("n", "m"), "regular": ("n", "d"), "bipartite": ("k", "m")}
 
 
 def gen_random_graph(model: str, seed: int, **params) -> Graph | BipartiteGraph:
@@ -112,9 +113,9 @@ def gen_random_graph(model: str, seed: int, **params) -> Graph | BipartiteGraph:
     'bipartite' (k, m); ValueError for an unknown model, a missing
     parameter, or a parameter given that the model does not take (a
     parameter passed as None counts as not given)."""
-    if model not in _MODEL_PARAMS:
+    if model not in MODEL_PARAMS:
         raise ValueError(f"unknown model {model!r}")
-    takes = _MODEL_PARAMS[model]
+    takes = MODEL_PARAMS[model]
     given = [name for name, value in params.items() if value is not None]
     missing = [name for name in takes if name not in given]
     if missing:

@@ -1,13 +1,14 @@
 """Cheapest Hamiltonian paths and cycles by subset dynamic programming.
 
 Two engines: a sparse layered DP that stores only states reachable by an
-actual path that a Hamiltonian cycle could still finish (per layer, one
-dictionary per endpoint keyed on the visited set), and a dense Held-Karp
-reference table, which keeps every reachable state, used as the equality
-baseline in tests.  Both report how many states they materialized and
-rebuild the optimal vertex order by the same rule (below).  Both first check
-that the graph is 2-connected, which every graph with a Hamiltonian cycle
-is, and answer None without a DP when it is not.
+actual path that a Hamiltonian cycle could still finish (per layer, a list
+of n endpoint slots, each None or, for an endpoint that holds states, a
+dictionary keyed on the visited set), and a dense Held-Karp reference
+table, which keeps every reachable state, used as the equality baseline in
+tests.  Both report how many states they materialized and rebuild the
+optimal vertex order by the same rule (below).  Both first check that the
+graph is 2-connected, which every graph with a Hamiltonian cycle is, and
+answer None without a DP when it is not.
 
 A Hamiltonian a-b path of g is a Hamiltonian cycle of g + z, the graph with
 one added vertex z = n joined to a and b by weight-0 edges, less z; so
@@ -27,8 +28,8 @@ backwards from its last state: at each step the predecessor is the smallest
 neighbour u of the endpoint v whose cost over the set without v, plus
 w(u, v), equals the current cost (the smallest cheapest predecessor, which
 is the one the forward relaxation keeps).  "No path" is an absent state: a
-missing dict key in the sparse DP, None in the dense table.  So every cost
-is an exact int sum of edge weights, whatever their size.
+None slot or a missing dict key in the sparse DP, None in the dense table.
+So every cost is an exact int sum of edge weights, whatever their size.
 
 The sparse DP drops a state when some unvisited vertex has fewer than two
 neighbours left for the rest of the tour (the completion test of
@@ -91,9 +92,11 @@ def _path_layers(g: Graph, a: int):
 
     Layer i holds the (visited-set, endpoint) pairs realizable by a simple
     path of i + 1 vertices starting at a whose every state passes the
-    completion test and the anchor rule, as one dict per endpoint v mapping
-    the visited mask to the cheapest cost.  Only costs are stored: there are
-    no parent tables.
+    completion test and the anchor rule, as a list of n slots, one per
+    endpoint v.  A slot is None until the first state with endpoint v is
+    pushed, and from then on a dict mapping the visited mask to the cheapest
+    cost; so a layer holds a dict only for an endpoint that holds states.
+    Only costs are stored: there are no parent tables.
 
     Completion test.  (S, v) is kept only if every vertex r outside S has at
     least two neighbours in the free set (V - S) | {v, a}: the rest of a
@@ -139,7 +142,7 @@ def _path_layers(g: Graph, a: int):
     The arc table is built once per call: per vertex u, one tuple per arc
     u -> v with v's bit, v, the weight, v's neighbour mask for the
     completion test and v's rim for the anchor rule.  Every source of every
-    layer pushes through it into the next layer's dict of v.
+    layer pushes through it into the next layer's slot of v.
     """
     n = g.n
     full = (1 << n) - 1
@@ -154,13 +157,13 @@ def _path_layers(g: Graph, a: int):
          for v, w in g.adjacency[u]]
         for u in range(n)
     ]
-    layer: list[dict[int, int]] = [{} for _ in range(n)]
+    layer: list[dict[int, int] | None] = [None] * n
     # every vertex is free in the start state
     if all(nbrs[r].bit_count() >= 2 for r in range(n) if r != a):
-        layer[a][1 << a] = 0
+        layer[a] = {1 << a: 0}
     yield layer
     for _ in range(1, n):
-        nxt: list[dict[int, int]] = [{} for _ in range(n)]
+        nxt: list[dict[int, int] | None] = [None] * n
         for u, src in enumerate(layer):
             if not src:
                 continue
@@ -187,6 +190,9 @@ def _path_layers(g: Graph, a: int):
                             continue
                         cand = cost + w
                         dst = nxt[v]
+                        if dst is None:
+                            nxt[v] = {nmask: cand}
+                            continue
                         old = dst.get(nmask)
                         if old is None or cand < old:
                             dst[nmask] = cand
@@ -204,7 +210,8 @@ def _reconstruct(g: Graph, layers: list, b: int, mask: int) -> tuple[int, ...]:
         mask ^= 1 << v
         below = layers[i - 1]
         for u, w in g.adjacency[v]:
-            if below[u].get(mask) == cost - w:
+            src = below[u]
+            if src is not None and src.get(mask) == cost - w:
                 v = u
                 break
         order.append(v)
@@ -240,13 +247,18 @@ def _join(n: int, a: int, left: list, right: list) -> tuple[int, int, int, int] 
     return best
 
 
-def _cycle(g: Graph, a: int) -> TourResult | None:
-    """`tsp_cycle` with the anchor a given: the order starts at a."""
+def _cycle(g: Graph, a: int | None = None) -> TourResult | None:
+    """`tsp_cycle` anchored at a, or at `anchor_vertex(g)` when a is None,
+    picked only once g is known to be 2-connected: the order starts at a."""
     if not _is_biconnected(g):
         return None
+    if a is None:
+        a = anchor_vertex(g)
     n = g.n
     h = (n + 3) // 2
-    layers, sizes = drive(_path_layers(g, a), lambda ds: sum(map(len, ds)), stop=h, keep=None)
+    layers, sizes = drive(
+        _path_layers(g, a), lambda ds: sum(map(len, filter(None, ds))), stop=h, keep=None
+    )
     best = _join(n, a, layers[-1], layers[n + 1 - h])
     if best is None:
         return None
@@ -281,14 +293,16 @@ def ham_path(g: Graph, a: int, b: int) -> TourResult | None:
 
 def anchor_vertex(g: Graph) -> int:
     """Source vertex used by tsp_cycle: minimum degree, ties by index."""
-    return min(range(g.n), key=lambda v: (g.degree(v), v))
+    degrees = list(map(len, g.adjacency))
+    return degrees.index(min(degrees))
 
 
 def tsp_cycle(g: Graph) -> TourResult | None:
     """Smallest-weight Hamiltonian cycle, or None if none exists.
 
-    Answers None at once when g is not 2-connected.  Otherwise runs the path
-    DP from a minimum-degree anchor a up to layer h = ceil((n+2)/2) only.
+    Answers None at once when g is not 2-connected, before any solver work,
+    even the choice of anchor.  Otherwise runs the path DP from a
+    minimum-degree anchor a up to layer h = ceil((n+2)/2) only.
     Every Hamiltonian cycle splits at its vertex v in position h into two
     a-v paths, one over a set S of h vertices and one over
     T = (V - S) | {a, v} of n+2-h vertices, both states of that DP; the
@@ -299,7 +313,7 @@ def tsp_cycle(g: Graph) -> TourResult | None:
     """
     if g.n < 3:
         raise ValueError("a Hamiltonian cycle needs at least three vertices")
-    return _cycle(g, anchor_vertex(g))
+    return _cycle(g)
 
 
 def held_karp_cycle(g: Graph) -> TourResult | None:

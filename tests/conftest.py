@@ -77,11 +77,13 @@ def general_form(b: BipartiteGraph) -> Graph:
 
 def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
     """Every (visited-set, endpoint) state the full sparse cycle DP (all n
-    layers, completion test and anchor rule) keeps from anchor a."""
+    layers, completion test and anchor rule) keeps from anchor a; a None
+    endpoint slot holds none."""
     return [
         (mask, v)
         for layer in _path_layers(g, a)
         for v, masks in enumerate(layer)
+        if masks is not None
         for mask in masks
     ]
 

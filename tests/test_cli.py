@@ -291,6 +291,64 @@ def test_parser_reuse_leaks_no_state(capsys, c4w_file, k4_file):
     assert "order" in reused[0][1] and "subsets_processed" in reused[3][1]
 
 
+# every solving entry of SOLVERS: its argv less --input, and its payload,
+# elapsed_ms aside, on a weighted cubic graph of 8 vertices (a bigraph of
+# side 5 for count-pm-bip), as the indented output of the parent printed it
+ONE_LINE = {
+    "tsp": (["tsp"], {"weight": 18, "order": [0, 1, 6, 3, 5, 7, 4, 2], "states_visited": 26}),
+    "tsp --path": (
+        ["tsp", "--path", "0", "5"],
+        {"weight": 22, "order": [0, 2, 7, 4, 6, 1, 3, 5], "states_visited": 27},
+    ),
+    "tsp --baseline held-karp": (
+        ["tsp", "--baseline"],
+        {"weight": 18, "order": [0, 2, 4, 7, 5, 3, 6, 1], "states_visited": 93},
+    ),
+    "tsp --baseline oracle": (["tsp", "--baseline", "oracle"], {"weight": 18}),
+    "count-pm-inex": (
+        ["count-pm", "--algo", "inex"], {"count": "5", "subsets_processed": 16}
+    ),
+    "count-pm-dp": (["count-pm", "--algo", "dp"], {"count": "5", "states_visited": 14}),
+    "count-pm-oracle": (["count-pm", "--algo", "oracle"], {"count": "5"}),
+    "count-pm-bip": (
+        ["count-pm-bip"],
+        {"count": "4", "stored_states": 13, "pruned_calls": 2, "b0_size": 0},
+    ),
+    "count-pm-bip --baseline": (["count-pm-bip", "--baseline"], {"count": "4"}),
+    "stats": (["stats"], {
+        "n": 8, "m": 12, "avg_degree": "3", "max_degree": 3, "histogram": {"3": 8},
+        "gap": {"alpha": "1", "d_threshold": 1, "count_above": 8, "bound": "24"},
+        "disjoint_set": {"d": "3", "max_deg": 3, "vertices": [0], "size": 1,
+                         "size_bound": 1},
+        "deg2_sample": {"s": 0, "t": 7, "count": 16, "total_subsets": 256,
+                        "ratio": "1/16"},
+    }),
+}
+
+
+def test_one_line_covers_every_solver():
+    assert ONE_LINE.keys() == cli.SOLVERS.keys()
+
+
+@pytest.mark.parametrize("name", ONE_LINE)
+def test_every_solver_prints_its_payload_on_one_line(capsys, tmp_path, name):
+    """stdout is one JSON object on one line, the payload the indented
+    output held, elapsed_ms aside."""
+    argv, want = ONE_LINE[name]
+    if cli.SOLVERS[name].kind is BipartiteGraph:
+        path, g = tmp_path / "b.txt", random_bipartite_min2(5, 12, 1)
+    else:
+        edges = random_regular(8, 3, 1).edges
+        path, g = tmp_path / "g.txt", Graph(8, [(u, v, 1 + u * v % 5) for u, v, _ in edges])
+    path.write_text(serialize_graph(g))
+    assert main([*argv, "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert isinstance(payload.pop("elapsed_ms"), float)
+    assert payload == want
+
+
 def test_count_pm_bip(capsys, k33_file):
     code, payload = run_json(capsys, ["count-pm-bip", "--input", k33_file])
     assert code == 0
@@ -869,6 +927,14 @@ def test_run_bench_refuses_a_model_gen_does_not_know(monkeypatch, model):
         monkeypatch.setattr(generate, name, drawn)
     with pytest.raises(ValueError, match=f"^unknown model '{model}'$"):
         run_bench("tsp", model, [8], [3], [1])
+
+
+@pytest.mark.parametrize("sizes, seeds", [([], [1]), ([8], [])], ids=["no-sizes", "no-seeds"])
+def test_run_bench_refuses_an_unknown_model_on_an_empty_grid(sizes, seeds):
+    """The model is checked before the grid is read, so a grid with no rows
+    is refused too."""
+    with pytest.raises(ValueError, match="^unknown model 'foo'$"):
+        run_bench("tsp", "foo", sizes, [3], seeds)
 
 
 @pytest.mark.parametrize("algo, model", [("tsp", "gnm"), ("count-pm-bip", "bipartite")])

@@ -118,8 +118,11 @@ def bridged_cubic(half: int, seed: int) -> Graph:
 
 def tour_layer_states(g: Graph, a: int) -> list[int]:
     """States per layer of the tour DP from anchor a, over the layers the
-    half-way join reads."""
-    return [sum(map(len, layer)) for layer in islice(_path_layers(g, a), (g.n + 3) // 2)]
+    half-way join reads; a None endpoint slot holds none."""
+    return [
+        sum(len(masks) for masks in layer if masks is not None)
+        for layer in islice(_path_layers(g, a), (g.n + 3) // 2)
+    ]
 
 
 TOUR_GRAPHS = {
@@ -141,6 +144,17 @@ def test_tour_layer_states_sum_to_states_visited(name):
         res = ham_path(g, a, b)
         assert res is not None
         assert sum(tour_layer_states(plus_z(g, a, b), g.n)) == res.states_visited
+
+
+@pytest.mark.parametrize("name", TOUR_GRAPHS)
+def test_tour_layer_slots_are_none_or_hold_states(name):
+    """A layer is a list of n endpoint slots, each None or a non-empty dict:
+    no endpoint without states gets a dict."""
+    g = TOUR_GRAPHS[name]
+    for a in (anchor_vertex(g), 0):
+        for layer in islice(_path_layers(g, a), (g.n + 3) // 2):
+            assert len(layer) == g.n
+            assert all(s is None or (type(s) is dict and s) for s in layer)
 
 
 def test_tour_states_without_a_tour():

@@ -265,9 +265,14 @@ def completion_kept_layers(
 
 
 def state_keys(layers) -> list[tuple[int, int]]:
-    """Every (visited set, endpoint) key stored in the given layers."""
+    """Every (visited set, endpoint) key stored in the given layers; a None
+    endpoint slot holds none."""
     return [
-        (mask, v) for lay in layers for v, masks in enumerate(lay) for mask in masks
+        (mask, v)
+        for lay in layers
+        for v, masks in enumerate(lay)
+        if masks is not None
+        for mask in masks
     ]
 
 
@@ -441,7 +446,7 @@ def test_path_dp_matches_sorted_key_reference():
                     found = refs[x].path(y)
                     res = ham_path(g, x, y)
                     if found is None:
-                        assert layers[-1][y].get(full | 1 << n) is None
+                        assert layers[-1][y] is None or full | 1 << n not in layers[-1][y]
                         assert joined is None and res is None, (seed, x, y)
                         continue
                     assert layers[-1][y][full | 1 << n] == found[0], (seed, x, y)
@@ -489,7 +494,7 @@ def test_every_stored_state_reconstructs_as_the_reference():
             layers = list(_path_layers(h, a))
             for i, layer in enumerate(layers):
                 for v, costs in enumerate(layer):
-                    for mask, cost in costs.items():
+                    for mask, cost in (costs or {}).items():
                         order = _reconstruct(h, layers, v, mask)
                         assert order == ref.trace(mask, v), (seed, h, a, mask, v)
                         assert ref.layers[i][mask << 6 | v] == cost
@@ -702,7 +707,7 @@ def bare_path_graph() -> Graph:
 )
 def test_tsp_cycle_refuses_before_the_dp(make, monkeypatch):
     """No DP runs for a cycle on g, nor for a path query whose g + z is not
-    2-connected."""
+    2-connected, and tsp_cycle picks no anchor."""
     g = make()
     assert oracle_tsp(g) is None
     refused = [
@@ -713,10 +718,11 @@ def test_tsp_cycle_refuses_before_the_dp(make, monkeypatch):
     ]
     assert refused
 
-    def no_dp(*args):
-        raise AssertionError("the path DP ran on a graph that is not 2-connected")
+    def no_work(*args):
+        raise AssertionError("solver work ran on a graph that is not 2-connected")
 
-    monkeypatch.setattr(tsp, "_path_layers", no_dp)
+    monkeypatch.setattr(tsp, "anchor_vertex", no_work)
+    monkeypatch.setattr(tsp, "_path_layers", no_work)
     assert tsp_cycle(g) is None
     assert held_karp_cycle(g) is None
     for a, b in refused:
