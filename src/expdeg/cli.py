@@ -147,10 +147,7 @@ def _stats(structure, g, o) -> dict:
 
 
 def _bip_count(pm_bipartite, g, o) -> dict:
-    # --alpha and run_bench default to None, read here as DEFAULT_ALPHA so
-    # that neither the parser nor run_bench imports pm_bipartite
-    alpha = pm_bipartite.DEFAULT_ALPHA if o.alpha is None else o.alpha
-    result = pm_bipartite.count_pm_bipartite(g, alpha)
+    result = pm_bipartite.count_pm_bipartite(g, o.alpha)
     return {
         "count": str(result.count),
         "stored_states": result.stored_states,

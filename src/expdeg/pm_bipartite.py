@@ -26,15 +26,6 @@ from .layers import drive
 DEFAULT_ALPHA = Fraction("3.55")
 
 
-def _check_alpha(alpha: Fraction | float) -> Fraction:
-    """alpha as an exact Fraction (see exact_fraction), or ValueError unless
-    it exceeds 2."""
-    alpha = exact_fraction(alpha)
-    if alpha <= 2:
-        raise ValueError("alpha must exceed 2")
-    return alpha
-
-
 def _b0_size(k: int, d: Fraction, alpha: Fraction) -> int:
     """floor(k/(alpha*d)), the size of the block B0; 0 when d = 0."""
     return math.floor(Fraction(k, alpha * d)) if d else 0
@@ -109,8 +100,11 @@ class TrimPlan(Record):
     low_card_limit: int
 
 
-def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> TrimPlan:
+def plan_trim(g: BipartiteGraph, alpha: Fraction | float | str | None = None) -> TrimPlan:
     """Choose the block B0 and A-side order for a minimum-degree-2 instance.
+
+    alpha None is DEFAULT_ALPHA = 3.55, any other value is read by
+    exact_fraction, and alpha <= 2 raises ValueError; an empty g gets d = 0.
 
     b0 holds the floor(k/(alpha*d)) smallest-degree B-vertices (ties by
     index) where d = m/k exactly; its neighborhood a0 then has at most
@@ -121,7 +115,9 @@ def plan_trim(g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA) -> Tri
     average at most d and sum to at most s*d <= (k/(alpha*d))*d = k/alpha,
     and a0 has at most as many vertices as b0 has edges.
     """
-    alpha = _check_alpha(alpha)
+    alpha = DEFAULT_ALPHA if alpha is None else exact_fraction(alpha)
+    if alpha <= 2:
+        raise ValueError("alpha must exceed 2")
     k = g.k
     if k == 0:
         return TrimPlan(alpha, Fraction(0), (), (), (), 0)
@@ -183,17 +179,18 @@ def _levels(h: BipartiteGraph, order_a: tuple[int, ...]):
 
 
 def count_pm_bipartite(
-    g: BipartiteGraph, alpha: Fraction | float = DEFAULT_ALPHA
+    g: BipartiteGraph, alpha: Fraction | float | str | None = None
 ) -> BipCountResult:
     """Exact perfect-matching count by one forward pass over _levels; stored
-    states are the kept sets of all levels, pruned calls the dropped ones."""
+    states are the kept sets of all levels, pruned calls the dropped ones.
+    Every instance is planned by plan_trim, also one that peeling empties or
+    finds infeasible; alpha goes there as given (None is DEFAULT_ALPHA = 3.55)."""
     red = reduce_degree_one(g)
     h = red.graph
     k = h.k
-    if k == 0:  # peeling left nothing, or found g infeasible
-        alpha = _check_alpha(alpha)  # plan_trim checks it on the other path
-        return BipCountResult(int(red.feasible), 0, 0, 0, 0, Fraction(0), alpha)
     plan = plan_trim(h, alpha)
+    if k == 0:  # peeling left nothing, or found g infeasible
+        return BipCountResult(int(red.feasible), 0, 0, 0, 0, plan.d, plan.alpha)
     [(level, _)], sizes = drive(_levels(h, plan.order_a), lambda lv: (len(lv[0]), lv[1]))
     stored, pruned = map(sum, zip(*sizes))
     count = level.get((1 << k) - 1, 0)

@@ -5,8 +5,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial
 
-import pytest
-
 from expdeg import (
     BipartiteGraph,
     CapacityError,
@@ -75,17 +73,22 @@ def general_form(b: BipartiteGraph) -> Graph:
     return Graph(2 * b.k, [(i, b.k + j, 1) for i, j in b.edges])
 
 
-def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
-    """Every (visited-set, endpoint) state the full sparse cycle DP (all n
-    layers, completion test and anchor rule) keeps from anchor a; a None
+def state_keys(layers) -> list[tuple[int, int]]:
+    """Every (visited set, endpoint) key stored in the given layers; a None
     endpoint slot holds none."""
     return [
         (mask, v)
-        for layer in _path_layers(g, a)
-        for v, masks in enumerate(layer)
+        for lay in layers
+        for v, masks in enumerate(lay)
         if masks is not None
         for mask in masks
     ]
+
+
+def path_dp_states(g: Graph, a: int) -> list[tuple[int, int]]:
+    """Every (visited-set, endpoint) state the full sparse cycle DP (all n
+    layers, completion test and anchor rule) keeps from anchor a."""
+    return state_keys(_path_layers(g, a))
 
 
 def complete_bipartite(k: int) -> BipartiteGraph:
@@ -203,20 +206,6 @@ def reference_parse_graph(text: str) -> Graph | BipartiteGraph:
     if graph:
         return Graph(size, [e if len(e) == 3 else (*e, 1) for e in edges])
     return BipartiteGraph(size, edges)
-
-
-@pytest.fixture
-def named_small_graphs():
-    return {
-        "K2": complete_graph(2),
-        "K3": complete_graph(3),
-        "K4": complete_graph(4),
-        "C4": cycle_graph(4),
-        "C5": cycle_graph(5),
-        "C6": cycle_graph(6),
-        "K33": k33_graph(),
-        "Petersen": petersen_graph(),
-    }
 
 
 def cycle_distribution_cases():

@@ -17,6 +17,7 @@ from expdeg import (
     ryser_permanent,
     stored_state_bound,
 )
+from expdeg import pm_bipartite
 from expdeg.bitset import bits
 from expdeg.pm_bipartite import DEFAULT_ALPHA, _levels
 from conftest import complete_bipartite, general_form, seeded_bipartite
@@ -125,14 +126,43 @@ def test_plan_rejects_small_alpha():
 
 
 def test_count_rejects_small_alpha_before_peeling():
-    # peeling empties a perfect matching, so plan_trim never sees alpha:
-    # count checks it on that path itself
+    # peeling empties a perfect matching and the empty graph before any
+    # level is built; count still plans the empty remainder, and plan_trim
+    # refuses alpha there
     matching2 = BipartiteGraph.from_edges(2, [(0, 0), (1, 1)])
     for alpha in (Fraction(2), 2.0, 1):
         with pytest.raises(ValueError):
             count_pm_bipartite(matching2, alpha)
         with pytest.raises(ValueError):
             count_pm_bipartite(BipartiteGraph.from_edges(0, []), alpha)
+
+
+PLAN_ONCE_GRAPHS = {
+    "matching": BipartiteGraph.from_edges(2, [(0, 0), (1, 1)]),  # peels empty
+    "isolated": BipartiteGraph.from_edges(2, [(0, 0), (1, 0)]),  # infeasible
+    "K33": complete_bipartite(3),
+    "min2": random_bipartite_min2(8, 16, 1),
+}
+
+
+@pytest.mark.parametrize("name", PLAN_ONCE_GRAPHS)
+def test_count_plans_once_and_reads_the_default_there(name, monkeypatch):
+    g = PLAN_ONCE_GRAPHS[name]
+    plan_trim_of = pm_bipartite.plan_trim
+    calls = []
+
+    def recording_plan_trim(h, alpha=None):
+        calls.append(alpha)
+        return plan_trim_of(h, alpha)
+
+    monkeypatch.setattr(pm_bipartite, "plan_trim", recording_plan_trim)
+    results = []
+    for args in ((), (None,), (3.55,), (DEFAULT_ALPHA,)):
+        calls.clear()
+        results.append(count_pm_bipartite(g, *args))
+        assert len(calls) == 1, args
+    assert results == [results[0]] * 4
+    assert results[0].alpha == DEFAULT_ALPHA
 
 
 def test_float_alpha_reads_decimal():

@@ -33,6 +33,7 @@ from conftest import (
     plus_z,
     seeded_graph,
     seeded_weighted_graph,
+    state_keys,
     star_graph,
     tour_weight,
 )
@@ -262,18 +263,6 @@ def completion_kept_layers(
             and passes(mask | (1 << v), v)
         })
     return layers
-
-
-def state_keys(layers) -> list[tuple[int, int]]:
-    """Every (visited set, endpoint) key stored in the given layers; a None
-    endpoint slot holds none."""
-    return [
-        (mask, v)
-        for lay in layers
-        for v, masks in enumerate(lay)
-        if masks is not None
-        for mask in masks
-    ]
 
 
 def layer_sets(layers) -> list[set]:
